@@ -95,3 +95,41 @@ func (s bitset) appendMembers(dst []int) []int {
 	}
 	return dst
 }
+
+// clearBelow removes members [0, k).
+func (s bitset) clearBelow(k int) {
+	clear(s[:k>>6])
+	if r := uint(k & 63); r != 0 {
+		s[k>>6] &^= (1 << r) - 1
+	}
+}
+
+// cut deletes members [a, b) and renumbers every member m ≥ b to
+// m−(b−a): the bitset form of removing a contiguous vertex range and
+// compacting the indices above it. Members below a are untouched and
+// the vacated top bits read as zero.
+func (s bitset) cut(a, b int) {
+	d := b - a
+	if d <= 0 {
+		return
+	}
+	first := a >> 6
+	low := uint64(1)<<uint(a&63) - 1 // bits of word first below a
+	for wi := first; wi < len(s); wi++ {
+		// Destination bits wi·64… take source bits wi·64+d…, which lie
+		// in words ≥ wi, so ascending order never reads a written word.
+		src := wi<<6 + d
+		sw, off := src>>6, uint(src&63)
+		var v uint64
+		if sw < len(s) {
+			v = s[sw] >> off
+			if sw+1 < len(s) {
+				v |= s[sw+1] << (64 - off) // off == 0 shifts out to 0
+			}
+		}
+		if wi == first {
+			v = s[wi]&low | v&^low
+		}
+		s[wi] = v
+	}
+}

@@ -65,6 +65,28 @@ func TestNewGraphMatchesPairwiseReference(t *testing.T) {
 	}
 }
 
+// buildEdgesPairwise is the seed's all-pairs Contend sweep, the
+// reference oracle for the incremental incidence build.
+func (g *Graph) buildEdgesPairwise(t *topology.Topology) {
+	for i := 0; i < len(g.subflows); i++ {
+		for j := i + 1; j < len(g.subflows); j++ {
+			if Contend(t, g.subflows[i], g.subflows[j]) {
+				g.addEdge(i, j)
+			}
+		}
+	}
+}
+
+// forcedIncidence returns an index already built, so addVertices takes
+// the incidence path below incidenceCutoff.
+func forcedIncidence(topo *topology.Topology) *incidence {
+	x := &incidence{head: make([]int32, topo.NumNodes())}
+	for u := range x.head {
+		x.head[u] = -1
+	}
+	return x
+}
+
 // TestNewGraphForcedIncidenceSmall covers sizes the cutoff would send
 // to the pairwise path, forcing the incidence build directly.
 func TestNewGraphForcedIncidenceSmall(t *testing.T) {
@@ -73,8 +95,8 @@ func TestNewGraphForcedIncidenceSmall(t *testing.T) {
 		nodes := 2 + rng.Intn(12)
 		subCount := 1 + rng.Intn(incidenceCutoff-1)
 		topo, subs := randomGeoInstance(t, rng, nodes, subCount, topology.DefaultRange*(0.5+rng.Float64()*3))
-		got := newGraphShell(subs)
-		got.buildEdgesIncidence(topo)
+		got := &Graph{}
+		got.addVertices(topo, subs, forcedIncidence(topo))
 		want := newGraphShell(subs)
 		want.buildEdgesPairwise(topo)
 		if !reflect.DeepEqual(got.rows, want.rows) || !reflect.DeepEqual(got.degrees, want.degrees) {

@@ -2,6 +2,7 @@ package contention
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -24,7 +25,8 @@ type bkScratch struct {
 	backing   []uint64
 	p, x, c   []bitset // per-depth P, X, and branch-candidate sets
 	remaining bitset
-	r         []int // current clique stack, owned by the enumeration
+	common    bitset // common-neighbor scratch for clique maintenance
+	r         []int  // current clique stack, owned by the enumeration
 	order     []int
 	deg       []int
 }
@@ -48,7 +50,7 @@ func (sc *bkScratch) carve(n int) {
 	}
 	w := wordsFor(n)
 	levels := n + 2
-	need := (3*levels + 1) * w
+	need := (3*levels + 2) * w
 	if cap(sc.backing) < need {
 		sc.backing = make([]uint64, need)
 	}
@@ -64,7 +66,8 @@ func (sc *bkScratch) carve(n int) {
 		sc.x[d] = b[(levels+d)*w : (levels+d+1)*w : (levels+d+1)*w]
 		sc.c[d] = b[(2*levels+d)*w : (2*levels+d+1)*w : (2*levels+d+1)*w]
 	}
-	sc.remaining = b[3*levels*w : need : need]
+	sc.remaining = b[3*levels*w : (3*levels+1)*w : (3*levels+1)*w]
+	sc.common = b[(3*levels+1)*w : need : need]
 	if cap(sc.r) <= n {
 		sc.r = make([]int, 0, n+1)
 	}
@@ -84,19 +87,10 @@ func (sc *bkScratch) carve(n int) {
 // (cliques not contained in another clique, Sec. III-A). Isolated
 // vertices form singleton cliques. Cliques are returned in a
 // deterministic order: each sorted ascending, the list sorted
-// lexicographically by member indices.
+// lexicographically by member indices. It is extendCliques with every
+// vertex new, the same path a Live graph takes when subflows join.
 func (g *Graph) MaximalCliques() []Clique {
-	var out []Clique
-	g.VisitMaximalCliques(func(r []int) {
-		c := make(Clique, len(r))
-		copy(c, r)
-		out = append(out, c)
-	})
-	for _, c := range out {
-		sort.Ints(c)
-	}
-	sort.Slice(out, func(a, b int) bool { return lessIntSlice(out[a], out[b]) })
-	return out
+	return g.extendCliques(nil, 0)
 }
 
 // VisitMaximalCliques calls visit once per maximal clique. The slice
@@ -105,36 +99,83 @@ func (g *Graph) MaximalCliques() []Clique {
 // allocates nothing in steady state, and its enumeration order is
 // unspecified.
 func (g *Graph) VisitMaximalCliques(visit func(clique []int)) {
-	n := len(g.subflows)
-	if n == 0 {
+	if len(g.subflows) == 0 {
 		return
+	}
+	sc := acquireScratch(len(g.subflows))
+	defer releaseScratch(sc)
+	g.visitFrom(sc, 0, visit)
+}
+
+// extendCliques turns cliques — the canonical maximal cliques of the
+// graph induced on vertices [0, first) — into the canonical maximal
+// cliques of the whole graph, after vertices S = [first, n) joined. An
+// old clique C stays maximal unless some s ∈ S is adjacent to all of
+// it (then C ∪ {s} is a clique); every new maximal clique contains a
+// vertex of S and is enumerated once by visitFrom. Re-sorting into the
+// canonical order makes the result byte-identical to enumerating the
+// whole graph from scratch, which is the first = 0 case.
+func (g *Graph) extendCliques(cliques []Clique, first int) []Clique {
+	n := len(g.subflows)
+	if first >= n {
+		return cliques
 	}
 	sc := acquireScratch(n)
 	defer releaseScratch(sc)
-	g.degeneracyOrder(sc)
-	remaining := sc.remaining
-	remaining.fill(n)
-	// Root a pivoted search at each vertex v in degeneracy order with
-	// P = later neighbors and X = earlier neighbors (Eppstein–Löffler–
-	// Strash): every branch's candidate set is bounded by the
-	// degeneracy rather than the maximum degree.
+	kept := cliques[:0]
+	for _, c := range cliques {
+		if !g.dominated(sc.common, c, first) {
+			kept = append(kept, c)
+		}
+	}
+	clear(cliques[len(kept):])
+	cliques = kept
+	g.visitFrom(sc, first, func(r []int) {
+		c := slices.Clone(r)
+		slices.Sort(c)
+		cliques = append(cliques, Clique(c))
+	})
+	return canonicalCliques(cliques)
+}
+
+// dominated reports whether some vertex ≥ first is adjacent to every
+// member of c, using common as scratch.
+func (g *Graph) dominated(common bitset, c Clique, first int) bool {
+	common.copyFrom(g.rows[c[0]])
+	for _, v := range c[1:] {
+		common.intersect(common, g.rows[v])
+	}
+	common.clearBelow(first)
+	return !common.empty()
+}
+
+// canonicalCliques sorts cliques (each already ascending) into
+// lexicographic order and drops adjacent duplicates.
+func canonicalCliques(cliques []Clique) []Clique {
+	slices.SortFunc(cliques, func(a, b Clique) int { return slices.Compare(a, b) })
+	return slices.CompactFunc(cliques, func(a, b Clique) bool { return slices.Equal(a, b) })
+}
+
+// visitFrom calls visit once per maximal clique that contains a vertex
+// of S = [first, n). Each s ∈ S, in degeneracy order, roots a pivoted
+// search with P = N(s) minus the S vertices already rooted and X =
+// N(s) ∩ those vertices (Eppstein–Löffler–Strash), so each such clique
+// is reported exactly once, at its first S vertex. With first = 0 this
+// enumerates every maximal clique, each branch's candidate set bounded
+// by the degeneracy rather than the maximum degree.
+func (g *Graph) visitFrom(sc *bkScratch, first int, visit func([]int)) {
+	n := len(g.subflows)
+	g.degeneracyOrder(sc, first)
+	notRooted := sc.remaining
+	notRooted.fill(n)
 	for _, v := range sc.order {
-		remaining.unset(v)
-		sc.p[1].intersect(g.rows[v], remaining)
-		sc.x[1].subtract(g.rows[v], remaining)
+		notRooted.unset(v)
+		sc.p[1].intersect(g.rows[v], notRooted)
+		sc.x[1].subtract(g.rows[v], notRooted)
 		sc.r = append(sc.r[:0], v)
 		g.bk(sc, 1, visit)
 	}
 	sc.r = sc.r[:0]
-}
-
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // bk expands the clique sc.r with candidates sc.p[depth], excluding
@@ -181,18 +222,21 @@ func (g *Graph) bk(sc *bkScratch, depth int, visit func([]int)) {
 	}
 }
 
-// degeneracyOrder fills sc.order by repeatedly removing the vertex of
-// minimum residual degree, smallest index first on ties — a
-// deterministic degeneracy ordering. Residual degrees are maintained
-// with bitset sweeps, O(n²/64) per graph.
-func (g *Graph) degeneracyOrder(sc *bkScratch) {
+// degeneracyOrder fills sc.order with the vertices [first, n) by
+// repeatedly removing the one of minimum residual degree, smallest
+// index first on ties — a deterministic degeneracy ordering (of the
+// whole graph when first = 0). Residual degrees start at the full
+// degree and drop as neighbors in the range are removed; they are
+// maintained with bitset sweeps, O(n²/64) per graph.
+func (g *Graph) degeneracyOrder(sc *bkScratch, first int) {
 	n := len(g.subflows)
 	remaining := sc.remaining
 	remaining.fill(n)
+	remaining.clearBelow(first)
 	deg := sc.deg[:n]
 	copy(deg, g.degrees)
 	sc.order = sc.order[:0]
-	for len(sc.order) < n {
+	for len(sc.order) < n-first {
 		pick, pickDeg := -1, n+1
 		for wi, w := range remaining {
 			base := wi << 6
@@ -343,8 +387,7 @@ func (g *Graph) CliquesContaining(v int) []Clique {
 	sc.r = sc.r[:0]
 	releaseScratch(sc)
 	for _, c := range out {
-		sort.Ints(c)
+		slices.Sort(c)
 	}
-	sort.Slice(out, func(a, b int) bool { return lessIntSlice(out[a], out[b]) })
-	return out
+	return canonicalCliques(out)
 }

@@ -10,7 +10,9 @@ package contention
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"e2efair/internal/flow"
 	"e2efair/internal/topology"
@@ -23,32 +25,82 @@ var ErrUnknownSubflow = errors.New("contention: unknown subflow")
 // Graph is a subflow contention graph. Vertices are indexed densely in
 // the order the subflows were supplied. Adjacency is stored as one
 // word-packed bitset row per vertex, which keeps the Bron–Kerbosch
-// inner loops to a handful of word operations per 64 vertices.
+// inner loops to a handful of word operations per 64 vertices. Rows
+// are carved back to back from one backing array, so a whole graph
+// copies with one memmove.
 type Graph struct {
 	subflows []flow.Subflow
-	index    map[flow.SubflowID]int
 	rows     []bitset // rows[i] holds the neighbors of vertex i
+	words    []uint64 // rows[i] = words[i*w : (i+1)*w], w = wordsFor(len(subflows))
 	degrees  []int
+
+	indexOnce sync.Once
+	index     map[flow.SubflowID]int // built on first VertexOf
 }
 
 // newGraphShell builds a graph with the given vertices and no edges.
-// All rows are carved from a single backing array.
 func newGraphShell(subflows []flow.Subflow) *Graph {
-	n := len(subflows)
 	g := &Graph{
-		subflows: make([]flow.Subflow, n),
-		index:    make(map[flow.SubflowID]int, n),
-		rows:     make([]bitset, n),
-		degrees:  make([]int, n),
+		subflows: slices.Clone(subflows),
+		degrees:  make([]int, len(subflows)),
 	}
-	copy(g.subflows, subflows)
-	w := wordsFor(n)
-	backing := make([]uint64, n*w)
-	for i, s := range g.subflows {
-		g.index[s.ID] = i
-		g.rows[i] = backing[i*w : (i+1)*w : (i+1)*w]
-	}
+	g.setVertexCount(len(subflows))
 	return g
+}
+
+// setVertexCount re-carves the row storage for n vertices, keeping the
+// bits of rows [0, min(n, old)) and zeroing any new rows. Rows narrow
+// in place; they widen (a 64-vertex boundary crossed) or outgrow the
+// backing into a fresh array with room to spare, so steady churn
+// around one size reallocates nothing.
+func (g *Graph) setVertexCount(n int) {
+	old := len(g.rows)
+	keep := min(old, n)
+	nw := wordsFor(n)
+	ow := nw
+	if old > 0 {
+		ow = len(g.rows[0])
+	}
+	switch {
+	case nw > ow || cap(g.words) < n*nw:
+		capacity := n * nw
+		if old > 0 {
+			capacity += capacity / 4 // headroom for churn around one size
+		}
+		words := make([]uint64, n*nw, capacity)
+		for i := 0; i < keep; i++ {
+			copy(words[i*nw:], g.rows[i])
+		}
+		g.words = words
+	case nw < ow:
+		// Row i moves to i*nw ≤ i*ow, never past row i+1's old start.
+		for i := 0; i < keep; i++ {
+			copy(g.words[i*nw:i*nw+nw], g.words[i*ow:i*ow+nw])
+		}
+		g.words = g.words[:n*nw]
+	default:
+		g.words = g.words[:n*nw]
+		clear(g.words[keep*nw:])
+	}
+	g.rows = g.rows[:0]
+	for i := 0; i < n; i++ {
+		g.rows = append(g.rows, g.words[i*nw:(i+1)*nw:(i+1)*nw])
+	}
+}
+
+// clone returns an independent copy of the graph's vertices and edges.
+func (g *Graph) clone() *Graph {
+	c := &Graph{
+		subflows: slices.Clone(g.subflows),
+		degrees:  slices.Clone(g.degrees),
+		words:    slices.Clone(g.words),
+		rows:     make([]bitset, len(g.rows)),
+	}
+	w := wordsFor(len(g.subflows))
+	for i := range c.rows {
+		c.rows[i] = c.words[i*w : (i+1)*w : (i+1)*w]
+	}
+	return c
 }
 
 // addEdge connects vertices i and j (idempotence is the caller's
@@ -85,95 +137,162 @@ func BuildGraph(t *topology.Topology, flows *flow.Set) *Graph {
 	return NewGraph(t, flows.Subflows())
 }
 
-// incidenceCutoff is the vertex count below which the S² pairwise
-// sweep beats building the incidence index.
+// incidenceCutoff is the vertex count below which testing each new
+// vertex against every vertex beats building the incidence index.
 const incidenceCutoff = 24
 
 // NewGraph constructs the contention graph over an explicit subflow
-// list, which lets callers build local (per-node) graphs. Candidate
-// contender pairs are generated from a node→subflow incidence index
-// joined with the topology's neighbor lists instead of testing all S²
-// pairs: subflow j contends with i exactly when some endpoint of j is
-// an endpoint u of i or one of u's transmission-range neighbors, so
-// scanning the incidence lists of {u} ∪ Neighbors(u) enumerates i's
-// contenders with no post-filter. The result is byte-identical to the
-// seed's pairwise build, which is retained as buildEdgesPairwise (the
-// reference oracle pinned by the randomized cross-check tests).
+// list, which lets callers build local (per-node) graphs. It is the
+// incremental build of addVertices applied to an empty graph, the same
+// path a Live graph takes when subflows join.
 func NewGraph(t *topology.Topology, subflows []flow.Subflow) *Graph {
-	g := newGraphShell(subflows)
-	if t == nil || len(subflows) < incidenceCutoff {
-		g.buildEdgesPairwise(t)
-		return g
-	}
-	g.buildEdgesIncidence(t)
+	g := &Graph{}
+	g.addVertices(t, subflows, &incidence{})
 	return g
 }
 
-// buildEdgesPairwise is the seed's all-pairs Contend sweep, retained as
-// the reference oracle for the incidence build.
-func (g *Graph) buildEdgesPairwise(t *topology.Topology) {
-	for i := 0; i < len(g.subflows); i++ {
-		for j := i + 1; j < len(g.subflows); j++ {
-			if Contend(t, g.subflows[i], g.subflows[j]) {
-				g.addEdge(i, j)
-			}
-		}
+// incidence is a node → vertex index: the vertices with an endpoint at
+// node u are chained from head[u] through next, where slot 2v+e stands
+// for endpoint e (0 = source, 1 = destination) of vertex v. head is nil
+// until a graph first reaches incidenceCutoff vertices.
+type incidence struct {
+	head []int32 // per node; -1 = no vertex
+	next []int32 // per endpoint slot
+}
+
+// push chains vertex v's endpoints into the index.
+func (x *incidence) push(v int, sf *flow.Subflow) {
+	for len(x.next) < 2*v+2 {
+		x.next = append(x.next, -1)
+	}
+	x.next[2*v] = x.head[sf.Src]
+	x.head[sf.Src] = int32(2 * v)
+	if sf.Dst != sf.Src {
+		x.next[2*v+1] = x.head[sf.Dst]
+		x.head[sf.Dst] = int32(2*v + 1)
 	}
 }
 
-// buildEdgesIncidence adds the same edge set as buildEdgesPairwise in
-// O(Σ candidate-list lengths) instead of O(S²).
-func (g *Graph) buildEdgesIncidence(t *topology.Topology) {
-	s := len(g.subflows)
-	n := t.NumNodes()
-	// CSR incidence index: for node u, the vertices with an endpoint at
-	// u are inc[starts[u]:starts[u+1]], ascending.
-	starts := make([]int32, n+1)
-	for i := range g.subflows {
-		starts[g.subflows[i].Src+1]++
-		starts[g.subflows[i].Dst+1]++
+// unchain empties the chains of every endpoint node of vs.
+func (x *incidence) unchain(vs []flow.Subflow) {
+	for i := range vs {
+		x.head[vs[i].Src], x.head[vs[i].Dst] = -1, -1
 	}
-	for u := 0; u < n; u++ {
-		starts[u+1] += starts[u]
-	}
-	inc := make([]int32, 2*s)
-	for i := range g.subflows {
-		sf := &g.subflows[i]
-		inc[starts[sf.Src]] = int32(i)
-		starts[sf.Src]++
-		inc[starts[sf.Dst]] = int32(i)
-		starts[sf.Dst]++
-	}
-	copy(starts[1:n+1], starts[:n])
-	starts[0] = 0
+}
 
-	for i := 0; i < s; i++ {
+// addVertices appends subflows as vertices [first, n) and connects each
+// to every contending vertex, old or new. Subflow j contends with i
+// exactly when some endpoint of j is an endpoint u of i or one of u's
+// transmission-range neighbors, so scanning the incidence chains of
+// {u} ∪ Neighbors(u) enumerates i's contenders with no post-filter;
+// the result is byte-identical to the all-pairs Contend sweep pinned by
+// the randomized cross-check tests. Small graphs skip the index and
+// test each new vertex against every earlier one.
+func (g *Graph) addVertices(t *topology.Topology, subs []flow.Subflow, x *incidence) {
+	first := len(g.subflows)
+	g.subflows = append(g.subflows, subs...)
+	n := len(g.subflows)
+	for range subs {
+		g.degrees = append(g.degrees, 0)
+	}
+	g.setVertexCount(n)
+	if t == nil || (x.head == nil && n < incidenceCutoff) {
+		for i := first; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if Contend(t, g.subflows[i], g.subflows[j]) {
+					g.addEdge(i, j)
+				}
+			}
+		}
+		return
+	}
+	if x.head == nil {
+		x.head = make([]int32, t.NumNodes())
+		for u := range x.head {
+			x.head[u] = -1
+		}
+		first = 0 // index and connect every vertex
+	}
+	for i := first; i < n; i++ {
+		x.push(i, &g.subflows[i])
+	}
+	for i := first; i < n; i++ {
 		sf := &g.subflows[i]
 		ends := [2]topology.NodeID{sf.Src, sf.Dst}
 		for e, u := range ends {
 			if e == 1 && ends[0] == ends[1] {
 				break
 			}
-			g.connectCandidates(i, inc[starts[u]:starts[u+1]])
+			g.connectChain(i, x, u)
 			for _, v := range t.Neighbors(u) {
-				g.connectCandidates(i, inc[starts[v]:starts[v+1]])
+				g.connectChain(i, x, v)
 			}
 		}
 	}
 }
 
-// connectCandidates adds an edge from vertex i to every candidate
-// vertex j > i not already connected. Each candidate is a true
-// contender by construction; only the seed sweep's self/duplicate-ID
-// exclusions apply.
-func (g *Graph) connectCandidates(i int, cands []int32) {
+// connectChain adds an edge from vertex i to every vertex on node u's
+// incidence chain not already connected. Each is a true contender by
+// construction; only Contend's self/duplicate-ID exclusion applies.
+func (g *Graph) connectChain(i int, x *incidence, u topology.NodeID) {
 	row := g.rows[i]
-	for _, jj := range cands {
-		j := int(jj)
-		if j <= i || row.has(j) || g.subflows[j].ID == g.subflows[i].ID {
+	for s := x.head[u]; s >= 0; s = x.next[s] {
+		j := int(s >> 1)
+		if j == i || row.has(j) || g.subflows[j].ID == g.subflows[i].ID {
 			continue
 		}
 		g.addEdge(i, j)
+	}
+}
+
+// removeVertices deletes the vertices marked in drop (ascending, one
+// entry per vertex, mask holding the same set) and renumbers the rest
+// monotonically, so surviving vertices keep their relative order.
+// remap receives each old vertex's new index (−1 for dropped ones).
+// The incidence index, when built, is rebuilt over the survivors.
+func (g *Graph) removeVertices(drop []int, mask bitset, remap []int, x *incidence) {
+	n := len(g.subflows)
+	if x.head != nil {
+		x.unchain(g.subflows)
+	}
+	for i := 0; i < n; i++ {
+		if !mask.has(i) {
+			g.degrees[i] -= intersectCount(g.rows[i], mask)
+		}
+	}
+	w := 0
+	for i := 0; i < n; i++ {
+		if mask.has(i) {
+			remap[i] = -1
+			continue
+		}
+		row := g.rows[i]
+		// Cut dropped runs from the top down so lower run bounds stay
+		// valid as indices shift.
+		for hi := len(drop); hi > 0; {
+			lo := hi - 1
+			for lo > 0 && drop[lo-1] == drop[lo]-1 {
+				lo--
+			}
+			row.cut(drop[lo], drop[hi-1]+1)
+			hi = lo
+		}
+		if w != i {
+			copy(g.rows[w], row)
+			g.subflows[w] = g.subflows[i]
+			g.degrees[w] = g.degrees[i]
+		}
+		remap[i] = w
+		w++
+	}
+	clear(g.subflows[w:])
+	g.subflows = g.subflows[:w]
+	g.degrees = g.degrees[:w]
+	g.setVertexCount(w)
+	if x.head != nil {
+		for i := range g.subflows {
+			x.push(i, &g.subflows[i])
+		}
 	}
 }
 
@@ -207,6 +326,12 @@ func (g *Graph) Subflows() []flow.Subflow { return g.subflows }
 
 // VertexOf returns the vertex index of a subflow ID.
 func (g *Graph) VertexOf(id flow.SubflowID) (int, error) {
+	g.indexOnce.Do(func() {
+		g.index = make(map[flow.SubflowID]int, len(g.subflows))
+		for i, s := range g.subflows {
+			g.index[s.ID] = i
+		}
+	})
 	i, ok := g.index[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownSubflow, id)

@@ -336,3 +336,12 @@ func BenchmarkBitsetVisit256(b *testing.B) {
 	}
 	_ = total
 }
+
+func lessIntSlice(a, b []int) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}

@@ -175,12 +175,12 @@ func (a *Allocator) solveGroups(groups []*group, pending []int, shares [][]float
 // bit-identical output — the property the sharded fan-out and the
 // share cache both rest on.
 func (s *session) solveGroup(g *group, refine bool) ([]float64, error) {
-	x, obj, err := s.maximizeTotal(g.rows, g.basic)
+	x, obj, err := s.maximizeTotal(g.lpRows(), g.basic)
 	if err != nil {
 		return nil, fmt.Errorf("core: centralized allocation: %w", err)
 	}
 	if refine {
-		x, err = s.refineMaxMin(g.rows, g.basic, g.weights, obj)
+		x, err = s.refineMaxMin(g.lpRows(), g.basic, g.weights, obj)
 		if err != nil {
 			return nil, fmt.Errorf("core: max-min refinement: %w", err)
 		}

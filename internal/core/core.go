@@ -9,10 +9,13 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,7 +53,8 @@ type Instance struct {
 
 // NewInstance validates the flows against the topology (every hop a
 // radio link, no shortcuts) and derives the subflow contention graph
-// and its maximal cliques.
+// and its maximal cliques. It is a Live instance built once from
+// empty, so every instance shares the one incremental builder.
 func NewInstance(topo *topology.Topology, flows *flow.Set) (*Instance, error) {
 	if flows.Len() == 0 {
 		return nil, ErrNoFlows
@@ -60,13 +64,7 @@ func NewInstance(topo *topology.Topology, flows *flow.Set) (*Instance, error) {
 			return nil, fmt.Errorf("%w: flow %s: %v", ErrInvalidPath, f.ID(), err)
 		}
 	}
-	g := contention.BuildGraph(topo, flows)
-	return &Instance{
-		Topo:    topo,
-		Flows:   flows,
-		Graph:   g,
-		Cliques: g.MaximalCliques(),
-	}, nil
+	return buildOnce(topo, flows), nil
 }
 
 // NewInstanceFromGraph builds an instance from a pre-built contention
@@ -146,65 +144,141 @@ func (a FlowAllocation) Uniform(flows *flow.Set) SubflowAllocation {
 // flattened to LP-ready slices: ids orders the group's flows (instance
 // insertion order), and basic, weights and the deduplicated clique
 // rows are aligned with it. key serializes the exact bits of the
-// group's LP — clique rows, basic floors, weights — and is what the
-// Allocator's churn-delta share cache is keyed by: equal keys imply
-// identical LPs and therefore identical solutions. fp is the FNV-1a
-// membership fingerprint from the contention layer, kept for
-// observability.
+// group's LP — row count and width, clique rows, basic floors, weights
+// — and is what the Allocator's churn-delta share cache is keyed by:
+// equal keys imply identical LPs and therefore identical solutions.
+// Flow IDs are deliberately excluded: the solution vector is
+// positional, so isomorphic groups (same structure, renamed flows)
+// share one cache entry.
 type group struct {
 	flows   []*flow.Flow // insertion order
 	ids     []flow.ID    // flow IDs aligned with flows
-	idx     map[flow.ID]int
-	rows    [][]float64 // deduplicated clique rows n_{i,k} over idx
-	basic   []float64   // basic share w_i/Σ w_j v_j within the group
-	weights []float64   // w_i
+	basic   []float64    // basic share w_i/Σ w_j v_j within the group
+	weights []float64    // w_i
 	key     string
-	fp      uint64
-}
+	nrows   int // deduplicated clique rows serialized in key
 
-// groupScratch pools the contention-layer partition scratch reused by
-// instance group builds.
-var groupScratch = sync.Pool{New: func() any { return new(contention.FlowGroupSet) }}
+	rowsOnce sync.Once
+	rows     [][]float64 // see lpRows
+}
 
 // groups returns the instance's contending flow groups with their
 // clique rows and basic shares, built once and memoized: every
 // allocation strategy and every repeated solve over this instance
-// shares one partition instead of rebuilding maps per call.
+// shares one partition instead of rebuilding it per call.
 func (inst *Instance) groups() []*group {
 	inst.groupsOnce.Do(func() { inst.groupsVal = inst.buildGroups() })
 	return inst.groupsVal
 }
 
-func (inst *Instance) buildGroups() []*group {
-	gs := groupScratch.Get().(*contention.FlowGroupSet)
-	defer groupScratch.Put(gs)
-	inst.Graph.AppendFlowGroups(gs)
-	groupOf := make(map[flow.ID]int, inst.Flows.Len())
-	out := make([]*group, gs.Len())
-	for gi := range out {
-		members := gs.Group(gi)
-		out[gi] = &group{
-			flows: make([]*flow.Flow, 0, len(members)),
-			ids:   make([]flow.ID, 0, len(members)),
-			idx:   make(map[flow.ID]int, len(members)),
-			fp:    gs.Fingerprint(gi),
+// vertexFlows maps each graph vertex to the ordinal of its flow in
+// inst.Flows, or −1 when the flow is not in the set. Graphs built from
+// the set list its subflows in flow order, which the walk confirms
+// with one ID comparison per vertex; any other graph falls back to an
+// ID lookup.
+func (inst *Instance) vertexFlows() []int32 {
+	flows := inst.Flows.Flows()
+	n := inst.Graph.NumVertices()
+	out := make([]int32, n)
+	k := 0
+	for v := 0; v < n; v++ {
+		id := inst.Graph.Subflow(v).ID.Flow
+		if k < len(flows) && flows[k].ID() != id {
+			k++
 		}
-		for _, id := range members {
-			groupOf[id] = gi
+		if k >= len(flows) || flows[k].ID() != id {
+			return inst.vertexFlowsByID(out)
 		}
+		out[v] = int32(k)
 	}
-	for _, f := range inst.Flows.Flows() {
-		gi, ok := groupOf[f.ID()]
+	return out
+}
+
+func (inst *Instance) vertexFlowsByID(out []int32) []int32 {
+	ord := make(map[flow.ID]int32, inst.Flows.Len())
+	for k, f := range inst.Flows.Flows() {
+		ord[f.ID()] = int32(k)
+	}
+	for v := range out {
+		k, ok := ord[inst.Graph.Subflow(v).ID.Flow]
 		if !ok {
-			continue // flow absent from the graph (no subflows); skip
+			k = -1
 		}
-		g := out[gi]
-		g.idx[f.ID()] = len(g.flows)
-		g.flows = append(g.flows, f)
-		g.ids = append(g.ids, f.ID())
+		out[v] = k
 	}
-	for gi := range out {
+	return out
+}
+
+// buildGroups partitions the flows into contending flow groups and
+// flattens each group's LP, indexing everything by dense flow ordinal.
+// Every contention edge lies in some maximal clique and every vertex in
+// at least one, so uniting the flows of each clique yields exactly the
+// edge-closure partition (Sec. II-A). Groups are ordered by smallest
+// member ID; each group's flows keep instance order; clique rows follow
+// instance clique order with duplicates (same flows, same counts — the
+// same constraint) dropped after their first occurrence.
+func (inst *Instance) buildGroups() []*group {
+	flows := inst.Flows.Flows()
+	vflow := inst.vertexFlows()
+	parent := make([]int32, len(flows))
+	for k := range parent {
+		parent[k] = -1 // not in the graph
+	}
+	for _, k := range vflow {
+		if k >= 0 {
+			parent[k] = k
+		}
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, c := range inst.Cliques {
+		a, last := int32(-1), int32(-1)
+		for _, v := range c {
+			k := vflow[v]
+			if k < 0 || k == last {
+				continue // set-built graphs number a flow's subflows consecutively
+			}
+			last = k
+			if a < 0 {
+				a = find(k)
+			} else if b := find(k); b != a {
+				parent[b] = a
+			}
+		}
+	}
+
+	// Groups in root-first-appearance order; gof maps a flow ordinal
+	// to its group and pos to its index within the group.
+	gof := make([]int32, len(flows))
+	pos := make([]int32, len(flows))
+	rootGroup := make([]int32, len(flows))
+	for k := range rootGroup {
+		rootGroup[k] = -1
+	}
+	var out []*group
+	for k := range flows {
+		gof[k] = -1
+		if parent[k] < 0 {
+			continue
+		}
+		r := find(int32(k))
+		if rootGroup[r] < 0 {
+			rootGroup[r] = int32(len(out))
+			out = append(out, &group{})
+		}
+		gi := rootGroup[r]
 		g := out[gi]
+		gof[k], pos[k] = gi, int32(len(g.flows))
+		g.flows = append(g.flows, flows[k])
+		g.ids = append(g.ids, flows[k].ID())
+	}
+
+	for _, g := range out {
 		g.basic = make([]float64, len(g.flows))
 		g.weights = make([]float64, len(g.flows))
 		var denom float64
@@ -218,45 +292,69 @@ func (inst *Instance) buildGroups() []*group {
 			}
 		}
 	}
-	// Clique rows, deduplicated per group in instance clique order.
-	// Distinct cliques over the same flows with the same counts yield
-	// one identical constraint row; keeping one copy leaves the LP
-	// unchanged. The dedup key is prefixed with the group index so
-	// separate groups that share row bytes keep their own rows.
-	seen := make(map[string]bool)
-	var keyBuf []byte
+
+	// Clique rows, deduplicated per group in instance clique order,
+	// serialize straight into each group's LP key: a row is dropped when
+	// an earlier row of its group has the same hash and the same bits.
+	sc := keyScratch.Get().(*groupKeyScratch)
+	defer keyScratch.Put(sc)
+	sc.reset(len(out))
 	for _, c := range inst.Cliques {
-		if len(c) == 0 {
+		if len(c) == 0 || vflow[c[0]] < 0 {
 			continue
 		}
-		fid := inst.Graph.Subflow(c[0]).ID.Flow
-		gi := groupOf[fid]
-		g := out[gi]
-		row := make([]float64, len(g.flows))
-		for id, cnt := range inst.Graph.CliqueFlowCounts(c) {
-			row[g.idx[id]] = float64(cnt)
+		gi := gof[vflow[c[0]]]
+		width := len(out[gi].flows)
+		sc.row = slices.Grow(sc.row[:0], width)[:width]
+		clear(sc.row)
+		for _, v := range c {
+			if k := vflow[v]; k >= 0 {
+				sc.row[pos[k]]++
+			}
 		}
-		keyBuf = binary.LittleEndian.AppendUint64(keyBuf[:0], uint64(gi))
-		keyBuf = appendFloats(keyBuf, row)
-		key := string(keyBuf)
-		if seen[key] {
-			continue
+		h := uint64(14695981039346656037)
+		for _, x := range sc.row {
+			h = h*0x100000001b3 ^ math.Float64bits(x)
 		}
-		seen[key] = true
-		g.rows = append(g.rows, row)
-	}
-	for _, g := range out {
-		g.key = groupLPKey(g.rows, g.basic, g.weights)
-	}
-	// Keep only non-empty groups (defensive; graph groups always have
-	// at least one flow).
-	var filtered []*group
-	for _, g := range out {
-		if len(g.flows) > 0 {
-			filtered = append(filtered, g)
+		sc.enc = appendFloats(sc.enc[:0], sc.row)
+		key, size := sc.keys[gi], len(sc.enc)
+		dup := false
+		for r, rh := range sc.hashes[gi] {
+			if rh == h && bytes.Equal(key[keyHeader+r*size:keyHeader+(r+1)*size], sc.enc) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			sc.keys[gi] = append(key, sc.enc...)
+			sc.hashes[gi] = append(sc.hashes[gi], h)
 		}
 	}
-	return filtered
+	for gi, g := range out {
+		key := sc.keys[gi]
+		g.nrows = len(sc.hashes[gi])
+		binary.LittleEndian.PutUint64(key[0:], uint64(g.nrows))
+		binary.LittleEndian.PutUint64(key[8:], uint64(len(g.flows)))
+		key = appendFloats(key, g.basic)
+		key = appendFloats(key, g.weights)
+		g.key = string(key)
+		sc.keys[gi] = key
+	}
+	if len(out) > 1 {
+		slices.SortFunc(out, func(a, b *group) int { return cmp.Compare(minID(a.ids), minID(b.ids)) })
+	}
+	return out
+}
+
+// minID returns the smallest of ids.
+func minID(ids []flow.ID) flow.ID {
+	m := ids[0]
+	for _, id := range ids[1:] {
+		if id < m {
+			m = id
+		}
+	}
+	return m
 }
 
 // appendFloats serializes the exact bits of xs onto buf.
@@ -267,21 +365,52 @@ func appendFloats(buf []byte, xs []float64) []byte {
 	return buf
 }
 
-// groupLPKey serializes the exact bits of a group LP — clique rows,
-// basic floors, weights — so that equal keys imply bit-identical
-// programs. Flow IDs are deliberately excluded: the solution vector is
-// positional, so isomorphic groups (same structure, renamed flows)
-// share one cache entry.
-func groupLPKey(rows [][]float64, basic, weights []float64) string {
-	buf := make([]byte, 0, 8*(2+len(basic)+len(weights)+len(rows)*(1+len(basic))))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rows)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(basic)))
-	for _, r := range rows {
-		buf = appendFloats(buf, r)
+// keyHeader is the byte length of an LP key's header: the row count
+// and the row width, 8 bytes each.
+const keyHeader = 16
+
+// groupKeyScratch holds buildGroups' per-group key buffers and row
+// hashes, pooled so that building a group's key allocates only the
+// key string itself.
+type groupKeyScratch struct {
+	keys   [][]byte
+	hashes [][]uint64
+	row    []float64
+	enc    []byte
+}
+
+var keyScratch = sync.Pool{New: func() any { return new(groupKeyScratch) }}
+
+// reset readies the scratch for n groups, each key holding just a
+// zeroed header.
+func (sc *groupKeyScratch) reset(n int) {
+	for len(sc.keys) < n {
+		sc.keys = append(sc.keys, nil)
+		sc.hashes = append(sc.hashes, nil)
 	}
-	buf = appendFloats(buf, basic)
-	buf = appendFloats(buf, weights)
-	return string(buf)
+	for gi := 0; gi < n; gi++ {
+		sc.keys[gi] = append(sc.keys[gi][:0], make([]byte, keyHeader)...)
+		sc.hashes[gi] = sc.hashes[gi][:0]
+	}
+}
+
+// lpRows returns the group's deduplicated clique rows n_{i,k}, decoded
+// from the LP key on first use: a solve served from the share cache
+// never needs them.
+func (g *group) lpRows() [][]float64 {
+	g.rowsOnce.Do(func() {
+		w := len(g.ids)
+		flat := make([]float64, g.nrows*w)
+		for i := range flat {
+			off := keyHeader + 8*i
+			flat[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(g.key[off : off+8])))
+		}
+		g.rows = make([][]float64, g.nrows)
+		for r := range g.rows {
+			g.rows[r] = flat[r*w : (r+1)*w : (r+1)*w]
+		}
+	})
+	return g.rows
 }
 
 // BasicShares returns each flow's basic share
@@ -341,7 +470,7 @@ func FairnessConstrained(inst *Instance) FlowAllocation {
 // only drops identical rows, so the maximum is unchanged.
 func (g *group) weightedCliqueNumber() float64 {
 	var best float64
-	for _, row := range g.rows {
+	for _, row := range g.lpRows() {
 		var size float64
 		for i, n := range row {
 			size += n * g.weights[i]

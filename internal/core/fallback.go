@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"e2efair/internal/contention"
 	"e2efair/internal/flow"
 	"e2efair/internal/lp"
 	"e2efair/internal/routing"
@@ -86,11 +85,5 @@ func NewInstanceLenient(topo *topology.Topology, flows *flow.Set) (*Instance, er
 			}
 		}
 	}
-	g := contention.BuildGraph(topo, flows)
-	return &Instance{
-		Topo:    topo,
-		Flows:   flows,
-		Graph:   g,
-		Cliques: g.MaximalCliques(),
-	}, nil
+	return buildOnce(topo, flows), nil
 }

@@ -183,11 +183,11 @@ const fillTol = 1e-12
 func MaxMinAllocate(inst *Instance) FlowAllocation {
 	out := make(FlowAllocation, inst.Flows.Len())
 	for _, g := range inst.groups() {
-		caps := make([]float64, len(g.rows))
+		caps := make([]float64, g.nrows)
 		for k := range caps {
 			caps[k] = 1
 		}
-		x := ProgressiveFilling(g.rows, caps, g.weights)
+		x := ProgressiveFilling(g.lpRows(), caps, g.weights)
 		for i, id := range g.ids {
 			out[id] = x[i]
 		}

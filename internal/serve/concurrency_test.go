@@ -226,3 +226,33 @@ func TestCloseRaceInFlight(t *testing.T) {
 		t.Fatal("Close raced ahead of every registration; test proved nothing")
 	}
 }
+
+// TestReRegisterKeepsRoute churns one ID through remove → register
+// pairs faster than single-event batches commit. A batch that ends
+// with the flow removed must not retire the ID's route while a later
+// register of it is still queued: the remove after that register has
+// to find the flow, and the flow must stay removable at the end.
+func TestReRegisterKeepsRoute(t *testing.T) {
+	topo, ids := clusteredTopo(t, 1, 4)
+	eng, err := New(Config{Topo: topo, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	spec := FlowSpec{ID: "F", Weight: 1, Path: ids[0][:3]}
+	if err := eng.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	var dones []<-chan error
+	for r := 0; r < 500; r++ {
+		dones = append(dones, eng.RemoveAsync(spec.ID), eng.RegisterAsync(spec))
+	}
+	for i, d := range dones {
+		if err := <-d; err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if err := eng.Remove(spec.ID); err != nil {
+		t.Fatalf("final remove: %v", err)
+	}
+}

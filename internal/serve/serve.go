@@ -9,8 +9,8 @@
 //
 //   - Churn-batch coalescing. Register/remove requests queue into a
 //     per-shard batch window and are applied as ONE flow-set mutation +
-//     Instance rebuild + CentralizedDelta per batch, amortizing the
-//     contention rebuild and group-LP solves across k events. Because
+//     live-instance update + CentralizedDelta per batch, amortizing the
+//     contention update and group-LP solves across k events. Because
 //     the allocation is a pure function of the live flow set (and the
 //     group-share cache returns bit-exact vectors), batch-final shares
 //     are byte-identical to applying the same events one at a time —
@@ -26,7 +26,7 @@
 //     partitioned by the topology's interference-closed radio
 //     components (topology.AppendRadioComponents): flows in different
 //     components can never contend (the same block-diagonal structure
-//     contention.AppendFlowGroups exploits within a shard), so each
+//     the core's per-group LPs exploit within a shard), so each
 //     component batches, solves and publishes on its own worker
 //     pipeline with its own core.Allocator — the one-allocator-per-
 //     shard idiom the core package's concurrency contract requires.
@@ -97,7 +97,7 @@ type Config struct {
 	// idle latency.
 	Window time.Duration
 
-	// MaxBatch caps events applied per Instance rebuild; 0 = unlimited.
+	// MaxBatch caps events applied per price cycle; 0 = unlimited.
 	MaxBatch int
 
 	// Workers is the LP worker count of each shard's core.Allocator
@@ -265,8 +265,8 @@ func (e *Engine) Recovery() RecoveryInfo { return e.recovery }
 func (e *Engine) NumShards() int { return len(e.shards) }
 
 // prepare validates a spec and resolves its owning shard. Path
-// validation here mirrors core.NewInstance exactly, so a batch rebuild
-// can never fail validation for a flow the engine accepted.
+// validation here mirrors core.NewInstance exactly, which is why the
+// shard's live instance never re-validates a flow the engine accepted.
 func (e *Engine) prepare(spec FlowSpec) (*flow.Flow, *shard, error) {
 	if err := routing.ValidatePath(e.topo, spec.Path); err != nil {
 		return nil, nil, fmt.Errorf("%w: %s: %v", ErrBadFlow, spec.ID, err)
@@ -291,16 +291,8 @@ func (e *Engine) RegisterAsync(spec FlowSpec) <-chan error {
 		done <- err
 		return done
 	}
-	if prev, loaded := e.route.LoadOrStore(f.ID(), sh); loaded && prev.(*shard) != sh {
-		// Live or pending in a different shard: reject without
-		// involving a worker. Same-shard duplicates are decided by the
-		// worker in op order (a pending remove may free the ID).
-		done <- fmt.Errorf("%w: %s", ErrDuplicateFlow, f.ID())
-		return done
-	}
-	if !sh.enqueue(op{kind: opRegister, id: f.ID(), f: f, done: done}) {
-		e.route.CompareAndDelete(f.ID(), sh)
-		done <- ErrClosed
+	if err := sh.enqueueRegister(&e.route, op{kind: opRegister, id: f.ID(), f: f, done: done}); err != nil {
+		done <- err
 	}
 	return done
 }
@@ -335,7 +327,7 @@ func (e *Engine) Remove(id flow.ID) error {
 
 // Flush forces every shard through one batch cycle and returns when
 // all events enqueued before the call are committed. A flush of an
-// idle engine is the "empty batch" case: no rebuild runs, no epoch
+// idle engine is the "empty batch" case: no price cycle runs, no epoch
 // advances, published shares are untouched.
 func (e *Engine) Flush() error {
 	dones := make([]<-chan error, 0, len(e.shards))
@@ -482,13 +474,24 @@ func (e *Engine) commitDirectory(s *shard, ops []op) {
 	}
 	e.dir.Store(&nd)
 	e.dirMu.Unlock()
+	// A dead ID keeps its route while a later register of it is still
+	// uncommitted; enqueueRegister counts those under the same lock.
+	s.mu.Lock()
+	for i := range ops {
+		if o := &ops[i]; o.kind == opRegister {
+			if s.uncommitted[o.id]--; s.uncommitted[o.id] == 0 {
+				delete(s.uncommitted, o.id)
+			}
+		}
+	}
 	for i := range ops {
 		o := &ops[i]
 		if o.kind == opFlush {
 			continue
 		}
-		if _, live := s.index[o.id]; !live {
+		if _, live := s.index[o.id]; !live && s.uncommitted[o.id] == 0 {
 			e.route.CompareAndDelete(o.id, s)
 		}
 	}
+	s.mu.Unlock()
 }

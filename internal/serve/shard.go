@@ -31,12 +31,12 @@ type Snapshot struct {
 // inside each Snapshot so reads are lock-free.
 type ShardStats struct {
 	Epoch          uint64 `json:"epoch"`
-	Batches        uint64 `json:"batches"`  // batch cycles applied (incl. flush-only)
-	Events         uint64 `json:"events"`   // accepted register/remove events
+	Batches        uint64 `json:"batches"` // batch cycles applied (incl. flush-only)
+	Events         uint64 `json:"events"`  // accepted register/remove events
 	Registers      uint64 `json:"registers"`
 	Removes        uint64 `json:"removes"`
 	Rejected       uint64 `json:"rejected"` // duplicate + admission rejections
-	Rebuilds       uint64 `json:"rebuilds"` // Instance rebuild + solve cycles
+	Rebuilds       uint64 `json:"rebuilds"` // price cycles (live-instance update + solve)
 	GroupsSolved   uint64 `json:"groupsSolved"`
 	GroupsReused   uint64 `json:"groupsReused"`
 	CacheEvictions uint64 `json:"cacheEvictions"`
@@ -122,15 +122,17 @@ type shard struct {
 	maxFlows int
 	minShare float64
 
-	mu       sync.Mutex
-	pending  []op
-	stopping bool
-	wake     chan struct{}
+	mu          sync.Mutex
+	pending     []op
+	stopping    bool
+	uncommitted map[flow.ID]int // registers enqueued, not yet committed, per ID
+	wake        chan struct{}
 
 	snap atomic.Pointer[Snapshot]
 
 	// Worker-owned state.
 	alloc    *core.Allocator
+	live     *core.Live   // contention state of flows as of the last price
 	flows    []*flow.Flow // live flows, registration order
 	index    map[flow.ID]int
 	wvLoad   float64 // Σ w_i·v_i over live flows (admission)
@@ -140,8 +142,8 @@ type shard struct {
 
 	// Durability (nil dlog = volatile shard, the PR 9 behavior).
 	dlog      *durable.ShardLog
-	snapEvery int // accepted events between durable snapshots; 0 = never
-	sinceSnap int // accepted events since the last durable snapshot
+	snapEvery int                 // accepted events between durable snapshots; 0 = never
+	sinceSnap int                 // accepted events since the last durable snapshot
 	walRec    durable.BatchRecord // scratch for WAL appends
 }
 
@@ -158,17 +160,19 @@ func newShard(e *Engine, id int, cfg Config) *shard {
 		alloc.SetGroupCacheCap(cfg.CacheCap)
 	}
 	s := &shard{
-		eng:      e,
-		id:       id,
-		topo:     cfg.Topo,
-		opts:     core.CentralizedOptions{Refine: !cfg.NoRefine},
-		window:   cfg.Window,
-		maxBatch: cfg.MaxBatch,
-		maxFlows: cfg.MaxFlows,
-		minShare: cfg.MinShare,
-		wake:     make(chan struct{}, 1),
-		alloc:    alloc,
-		index:    make(map[flow.ID]int),
+		eng:         e,
+		id:          id,
+		topo:        cfg.Topo,
+		opts:        core.CentralizedOptions{Refine: !cfg.NoRefine},
+		window:      cfg.Window,
+		maxBatch:    cfg.MaxBatch,
+		maxFlows:    cfg.MaxFlows,
+		minShare:    cfg.MinShare,
+		wake:        make(chan struct{}, 1),
+		alloc:       alloc,
+		uncommitted: make(map[flow.ID]int),
+		live:        core.NewLive(cfg.Topo),
+		index:       make(map[flow.ID]int),
 	}
 	s.snap.Store(&Snapshot{Shares: emptyShares})
 	return s
@@ -186,6 +190,27 @@ func (s *shard) enqueue(o op) bool {
 	s.mu.Unlock()
 	s.wakeUp()
 	return true
+}
+
+// enqueueRegister claims the flow's route and queues its register in
+// one critical section with the route retirement in commitDirectory,
+// so a batch that ends with the ID dead never drops the route of a
+// register queued behind it. A route held by a different shard means
+// the ID is live or pending there; same-shard duplicates are decided
+// by the worker in op order (a pending remove may free the ID).
+func (s *shard) enqueueRegister(route *sync.Map, o op) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopping {
+		return ErrClosed
+	}
+	if prev, loaded := route.LoadOrStore(o.id, s); loaded && prev.(*shard) != s {
+		return fmt.Errorf("%w: %s", ErrDuplicateFlow, o.id)
+	}
+	s.uncommitted[o.id]++
+	s.pending = append(s.pending, o)
+	s.wakeUp()
+	return nil
 }
 
 func (s *shard) wakeUp() {
@@ -232,7 +257,7 @@ func (s *shard) loop() {
 }
 
 // applyBatch chunks a drained queue by MaxBatch and applies each chunk
-// as one rebuild + solve + publish cycle.
+// as one price + publish cycle.
 func (s *shard) applyBatch(batch []op) {
 	for start := 0; start < len(batch); {
 		end := len(batch)
@@ -245,8 +270,8 @@ func (s *shard) applyBatch(batch []op) {
 }
 
 // applyChunk applies one batch: every event mutates the live flow set
-// in queue order (with per-event admission), then a single Instance
-// rebuild + CentralizedDelta prices the whole batch and the result is
+// in queue order (with per-event admission), then one live-instance
+// update + CentralizedDelta prices the whole batch and the result is
 // published as one new snapshot. Event order equals enqueue order
 // equals the order a sequential caller would have applied, and every
 // solve is a pure function of the final flow set, so batch-final
@@ -375,11 +400,13 @@ func (s *shard) applyOne(o *op) error {
 	return fmt.Errorf("serve: unknown op kind %d", o.kind)
 }
 
-// price solves the current flow set — one flow.Set + core.Instance
-// build, one CentralizedDelta that re-solves only the contending
-// groups the batch actually changed — without publishing anything. A
-// batch that empties the shard prices to the shared empty share map
-// without solving.
+// price solves the current flow set — the live instance updated by
+// the flows the batch added and removed, one CentralizedDelta that
+// re-solves only the contending groups the batch actually changed —
+// without publishing anything. The live instance follows s.flows
+// wherever it goes, rollbacks and recovery included, because each
+// update diffs against whatever the last one saw. A batch that empties
+// the shard prices to the shared empty share map without solving.
 func (s *shard) price() (core.FlowAllocation, error) {
 	shares := emptyShares
 	if len(s.flows) > 0 {
@@ -387,10 +414,7 @@ func (s *shard) price() (core.FlowAllocation, error) {
 		if err != nil {
 			return nil, err
 		}
-		inst, err := core.NewInstance(s.topo, set)
-		if err != nil {
-			return nil, err
-		}
+		inst := s.live.Update(set)
 		alloc, d, err := s.alloc.CentralizedDelta(inst, s.opts)
 		if err != nil {
 			return nil, err

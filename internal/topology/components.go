@@ -9,10 +9,9 @@ package topology
 // structure, and the partition the sharded simulator runs on separate
 // event engines.
 //
-// Like contention.FlowGroupSet, the set holds one flat member list
-// plus component offsets, and every build reuses the buffers: after
-// the first build on a topology of a given size,
-// AppendRadioComponents allocates nothing.
+// The set holds one flat member list plus component offsets, and
+// every build reuses the buffers: after the first build on a topology
+// of a given size, AppendRadioComponents allocates nothing.
 //
 // Each component carries an FNV-1a fingerprint covering its member
 // IDs *and* their transmission- and interference-range neighbor rows:
