@@ -2,12 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
-	"e2efair/internal/flow"
 	"e2efair/internal/lp"
-	"e2efair/internal/routing"
-	"e2efair/internal/topology"
 )
 
 // DegradableLPError reports whether err is an LP failure the allocator
@@ -61,29 +57,4 @@ func degrade(inst *Instance, err error) (FlowAllocation, bool, error) {
 		return BasicShares(inst), true, nil
 	}
 	return nil, false, err
-}
-
-// NewInstanceLenient builds an instance validating only that every hop
-// is a radio link between distinct nodes — the no-shortcut check of
-// NewInstance is skipped. Repaired routes that detour around dead
-// links legitimately pass within range of nodes the geometric check
-// would flag (the topology does not know a link is administratively
-// down), so the resilience layer re-solves on lenient instances.
-func NewInstanceLenient(topo *topology.Topology, flows *flow.Set) (*Instance, error) {
-	if flows.Len() == 0 {
-		return nil, ErrNoFlows
-	}
-	for _, f := range flows.Flows() {
-		path := f.Path()
-		if len(path) < 2 {
-			return nil, fmt.Errorf("%w: flow %s: %v", ErrInvalidPath, f.ID(), routing.ErrBadPath)
-		}
-		for i := 0; i+1 < len(path); i++ {
-			if !topo.InTxRange(path[i], path[i+1]) {
-				return nil, fmt.Errorf("%w: flow %s: hop %s-%s is not a radio link",
-					ErrInvalidPath, f.ID(), topo.Name(path[i]), topo.Name(path[i+1]))
-			}
-		}
-	}
-	return buildOnce(topo, flows), nil
 }

@@ -120,54 +120,3 @@ func TestGracefulMatchesStrictOnSolvableInstance(t *testing.T) {
 		}
 	}
 }
-
-func TestNewInstanceLenient(t *testing.T) {
-	// A-B-C with A and C in mutual range: the strict validator rejects
-	// the detour as a shortcut, the lenient one accepts it.
-	topo, err := topology.NewBuilder(topology.DefaultRange, 0).
-		Add("A", 0, 0).Add("B", 200, 0).Add("C", 200, 140).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := flow.New("F1", 1, []topology.NodeID{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := flow.NewSet(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInstance(topo, set); err == nil {
-		t.Fatal("strict NewInstance accepted a shortcut path")
-	}
-	inst, err := NewInstanceLenient(topo, set)
-	if err != nil {
-		t.Fatalf("lenient: %v", err)
-	}
-	if inst.Graph == nil || len(inst.Cliques) == 0 {
-		t.Error("lenient instance missing contention structure")
-	}
-	// The allocator must run end to end on the lenient instance.
-	if _, _, err := NewAllocatorWorkers(1).GracefulCentralized(inst, CentralizedOptions{Refine: true}); err != nil {
-		t.Errorf("GracefulCentralized on lenient instance: %v", err)
-	}
-	// Hops that are not radio links still fail.
-	far, err := flow.New("F2", 1, []topology.NodeID{0, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset, err := flow.NewSet(far)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo2, err := topology.NewBuilder(topology.DefaultRange, 0).
-		Add("A", 0, 0).Add("B", 200, 0).Add("C", 600, 0).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInstanceLenient(topo2, fset); err == nil {
-		t.Error("lenient instance accepted a non-link hop")
-	}
-}

@@ -14,8 +14,9 @@ import (
 // is a Live built once from empty, so both paths share one builder.
 //
 // Update does not validate paths: callers admit flows through the same
-// checks NewInstance applies before handing them over. A Live is not
-// safe for concurrent use.
+// checks NewInstance applies before handing them over, or hand over
+// routes built hop by hop over radio links (the simulator's route
+// repair). A Live is not safe for concurrent use.
 type Live struct {
 	topo  *topology.Topology
 	cg    *contention.Live

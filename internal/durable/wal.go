@@ -28,7 +28,7 @@ type ShardLog struct {
 	buf   []byte
 	frame []byte
 
-	unsynced int  // appends since last fsync (FsyncBatch bookkeeping)
+	unsynced int // appends since last fsync (FsyncBatch bookkeeping)
 	closed   bool
 
 	// failAfter is the test-only crash hook: when ≥ 0, any write that

@@ -1,14 +1,12 @@
 package netsim
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 
 	"e2efair/internal/core"
 	"e2efair/internal/flow"
-	"e2efair/internal/mac"
 	"e2efair/internal/sim"
-	"e2efair/internal/stats"
-	"e2efair/internal/topology"
 )
 
 // FlowEvent starts and stops flows at a point in simulated time. Flows
@@ -23,7 +21,7 @@ type FlowEvent struct {
 type DynamicResult struct {
 	Result
 	// Reallocations counts first-phase recomputations triggered by
-	// flow churn.
+	// flow churn (and, under a fault plan, by route repair).
 	Reallocations int
 	// GroupSolves and GroupReuses accumulate the allocator's churn
 	// deltas across reallocations: group LPs solved fresh versus served
@@ -33,12 +31,6 @@ type DynamicResult struct {
 	GroupReuses int
 	// FinalShares is the allocation active when the run ended.
 	FinalShares core.SubflowAllocation
-	// Screened reports that the run was priced by the analytical twin
-	// (Config.Twin) instead of the packet simulator.
-	Screened bool
-	// TwinMinConfidence is the lowest twin confidence across the run's
-	// stationary segments when Screened; 1 when no segment was priced.
-	TwinMinConfidence float64
 }
 
 // RunDynamic simulates flow churn: at each event the set of active
@@ -46,210 +38,76 @@ type DynamicResult struct {
 // stacks — the first phase is re-run over the active flows only, with
 // the new shares installed into the running schedulers. This exercises
 // the paper's assumption that allocation tracks the set of backlogged
-// flows.
+// flows. A flow emits only while started: from the event that starts
+// it to the event that stops it, with no stagger offset.
 func RunDynamic(inst *core.Instance, cfg Config, events []FlowEvent) (*DynamicResult, error) {
-	cfg = cfg.withDefaults()
-	if r, ok, err := runDynamicScreened(inst, cfg, events); ok || err != nil {
-		return r, err
-	}
-	if r, ok, err := runDynamicSharded(inst, cfg, events); ok {
-		return r, err
-	}
-	col := stats.NewCollector()
-	var stack *Stack
-	hooks := mac.Hooks{
-		OnDelivered: func(p *mac.Packet, now sim.Time) {
-			col.HopDelivered(p.SubflowID(), p.LastHop())
-			if p.LastHop() {
-				return
-			}
-			p.Hop++
-			ok, err := stack.Medium.Inject(p)
-			if err == nil && !ok {
-				col.QueueDrop(true)
-			}
-		},
-		OnRetryDrop: func(p *mac.Packet, _ sim.Time) { col.RetryDrop(p.Hop >= 1) },
-		OnCollision: func(_ topology.NodeID, _ sim.Time) { col.Collision() },
-	}
-	stack, err := NewStack(inst, cfg, hooks)
-	if err != nil {
-		return nil, err
-	}
-	eng := stack.Engine
+	return run(nil, inst, cfg, events, true)
+}
 
-	res := &DynamicResult{Result: Result{
-		Protocol: cfg.Protocol,
-		Duration: cfg.Duration,
-		Stats:    col,
-		Shares:   stack.Shares,
-	}}
-	res.FinalShares = stack.Shares
-
-	// Per-flow traffic sources with an activity switch.
-	active := make(map[flow.ID]bool, inst.Flows.Len())
-	sources := make(map[flow.ID]*dynSource, inst.Flows.Len())
-	for _, f := range inst.Flows.Flows() {
-		sources[f.ID()] = &dynSource{
-			stack: stack, col: col, f: f, cfg: cfg,
-			interval: sim.Time(float64(sim.Second) / cfg.PacketsPerS),
-		}
+// scheduleChurn turns the churn schedule into sources and reallocation
+// events. Each start of an inactive flow opens one on-interval, closed
+// by the flow's next stop or the end of the run, and each interval is
+// one CBR source. Events apply in time order (list order among equal
+// times), stops before starts. Every event's new sources are scheduled
+// just ahead of its reallocation, so a started flow's first packet is
+// queued under the shares in force before the event, as the
+// reallocation then moves them.
+func (r *coordinator) scheduleChurn(events []FlowEvent) error {
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
 	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(events[a].At, events[b].At) })
 
-	// One allocator across every churn event: the LP solver scratch is
-	// reused and — because churn only perturbs the contention components
-	// touching the changed flows — most group LPs recur bit-identically
-	// across events, so the allocator's share cache copies their solved
-	// shares instead of re-solving. The instance cache skips rebuilding
-	// the contention graph and re-enumerating maximal cliques when an
-	// active-flow set comes back.
-	allocator := core.NewAllocator()
-	instCache := make(map[string]*core.Instance)
-	reallocate := func() error {
-		if cfg.Protocol == Protocol80211 {
-			return nil
-		}
-		var flows []*flow.Flow
-		var key []byte
-		for _, f := range inst.Flows.Flows() {
-			if active[f.ID()] {
-				flows = append(flows, f)
-				key = append(key, f.ID()...)
-				key = append(key, 0)
+	type onInterval struct {
+		flow        int
+		start, stop sim.Time
+	}
+	var ivs []onInterval
+	opened := make([]int, len(order)) // ivs[:opened[k]] open by event order[k]
+	open := make([]int, len(r.active))
+	for i := range open {
+		open[i] = -1
+	}
+	for k, e := range order {
+		ev := events[e]
+		for _, id := range ev.Stop {
+			if i := r.index[id]; open[i] >= 0 {
+				ivs[open[i]].stop = ev.At
+				open[i] = -1
 			}
 		}
-		if len(flows) == 0 {
-			return nil
+		for _, id := range ev.Start {
+			if i := r.index[id]; open[i] < 0 {
+				open[i] = len(ivs)
+				ivs = append(ivs, onInterval{i, ev.At, r.cfg.Duration})
+			}
 		}
-		sub, ok := instCache[string(key)]
-		if !ok {
-			set, err := flow.NewSet(flows...)
-			if err != nil {
+		opened[k] = len(ivs)
+	}
+
+	next := 0
+	for k, e := range order {
+		for ; next < opened[k]; next++ {
+			if err := r.startSource(ivs[next].flow, ivs[next].start, ivs[next].stop); err != nil {
 				return err
 			}
-			sub, err = core.NewInstance(inst.Topo, set)
-			if err != nil {
-				return err
-			}
-			instCache[string(key)] = sub
 		}
-		shares, delta, err := sharesForDelta(allocator, sub, cfg.Protocol)
-		if err != nil {
+		ev := events[e]
+		if err := r.stack.Engine.Schedule(ev.At, 1, func() { r.churn(ev) }); err != nil {
 			return err
 		}
-		res.GroupSolves += delta.Solved
-		res.GroupReuses += delta.Reused
-		for id, share := range shares {
-			node := subflowSrc(inst, id)
-			ts, ok := stack.Medium.SchedulerAt(node).(*mac.TagScheduler)
-			if !ok {
-				continue
-			}
-			if err := ts.SetShare(id, share); err != nil {
-				return err
-			}
-		}
-		res.Reallocations++
-		res.FinalShares = shares
-		return nil
 	}
-
-	// Validate and schedule events.
-	for _, ev := range events {
-		for _, id := range append(append([]flow.ID{}, ev.Start...), ev.Stop...) {
-			if _, err := inst.Flows.Get(id); err != nil {
-				return nil, fmt.Errorf("netsim: dynamic event: %w", err)
-			}
-		}
-		ev := ev
-		if err := eng.Schedule(ev.At, 1, func() {
-			for _, id := range ev.Stop {
-				active[id] = false
-				sources[id].active = false
-			}
-			for _, id := range ev.Start {
-				if !active[id] {
-					active[id] = true
-					s := sources[id]
-					s.active = true
-					s.until = cfg.Duration
-					s.emit()
-				}
-			}
-			// Reallocation errors end the run early and surface via
-			// the engine's stop; they indicate programmer error in
-			// instance construction.
-			if err := reallocate(); err != nil {
-				eng.Stop()
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	var series *stats.Series
-	if cfg.SampleEvery > 0 {
-		series = stats.NewSeries(cfg.SampleEvery)
-		var sample func()
-		sample = func() {
-			series.Sample(eng.Now(), col)
-			if eng.Now() < cfg.Duration {
-				_ = eng.After(cfg.SampleEvery, 0, sample)
-			}
-		}
-		_ = eng.After(cfg.SampleEvery, 0, sample)
-	}
-
-	eng.Run(cfg.Duration)
-	res.Airtime = stack.Medium.Airtime()
-	res.Series = series
-	return res, nil
+	return nil
 }
 
-// subflowSrc resolves the transmitting node of a subflow ID.
-func subflowSrc(inst *core.Instance, id flow.SubflowID) topology.NodeID {
-	f, err := inst.Flows.Get(id.Flow)
-	if err != nil {
-		return -1
+// churn applies one event to the active set and re-solves the shares.
+func (r *coordinator) churn(ev FlowEvent) {
+	for _, id := range ev.Stop {
+		r.active[r.index[id]] = false
 	}
-	s, err := f.Subflow(id.Hop)
-	if err != nil {
-		return -1
+	for _, id := range ev.Start {
+		r.active[r.index[id]] = true
 	}
-	return s.Src
-}
-
-// dynSource is a CBR source with an on/off switch.
-type dynSource struct {
-	stack    *Stack
-	col      *stats.Collector
-	f        *flow.Flow
-	cfg      Config
-	interval sim.Time
-	active   bool
-	until    sim.Time
-	seq      int64
-}
-
-func (s *dynSource) emit() {
-	if !s.active {
-		return
-	}
-	now := s.stack.Engine.Now()
-	p := &mac.Packet{
-		Flow:         s.f.ID(),
-		Seq:          s.seq,
-		Path:         s.f.Path(),
-		PayloadBytes: s.cfg.PayloadBytes,
-		Born:         now,
-	}
-	s.seq++
-	ok, err := s.stack.Medium.Inject(p)
-	if err == nil && !ok {
-		s.col.QueueDrop(false)
-	}
-	next := now + s.interval
-	if next < s.until {
-		_ = s.stack.Engine.Schedule(next, 1, s.emit)
-	}
+	r.reallocate(r.stack.Engine.Now())
 }

@@ -90,11 +90,75 @@ func TestDynamicMatchesStaticWhenNoChurn(t *testing.T) {
 	if r := f1 / f2; r < 1.4 || r > 2.7 {
 		t.Errorf("dynamic ratio %.2f, want ≈2", r)
 	}
+
+	// A stop followed by a restart before the source's next emission
+	// is no churn either: F1 alone at 20 pkt/s for 20 s must deliver
+	// its ~400 packets, never a second emission chain on top.
+	for name, events := range map[string][]netsim.FlowEvent{
+		"always on": {{At: 0, Start: []flow.ID{"F1"}}},
+		"stop and start in one event": {
+			{At: 0, Start: []flow.ID{"F1"}},
+			{At: 10 * sim.Second, Stop: []flow.ID{"F1"}, Start: []flow.ID{"F1"}},
+		},
+		"restart before the pending emit": {
+			{At: 0, Start: []flow.ID{"F1"}},
+			{At: 9990 * sim.Millisecond, Stop: []flow.ID{"F1"}},
+			{At: 9995 * sim.Millisecond, Start: []flow.ID{"F1"}},
+		},
+	} {
+		res, err := netsim.RunDynamic(sc.Inst, netsim.Config{
+			Protocol: netsim.Protocol2PAC, Duration: 20 * sim.Second, Seed: 1, PacketsPerS: 20,
+		}, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats.EndToEnd("F1"); got < 398 || got > 402 {
+			t.Errorf("%s: F1 delivered %d, want ≈400", name, got)
+		}
+	}
+}
+
+// TestDynamicDFSReallocation runs TestDynamicReallocation's schedule
+// on the DFS stack: churn shares must reach the DFS schedulers too.
+// Once F1 stops, F2's solo share of B/2 lifts its 5 s windows to
+// ~829 packets; with the old B/4 weights left in place they stay
+// near ~791.
+func TestDynamicDFSReallocation(t *testing.T) {
+	sc, err := scenario.Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := netsim.RunDynamic(sc.Inst, netsim.Config{
+		Protocol:    netsim.ProtocolDFS,
+		Duration:    60 * sim.Second,
+		Seed:        1,
+		SampleEvery: 5 * sim.Second,
+	}, []netsim.FlowEvent{
+		{At: 0, Start: []flow.ID{"F1", "F2"}},
+		{At: 30 * sim.Second, Stop: []flow.ID{"F1"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reallocations != 2 {
+		t.Errorf("reallocations = %d, want 2", res.Reallocations)
+	}
+	wins := res.Series.Windows("F2")
+	if len(wins) != 12 {
+		t.Fatalf("series has %d windows, want 12", len(wins))
+	}
+	var late int64
+	for _, w := range wins[7:] { // 35–60 s, after the transition window
+		late += w
+	}
+	if mean := float64(late) / 5; mean < 810 {
+		t.Errorf("F2 post-stop windows average %.1f packets, want > 810 under its solo share: %v", mean, wins)
+	}
 }
 
 // TestDynamicChurnDeterministic oscillates F1 off and on so the same
-// active-flow sets recur: later reallocations hit the run's instance
-// cache and copy cached shares for group LPs solved earlier. Two identical
+// active-flow sets recur: later reallocations update the run's live
+// instance and copy cached shares for group LPs solved earlier. Two identical
 // runs must agree exactly, and the post-churn shares must match a
 // fresh static computation of the same active set.
 func TestDynamicChurnDeterministic(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"e2efair/internal/sim"
 	"e2efair/internal/stats"
 	"e2efair/internal/topology"
-	"e2efair/internal/traffic"
 )
 
 // Protocol selects the protocol stack under test.
@@ -99,14 +98,15 @@ type Config struct {
 	// break i hops from the flow's source starts i·RERRHopDelay after
 	// the link-dead signal (default 1 ms).
 	RERRHopDelay sim.Time
-	// ShardSim partitions the topology into interference-disjoint
-	// radio components and simulates each on its own event engine over
-	// a worker pool. Per-node RNG streams are derived from the run
-	// seed and the node's global ID, so the sharded run is
-	// byte-identical to the single-engine run. Runs with fewer than
-	// shardMinComponents components — and traced runs, whose tracer
-	// would interleave events from concurrent engines — fall back to
-	// the exact single-engine path.
+	// ShardSim partitions the topology into interference-disjoint radio
+	// components and simulates each on its own event engine over a
+	// worker pool; Run and RunDynamic both honour it, with or without a
+	// fault plan. Per-node RNG streams are derived from the run seed
+	// and the node's global ID, so the sharded run is byte-identical to
+	// the single-engine run. Runs with fewer than shardMinComponents
+	// components — and traced runs, whose tracer would interleave
+	// events from concurrent engines — run the whole instance on one
+	// engine instead.
 	ShardSim bool
 	// ShardWorkers bounds the shard worker pool; <= 0 selects
 	// GOMAXPROCS. Results are merged in component order, so the worker
@@ -117,24 +117,21 @@ type Config struct {
 	// component rebuilds that shard only. Nil builds ephemeral shards
 	// per run.
 	Sharder *Sharder
-	// Twin enables analytical-twin screening: RunDynamic and
-	// mobility.Run price runs with the closed-form internal/twin
-	// estimator and only fall back to full packet simulation when the
+	// Twin enables analytical-twin screening of mobility epochs:
+	// mobility.Run prices an epoch with the closed-form internal/twin
+	// estimator and only falls back to full packet simulation when the
 	// twin's confidence is low or the drift-control cadence (Every)
-	// forces a real run. Nil disables screening; single-run Run is
-	// never screened.
+	// forces a real run. Nil disables screening. Run and RunDynamic
+	// always simulate and ignore it.
 	Twin *TwinConfig
 
 	// eng, when non-nil, is an engine recycled via Reset instead of
-	// allocating a fresh one — set by RunParallel and shard workers.
+	// allocating a fresh one — set by the worker pool.
 	eng *sim.Engine
 	// nodeIDs maps this run's local node indices to global node IDs
 	// when the instance is an induced shard; nil means local IDs are
 	// global.
 	nodeIDs []int32
-	// flowIdx maps local flow positions to global flow indices so CBR
-	// stagger offsets stay keyed to the global index in shard runs.
-	flowIdx []int
 }
 
 func (c Config) withDefaults() Config {
@@ -203,152 +200,45 @@ func Run(inst *core.Instance, cfg Config) (*Result, error) {
 // solver scratch and group share cache across many runs. A nil
 // allocator behaves exactly like Run.
 func RunWith(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if r, ok, err := runSharded(a, inst, cfg); ok {
-		return r, err
-	}
-	return runSingle(a, inst, cfg)
-}
-
-// runSingle is the single-engine run: the whole instance on one event
-// engine. Sharded runs execute it once per radio component.
-func runSingle(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error) {
-	if cfg.Fault != nil || cfg.Watchdog {
-		return runResilient(a, inst, cfg)
-	}
-	col := stats.NewCollector()
-	lat := stats.NewLatencyTracker()
-	var stack *Stack
-	hooks := mac.Hooks{
-		OnDelivered: func(p *mac.Packet, now sim.Time) {
-			col.HopDelivered(p.SubflowID(), p.LastHop())
-			if p.LastHop() {
-				lat.Record(p.Flow, now-p.Born)
-				stack.Medium.FreePacket(p)
-				return
-			}
-			p.Hop++
-			ok, injErr := stack.Medium.Inject(p)
-			if injErr == nil && !ok {
-				col.QueueDrop(true)
-				col.DropAt(p.SubflowID())
-				stack.Medium.FreePacket(p)
-			}
-		},
-		OnRetryDrop: func(p *mac.Packet, _ sim.Time) {
-			col.RetryDrop(p.Hop >= 1)
-			if p.Hop >= 1 {
-				col.DropAt(p.SubflowID())
-			}
-			stack.Medium.FreePacket(p)
-		},
-		OnCollision: func(_ topology.NodeID, _ sim.Time) {
-			col.Collision()
-		},
-	}
-	stack, err := NewStackWith(a, inst, cfg, hooks)
+	res, err := run(a, inst, cfg, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	eng, medium := stack.Engine, stack.Medium
+	return &res.Result, nil
+}
 
-	for i, f := range inst.Flows.Flows() {
-		err := traffic.StartCBR(eng, medium, traffic.CBRConfig{
-			Flow:         f,
-			PacketsPerS:  cfg.PacketsPerS,
-			PayloadBytes: cfg.PayloadBytes,
-			Offset:       cbrOffset(cfg, i),
-			Until:        cfg.Duration,
-			OnSourceDrop: func(_ *mac.Packet, _ sim.Time) { col.QueueDrop(false) },
-		})
-		if err != nil {
-			return nil, err
-		}
+// solveShares computes the per-subflow allocation each protocol's
+// scheduler enforces, on a caller-held core.Allocator so that repeated
+// solves — churn and route-repair re-solves, mobility epochs — reuse
+// solver scratch and serve unchanged contention groups from the
+// allocator's share cache. A nil allocator solves on fresh state. A
+// degradable LP failure falls back to the closed-form basic shares
+// (reported as degraded) instead of failing. The delta counts the
+// group LPs solved versus copied from the cache; it is meaningful for
+// the centralized stacks (2PA-C, 2PA-DFS) and zero otherwise.
+func solveShares(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, core.Delta, bool, error) {
+	if a == nil {
+		a = core.NewAllocatorWorkers(1)
 	}
-
-	var series *stats.Series
-	if cfg.SampleEvery > 0 {
-		series = stats.NewSeries(cfg.SampleEvery)
-		var sample func()
-		sample = func() {
-			series.Sample(eng.Now(), col)
-			if eng.Now() < cfg.Duration {
-				_ = eng.After(cfg.SampleEvery, 0, sample)
-			}
-		}
-		_ = eng.After(cfg.SampleEvery, 0, sample)
-	}
-
-	eng.Run(cfg.Duration)
-	return &Result{
-		Protocol: cfg.Protocol,
-		Duration: cfg.Duration,
-		Stats:    col,
-		Shares:   stack.Shares,
-		Airtime:  medium.Airtime(),
-		Series:   series,
-		Latency:  lat,
-	}, nil
-}
-
-// cbrOffset staggers CBR source starts by the flow's *global* index:
-// 137 µs per flow, 137 coprime to the 5000 µs default emission
-// interval, so sources never synchronize. Shard runs carry the global
-// index in cfg.flowIdx so their emission times match the single-engine
-// run exactly.
-func cbrOffset(cfg Config, i int) sim.Time {
-	if cfg.flowIdx != nil {
-		i = cfg.flowIdx[i]
-	}
-	return sim.Time(i) * 137 * sim.Microsecond
-}
-
-// sharesFor computes the per-subflow allocation each protocol's
-// scheduler enforces.
-func sharesFor(inst *core.Instance, p Protocol) (core.SubflowAllocation, error) {
-	return sharesForWith(nil, inst, p)
-}
-
-// sharesForWith is sharesFor on a caller-held core.Allocator, so that
-// repeated reallocation — churn re-solves in RunDynamic, mobility
-// epochs — reuses solver scratch and serves unchanged contention
-// components from the allocator's group share cache. A nil allocator
-// solves on fresh state.
-func sharesForWith(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, error) {
-	shares, _, err := sharesForDelta(a, inst, p)
-	return shares, err
-}
-
-// sharesForDelta is sharesForWith plus the allocator's churn delta:
-// how many contending-group LPs the solve actually ran versus copied
-// from the share cache. The delta is meaningful for the centralized
-// stacks (2PA-C, 2PA-DFS); other protocols report a zero Delta.
-func sharesForDelta(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, core.Delta, error) {
 	switch p {
 	case Protocol80211:
-		return nil, core.Delta{}, nil
+		return nil, core.Delta{}, false, nil
 	case ProtocolTwoTier:
-		return core.TwoTierAllocate(inst), core.Delta{}, nil
+		return core.TwoTierAllocate(inst), core.Delta{}, false, nil
 	case Protocol2PAC, ProtocolDFS:
-		if a == nil {
-			a = core.NewAllocatorWorkers(1)
-		}
-		alloc, d, err := a.CentralizedDelta(inst, core.CentralizedOptions{Refine: true})
+		alloc, delta, degraded, err := a.GracefulCentralizedDelta(inst, core.CentralizedOptions{Refine: true})
 		if err != nil {
-			return nil, core.Delta{}, err
+			return nil, core.Delta{}, false, err
 		}
-		return alloc.Uniform(inst.Flows), d, nil
+		return alloc.Uniform(inst.Flows), delta, degraded, nil
 	case Protocol2PAD:
-		if a == nil {
-			a = core.NewAllocator()
-		}
-		res, err := a.Distributed(inst)
+		alloc, degraded, err := a.GracefulDistributed(inst)
 		if err != nil {
-			return nil, core.Delta{}, err
+			return nil, core.Delta{}, false, err
 		}
-		return res.Shares.Uniform(inst.Flows), core.Delta{}, nil
+		return alloc.Uniform(inst.Flows), core.Delta{}, degraded, nil
 	default:
-		return nil, core.Delta{}, fmt.Errorf("netsim: unknown protocol %d", int(p))
+		return nil, core.Delta{}, false, fmt.Errorf("netsim: unknown protocol %d", int(p))
 	}
 }
 

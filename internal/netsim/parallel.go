@@ -46,46 +46,56 @@ func SweepJobs(insts []*core.Instance, cfg Config, protocols []Protocol, seeds [
 // shared Tracer must not be fanned out: a tracer would interleave
 // events from concurrent engines.
 func RunParallel(jobs []Job, workers int) ([]*Result, error) {
+	results := make([]*Result, len(jobs))
+	if i, err := forEach(len(jobs), workers, func(eng *sim.Engine, i int) (err error) {
+		cfg := jobs[i].Cfg
+		cfg.eng = eng
+		results[i], err = Run(jobs[i].Inst, cfg)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("netsim: job %d (%s, seed %d): %w",
+			i, jobs[i].Cfg.Protocol, jobs[i].Cfg.Seed, err)
+	}
+	return results, nil
+}
+
+// forEach is the one worker pool, behind RunParallel and the sharded
+// run: it calls fn(eng, i) for every i in [0, n) on up to workers
+// goroutines (<= 0 selects GOMAXPROCS) and returns once all are done.
+// Each worker owns one engine, recycled via Reset across its items —
+// the heap storage and event free list carry over, so a long sweep
+// stops paying per-run allocation for them. Items write only their own
+// index-addressed slots, so the outcome never depends on scheduling;
+// on failure forEach returns the lowest failing index and its error.
+func forEach(n, workers int, fn func(eng *sim.Engine, i int) error) (int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]*Result, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
-	errs := make([]error, len(jobs))
+	workers = min(workers, n)
+	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One engine per worker, recycled across jobs via Reset:
-			// the heap storage and event free list carry over, so a
-			// long sweep stops paying per-run allocation for them.
 			eng := sim.NewEngine()
 			for i := range idx {
-				cfg := jobs[i].Cfg
-				cfg.eng = eng
-				results[i], errs[i] = Run(jobs[i].Inst, cfg)
+				errs[i] = fn(eng, i)
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("netsim: job %d (%s, seed %d): %w",
-				i, jobs[i].Cfg.Protocol, jobs[i].Cfg.Seed, err)
+			return i, err
 		}
 	}
-	return results, nil
+	return -1, nil
 }
 
 // RunAllParallel is RunAll fanned across the worker pool: one run per

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"e2efair/internal/core"
 	"e2efair/internal/fault"
@@ -107,43 +108,52 @@ type shareSetter interface {
 	SetShare(id flow.SubflowID, share float64) error
 }
 
-// resilience coordinates the fault-aware run: it owns current routes,
-// reacts to link-dead signals with RERR-delayed batched repair,
-// salvages stranded packets, re-solves shares with graceful LP
-// degradation, and runs the invariant watchdog.
-type resilience struct {
+// coordinator runs one engine's share of a run: the whole instance,
+// or one radio component of a sharded run. Its MAC hooks are the run's
+// datapath — they forward packets hop by hop and account every
+// delivery and drop — and with no injector they are nothing more. It
+// starts the CBR sources, applies churn events, and re-solves shares
+// on churn and on route repair through one live instance. Under a
+// fault plan it also owns the current routes, reacts to link-dead
+// signals with RERR-delayed batched repair and salvages stranded
+// packets; with the watchdog on it checks the run's invariants.
+type coordinator struct {
 	cfg   Config
 	inst  *core.Instance
 	alloc *core.Allocator
+	live  *core.Live
 	stack *Stack
 	inj   *fault.Injector
 	col   *stats.Collector
 	lat   *stats.LatencyTracker
 	rep   *ResilienceReport
 
-	flowIDs     []flow.ID
-	routes      map[flow.ID][]topology.NodeID
-	flowShare   map[flow.ID]float64
+	// Per-flow state, by position in inst.Flows.
+	index     map[flow.ID]int
+	active    []bool              // the flows shares are solved over
+	cur       []*flow.Flow        // each flow on its current route
+	routes    [][]topology.NodeID // cur[i]'s path, read per packet
+	flowShare []float64
+	final     core.SubflowAllocation
+
 	organic     map[uint64]bool // MAC-declared dead links
-	pending     map[flow.ID]pendingRepair
-	unreachable map[flow.ID]sim.Time
+	pending     map[int]pendingRepair
+	unreachable map[int]sim.Time
 
 	bfs      routing.BFSTree
 	keepFn   func(u, v topology.NodeID) bool
 	repairFn func()
 }
 
-// runResilient is RunWith's fault-aware twin: same stack, same
-// sources, plus the resilience coordinator wired into the MAC hooks.
-func runResilient(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error) {
-	if inst.Topo == nil {
-		return nil, ErrNeedTopology
-	}
+// runComponent is the one per-engine run behind Run, RunWith and
+// RunDynamic. The component's config carries its t=0 shares, already
+// solved, and its slice of the fault plan.
+func runComponent(a *core.Allocator, c *component) (*DynamicResult, error) {
+	cfg, inst := c.cfg, c.inst
 	var inj *fault.Injector
 	if cfg.Fault != nil {
 		var err error
-		inj, err = cfg.Fault.Compile(inst.Topo.NumNodes())
-		if err != nil {
+		if inj, err = cfg.Fault.Compile(inst.Topo.NumNodes()); err != nil {
 			return nil, err
 		}
 		// Shard runs re-seed the per-transmitter loss streams with the
@@ -155,10 +165,8 @@ func runResilient(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, 
 			}
 		}
 	}
-	if a == nil {
-		a = core.NewAllocatorWorkers(1)
-	}
-	r := &resilience{
+	flows := inst.Flows.Flows()
+	r := &coordinator{
 		cfg:         cfg,
 		inst:        inst,
 		alloc:       a,
@@ -166,76 +174,62 @@ func runResilient(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, 
 		col:         stats.NewCollector(),
 		lat:         stats.NewLatencyTracker(),
 		rep:         &ResilienceReport{},
-		routes:      make(map[flow.ID][]topology.NodeID),
-		flowShare:   make(map[flow.ID]float64),
+		index:       make(map[flow.ID]int, len(flows)),
+		active:      make([]bool, len(flows)),
+		cur:         slices.Clone(flows),
+		routes:      make([][]topology.NodeID, len(flows)),
+		flowShare:   make([]float64, len(flows)),
+		final:       cfg.Shares,
 		organic:     make(map[uint64]bool),
-		pending:     make(map[flow.ID]pendingRepair),
-		unreachable: make(map[flow.ID]sim.Time),
+		pending:     make(map[int]pendingRepair),
+		unreachable: make(map[int]sim.Time),
 	}
 	r.keepFn = r.linkAlive
 	r.repairFn = r.repair
-	// Solve the initial shares gracefully so a degenerate instance
-	// degrades to basic shares instead of failing the run.
-	if cfg.Shares == nil && cfg.Protocol != Protocol80211 {
-		shares, degraded, err := r.solveShares(inst)
-		if err != nil {
-			return nil, err
-		}
-		if degraded {
-			r.rep.DegradedAllocs++
-		}
-		cfg.Shares = shares
-		r.cfg.Shares = shares
+	for i, f := range flows {
+		r.index[f.ID()] = i
+		r.routes[i] = f.Path()
+		r.flowShare[i] = cfg.Shares[flow.SubflowID{Flow: f.ID(), Hop: 0}]
 	}
-	hooks := mac.Hooks{
+	stack, err := NewStackWith(nil, inst, cfg, mac.Hooks{
 		OnDelivered: r.onDelivered,
 		OnRetryDrop: r.onRetryDrop,
 		OnCollision: func(_ topology.NodeID, _ sim.Time) { r.col.Collision() },
 		OnCorrupt:   r.onCorrupt,
 		OnLinkDead:  r.onLinkDead,
-	}
-	stack, err := NewStackWith(a, inst, cfg, hooks)
+	})
 	if err != nil {
 		return nil, err
 	}
 	r.stack = stack
+	eng := stack.Engine
 	if inj != nil {
 		stack.Medium.SetLinkState(inj)
 		stack.Medium.Channel().SetLossModel(inj)
-		if err := inj.Arm(stack.Engine, r.onFaultChange); err != nil {
+		if err := inj.Arm(eng, r.onFaultChange); err != nil {
 			return nil, err
 		}
 	}
-	for _, f := range inst.Flows.Flows() {
-		fid := f.ID()
-		r.flowIDs = append(r.flowIDs, fid)
-		r.routes[fid] = f.Path()
-		if stack.Shares != nil {
-			r.flowShare[fid] = stack.Shares[flow.SubflowID{Flow: fid, Hop: 0}]
+	if c.dynamic {
+		err = r.scheduleChurn(c.events)
+	} else {
+		for i := range flows {
+			r.active[i] = true
+			g := i
+			if c.flowIdx != nil {
+				g = c.flowIdx[i]
+			}
+			// Stagger source starts by the flow's global index: 137 µs
+			// per flow, coprime to the 5000 µs default emission
+			// interval, so sources never synchronize, and shard runs
+			// emit exactly when the single-engine run does.
+			if err = r.startSource(i, sim.Time(g)*137*sim.Microsecond, cfg.Duration); err != nil {
+				break
+			}
 		}
 	}
-	for i, f := range inst.Flows.Flows() {
-		fid := f.ID()
-		err := traffic.StartCBR(stack.Engine, stack.Medium, traffic.CBRConfig{
-			Flow:         f,
-			PacketsPerS:  cfg.PacketsPerS,
-			PayloadBytes: cfg.PayloadBytes,
-			Offset:       cbrOffset(cfg, i),
-			Until:        cfg.Duration,
-			Route:        func() []topology.NodeID { return r.routes[fid] },
-			OnEmit: func(_ *mac.Packet, accepted bool, _ sim.Time) {
-				r.rep.Emitted++
-				if accepted {
-					r.rep.Injected++
-				} else {
-					r.col.QueueDrop(false)
-					r.rep.SourceDrops++
-				}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	var series *stats.Series
@@ -243,52 +237,90 @@ func runResilient(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, 
 		series = stats.NewSeries(cfg.SampleEvery)
 		var sample func()
 		sample = func() {
-			series.Sample(stack.Engine.Now(), r.col)
-			if stack.Engine.Now() < cfg.Duration {
-				_ = stack.Engine.After(cfg.SampleEvery, 0, sample)
+			series.Sample(eng.Now(), r.col)
+			if eng.Now() < cfg.Duration {
+				_ = eng.After(cfg.SampleEvery, 0, sample)
 			}
 		}
-		_ = stack.Engine.After(cfg.SampleEvery, 0, sample)
+		_ = eng.After(cfg.SampleEvery, 0, sample)
 	}
 	if cfg.Watchdog {
-		r.checkShareFloor(inst, stack.Shares)
+		switch cfg.Protocol {
+		case Protocol2PAC, Protocol2PAD, ProtocolDFS:
+			r.checkShareFloor(r.instance(inst.Flows), stack.Shares)
+		}
 		var tick func()
 		tick = func() {
 			r.checkInvariants()
-			if stack.Engine.Now() < cfg.Duration {
-				_ = stack.Engine.After(watchdogEvery, 0, tick)
+			if eng.Now() < cfg.Duration {
+				_ = eng.After(watchdogEvery, 0, tick)
 			}
 		}
-		_ = stack.Engine.After(watchdogEvery, 0, tick)
+		_ = eng.After(watchdogEvery, 0, tick)
 	}
 
-	stack.Engine.Run(cfg.Duration)
+	eng.Run(cfg.Duration)
 
+	res := &DynamicResult{
+		Result: Result{
+			Protocol: cfg.Protocol,
+			Duration: cfg.Duration,
+			Stats:    r.col,
+			Shares:   stack.Shares,
+			Airtime:  stack.Medium.Airtime(),
+			Series:   series,
+			Latency:  r.lat,
+		},
+		Reallocations: int(r.rep.Reallocations),
+		GroupSolves:   int(r.rep.GroupSolves),
+		GroupReuses:   int(r.rep.GroupReuses),
+		FinalShares:   r.final,
+	}
+	if cfg.Fault == nil && !cfg.Watchdog {
+		return res, nil
+	}
 	if cfg.Watchdog {
 		r.checkInvariants()
 	}
 	if inj != nil {
 		r.rep.InjectedLosses = inj.Corruptions()
 	}
-	r.rep.FinalRoutes = make(map[flow.ID][]topology.NodeID, len(r.flowIDs))
-	for _, fid := range r.flowIDs {
-		r.rep.FinalRoutes[fid] = r.routes[fid]
+	r.rep.FinalRoutes = make(map[flow.ID][]topology.NodeID, len(flows))
+	for i, f := range flows {
+		r.rep.FinalRoutes[f.ID()] = r.routes[i]
 	}
-	return &Result{
-		Protocol:   cfg.Protocol,
-		Duration:   cfg.Duration,
-		Stats:      r.col,
-		Shares:     stack.Shares,
-		Airtime:    stack.Medium.Airtime(),
-		Series:     series,
-		Latency:    r.lat,
-		Resilience: r.rep,
-	}, nil
+	res.Resilience = r.rep
+	return res, nil
+}
+
+// startSource starts flow i's CBR source for the on-interval
+// [from, until): it emits on the flow's current route and accounts
+// every emission.
+func (r *coordinator) startSource(i int, from, until sim.Time) error {
+	return traffic.StartCBR(r.stack.Engine, r.stack.Medium, traffic.CBRConfig{
+		Flow:         r.inst.Flows.Flows()[i],
+		PacketsPerS:  r.cfg.PacketsPerS,
+		PayloadBytes: r.cfg.PayloadBytes,
+		Offset:       from,
+		Until:        until,
+		Route:        func() []topology.NodeID { return r.routes[i] },
+		OnEmit:       r.onEmit,
+	})
+}
+
+func (r *coordinator) onEmit(_ *mac.Packet, accepted bool, _ sim.Time) {
+	r.rep.Emitted++
+	if accepted {
+		r.rep.Injected++
+		return
+	}
+	r.col.QueueDrop(false)
+	r.rep.SourceDrops++
 }
 
 // linkAlive is the BFS keep predicate: a link is usable unless the MAC
 // declared it dead or the injector holds it (or an endpoint) down.
-func (r *resilience) linkAlive(u, v topology.NodeID) bool {
+func (r *coordinator) linkAlive(u, v topology.NodeID) bool {
 	if r.organic[ukey(u, v)] {
 		return false
 	}
@@ -298,7 +330,7 @@ func (r *resilience) linkAlive(u, v topology.NodeID) bool {
 	return true
 }
 
-func (r *resilience) onDelivered(p *mac.Packet, now sim.Time) {
+func (r *coordinator) onDelivered(p *mac.Packet, now sim.Time) {
 	r.col.HopDelivered(p.SubflowID(), p.LastHop())
 	if p.LastHop() {
 		r.lat.Record(p.Flow, now-p.Born)
@@ -319,7 +351,7 @@ func (r *resilience) onDelivered(p *mac.Packet, now sim.Time) {
 // onRetryDrop salvages the abandoned packet onto a detour when one
 // exists; otherwise the drop is attributed (retry vs no-route) and the
 // packet freed.
-func (r *resilience) onRetryDrop(p *mac.Packet, now sim.Time) {
+func (r *coordinator) onRetryDrop(p *mac.Packet, now sim.Time) {
 	if r.inj != nil && r.salvage(p, now) {
 		r.rep.Salvaged++
 		return
@@ -333,7 +365,7 @@ func (r *resilience) onRetryDrop(p *mac.Packet, now sim.Time) {
 	r.stack.Medium.FreePacket(p)
 }
 
-func (r *resilience) onCorrupt(_ *mac.Packet, _ topology.NodeID, _ sim.Time) {
+func (r *coordinator) onCorrupt(_ *mac.Packet, _ topology.NodeID, _ sim.Time) {
 	r.rep.CorruptFrames++
 }
 
@@ -341,7 +373,7 @@ func (r *resilience) onCorrupt(_ *mac.Packet, _ topology.NodeID, _ sim.Time) {
 // routing view, the transmitter's queue is salvaged, and every flow
 // routed over the link is scheduled for repair after an RERR-style
 // per-hop propagation delay back to its source.
-func (r *resilience) onLinkDead(tx, rx topology.NodeID, now sim.Time) {
+func (r *coordinator) onLinkDead(tx, rx topology.NodeID, now sim.Time) {
 	r.rep.LinkDeadSignals++
 	r.organic[ukey(tx, rx)] = true
 	r.stack.Medium.DrainNode(tx, func(p *mac.Packet) bool {
@@ -352,15 +384,15 @@ func (r *resilience) onLinkDead(tx, rx topology.NodeID, now sim.Time) {
 
 // scheduleFlowRepairs queues repair for every flow whose current route
 // crosses the undirected link a-b.
-func (r *resilience) scheduleFlowRepairs(a, b topology.NodeID, now sim.Time) {
+func (r *coordinator) scheduleFlowRepairs(a, b topology.NodeID, now sim.Time) {
 	affected := false
-	for _, fid := range r.flowIDs {
-		i := hopIndex(r.routes[fid], a, b)
-		if i < 0 {
+	for i, route := range r.routes {
+		hop := hopIndex(route, a, b)
+		if hop < 0 {
 			continue
 		}
 		affected = true
-		r.queueRepair(fid, now, now+sim.Time(i)*r.cfg.RERRHopDelay)
+		r.queueRepair(i, now, now+sim.Time(hop)*r.cfg.RERRHopDelay)
 	}
 	if affected {
 		r.rep.RouteErrors++
@@ -369,12 +401,12 @@ func (r *resilience) scheduleFlowRepairs(a, b topology.NodeID, now sim.Time) {
 
 // queueRepair registers a flow for repair at time at; an already
 // pending repair keeps its earlier schedule.
-func (r *resilience) queueRepair(fid flow.ID, brokenAt, at sim.Time) {
-	if _, ok := r.pending[fid]; ok {
+func (r *coordinator) queueRepair(i int, brokenAt, at sim.Time) {
+	if _, ok := r.pending[i]; ok {
 		return
 	}
-	delete(r.unreachable, fid)
-	r.pending[fid] = pendingRepair{at: at, brokenAt: brokenAt}
+	delete(r.unreachable, i)
+	r.pending[i] = pendingRepair{at: at, brokenAt: brokenAt}
 	_ = r.stack.Engine.Schedule(at, 1, r.repairFn)
 }
 
@@ -392,7 +424,7 @@ func hopIndex(route []topology.NodeID, a, b topology.NodeID) int {
 // onFaultChange reacts to an injected transition: the MAC reconsiders
 // the affected nodes, downed elements trigger proactive salvage and
 // repair, and recoveries retry unreachable flows.
-func (r *resilience) onFaultChange(ch fault.Change) {
+func (r *coordinator) onFaultChange(ch fault.Change) {
 	now := ch.At
 	med := r.stack.Medium
 	if ch.Node >= 0 {
@@ -404,8 +436,7 @@ func (r *resilience) onFaultChange(ch fault.Change) {
 		}
 		// Crash: flows routed through the node must detour; packets
 		// queued at upstream neighbors toward it are salvaged.
-		for _, fid := range r.flowIDs {
-			route := r.routes[fid]
+		for fi, route := range r.routes {
 			for i, n := range route {
 				if n != ch.Node {
 					continue
@@ -416,7 +447,7 @@ func (r *resilience) onFaultChange(ch fault.Change) {
 						return p.Receiver() == ch.Node
 					}, func(p *mac.Packet) { r.salvageDrained(p, now) })
 				}
-				r.queueRepair(fid, now, now+sim.Time(max(i-1, 0))*r.cfg.RERRHopDelay)
+				r.queueRepair(fi, now, now+sim.Time(max(i-1, 0))*r.cfg.RERRHopDelay)
 				break
 			}
 		}
@@ -446,7 +477,7 @@ func (r *resilience) onFaultChange(ch fault.Change) {
 // clearOrganicAt forgets MAC-declared dead links incident to a node
 // that just recovered: the declarations were (possibly) symptoms of
 // the crash, and traffic re-probes the links naturally.
-func (r *resilience) clearOrganicAt(node topology.NodeID) {
+func (r *coordinator) clearOrganicAt(node topology.NodeID) {
 	for k := range r.organic {
 		if topology.NodeID(k>>32) == node || topology.NodeID(uint32(k)) == node {
 			delete(r.organic, k)
@@ -456,30 +487,30 @@ func (r *resilience) clearOrganicAt(node topology.NodeID) {
 
 // retryUnreachable re-queues repair for flows that previously found no
 // route, now that something recovered.
-func (r *resilience) retryUnreachable(now sim.Time) {
-	for _, fid := range r.flowIDs {
-		brokenAt, ok := r.unreachable[fid]
+func (r *coordinator) retryUnreachable(now sim.Time) {
+	for i := range r.routes {
+		brokenAt, ok := r.unreachable[i]
 		if !ok {
 			continue
 		}
-		delete(r.unreachable, fid)
-		r.queueRepair(fid, brokenAt, now+r.cfg.RERRHopDelay)
+		delete(r.unreachable, i)
+		r.queueRepair(i, brokenAt, now+r.cfg.RERRHopDelay)
 	}
 }
 
 // repair processes due pending repairs in flow order — the batched
 // route repair: one BFS per distinct flow, one reallocation for the
 // whole batch.
-func (r *resilience) repair() {
+func (r *coordinator) repair() {
 	now := r.stack.Engine.Now()
 	changed := false
-	for _, fid := range r.flowIDs {
-		pr, ok := r.pending[fid]
+	for i := range r.routes {
+		pr, ok := r.pending[i]
 		if !ok || pr.at > now {
 			continue
 		}
-		delete(r.pending, fid)
-		if r.reroute(fid, pr.brokenAt, now) {
+		delete(r.pending, i)
+		if r.reroute(i, pr.brokenAt, now) {
 			changed = true
 		}
 	}
@@ -488,45 +519,35 @@ func (r *resilience) repair() {
 	}
 }
 
-// reroute recomputes one flow's route over the masked topology.
-func (r *resilience) reroute(fid flow.ID, brokenAt, now sim.Time) bool {
-	f, err := r.inst.Flows.Get(fid)
-	if err != nil {
-		return false
-	}
+// reroute recomputes flow i's route over the masked topology.
+func (r *coordinator) reroute(i int, brokenAt, now sim.Time) bool {
+	f := r.cur[i]
 	src, dst := f.Source(), f.Destination()
 	if r.inj != nil && (!r.inj.NodeUp(src) || !r.inj.NodeUp(dst)) {
-		r.unreachable[fid] = brokenAt
+		r.unreachable[i] = brokenAt
 		return false
 	}
 	if err := r.bfs.BuildFiltered(r.inst.Topo, src, r.keepFn); err != nil {
-		r.unreachable[fid] = brokenAt
+		r.unreachable[i] = brokenAt
 		return false
 	}
 	path, err := r.bfs.PathTo(dst)
 	if err != nil {
-		r.unreachable[fid] = brokenAt
+		r.unreachable[i] = brokenAt
 		return false
 	}
-	if equalPath(path, r.routes[fid]) {
+	if slices.Equal(path, r.routes[i]) {
 		return false
 	}
-	r.routes[fid] = path
+	nf, err := flow.New(f.ID(), f.Weight(), path)
+	if err != nil {
+		r.violation(now, fmt.Sprintf("reroute: flow %s: %v", f.ID(), err))
+		return false
+	}
+	r.cur[i], r.routes[i] = nf, path
 	r.rep.Reroutes++
 	r.rep.RepairTime += now - brokenAt
 	r.trace(mac.TraceEvent{Kind: mac.TraceReroute, At: now, Node: src, Peer: dst})
-	return true
-}
-
-func equalPath(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }
 
@@ -534,7 +555,7 @@ func equalPath(a, b []topology.NodeID) bool {
 // fault-free path to its destination and re-injects it. It returns
 // false when no detour exists (or the packet exhausted its salvage
 // budget); the caller attributes and frees the packet.
-func (r *resilience) salvage(p *mac.Packet, now sim.Time) bool {
+func (r *coordinator) salvage(p *mac.Packet, now sim.Time) bool {
 	if p.Salvage >= salvageLimit {
 		return false
 	}
@@ -567,7 +588,7 @@ func (r *resilience) salvage(p *mac.Packet, now sim.Time) bool {
 
 // salvageDrained handles a packet pulled off a forwarding queue by a
 // link-dead drain: salvage it, or attribute the loss as no-route.
-func (r *resilience) salvageDrained(p *mac.Packet, now sim.Time) {
+func (r *coordinator) salvageDrained(p *mac.Packet, now sim.Time) {
 	if r.salvage(p, now) {
 		r.rep.Salvaged++
 		return
@@ -584,8 +605,8 @@ func (r *resilience) salvageDrained(p *mac.Packet, now sim.Time) {
 // registerPath makes sure every transmitting node along a detour
 // accepts the flow's subflow IDs, registering missing queues at the
 // flow's current share. Existing registrations are left untouched.
-func (r *resilience) registerPath(fid flow.ID, path []topology.NodeID) {
-	share := r.flowShare[fid]
+func (r *coordinator) registerPath(fid flow.ID, path []topology.NodeID) {
+	share := r.flowShare[r.index[fid]]
 	for i := 0; i+1 < len(path); i++ {
 		sched := r.stack.Medium.SchedulerAt(path[i])
 		ss, ok := sched.(shareSetter)
@@ -597,96 +618,59 @@ func (r *resilience) registerPath(fid flow.ID, path []topology.NodeID) {
 	}
 }
 
-// solveShares computes the protocol's per-subflow allocation with
-// graceful LP degradation, accumulating the allocator's churn delta
-// into the report.
-func (r *resilience) solveShares(sub *core.Instance) (core.SubflowAllocation, bool, error) {
-	shares, delta, degraded, err := solveSharesGraceful(r.alloc, sub, r.cfg.Protocol)
-	if err != nil {
-		return nil, false, err
+// instance returns the live instance over set, creating the live
+// state on first use: successive calls cost only the flows that
+// changed between them.
+func (r *coordinator) instance(set *flow.Set) *core.Instance {
+	if r.live == nil {
+		r.live = core.NewLive(r.inst.Topo)
 	}
-	r.rep.GroupSolves += int64(delta.Solved)
-	r.rep.GroupReuses += int64(delta.Reused)
-	return shares, degraded, nil
+	return r.live.Update(set)
 }
 
-// solveSharesGraceful is the graceful first-phase solve shared by the
-// resilient run and the sharded runner's hoisted whole-instance solve.
-// A nil allocator solves on fresh single-worker state.
-func solveSharesGraceful(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, core.Delta, bool, error) {
-	if a == nil {
-		a = core.NewAllocatorWorkers(1)
-	}
-	switch p {
-	case Protocol80211:
-		return nil, core.Delta{}, false, nil
-	case ProtocolTwoTier:
-		return core.TwoTierAllocate(inst), core.Delta{}, false, nil
-	case Protocol2PAC, ProtocolDFS:
-		alloc, delta, degraded, err := a.GracefulCentralizedDelta(inst, core.CentralizedOptions{Refine: true})
-		if err != nil {
-			return nil, core.Delta{}, false, err
-		}
-		return alloc.Uniform(inst.Flows), delta, degraded, nil
-	case Protocol2PAD:
-		alloc, degraded, err := a.GracefulDistributed(inst)
-		if err != nil {
-			return nil, core.Delta{}, false, err
-		}
-		return alloc.Uniform(inst.Flows), core.Delta{}, degraded, nil
-	default:
-		return nil, core.Delta{}, false, fmt.Errorf("netsim: unknown protocol %d", int(p))
-	}
-}
-
-// reallocate re-solves shares over the current routes and installs
-// them into the running schedulers — the graceful-degradation
-// re-allocation on topology change. Failures are recorded, never
-// fatal: the previous shares stay in force.
-func (r *resilience) reallocate(now sim.Time) {
+// reallocate re-solves shares over the active flows on their current
+// routes and installs them into the running schedulers — on every
+// churn event and after every batched route repair. Failures are
+// recorded, never fatal: the previous shares stay in force, and a
+// degradable LP failure installs the basic shares instead.
+func (r *coordinator) reallocate(now sim.Time) {
 	if r.cfg.Protocol == Protocol80211 {
 		return
 	}
-	fls := make([]*flow.Flow, 0, len(r.flowIDs))
-	for _, fid := range r.flowIDs {
-		f, err := r.inst.Flows.Get(fid)
-		if err != nil {
-			continue
+	var fls []*flow.Flow
+	for i, f := range r.cur {
+		if r.active[i] {
+			fls = append(fls, f)
 		}
-		nf, err := flow.New(fid, f.Weight(), r.routes[fid])
-		if err != nil {
-			r.violation(now, fmt.Sprintf("reallocate: rebuild flow %s: %v", fid, err))
-			return
-		}
-		fls = append(fls, nf)
+	}
+	if len(fls) == 0 {
+		return
 	}
 	set, err := flow.NewSet(fls...)
 	if err != nil {
 		r.violation(now, fmt.Sprintf("reallocate: flow set: %v", err))
 		return
 	}
-	// Lenient: detours may pass within range of other route nodes,
-	// which the strict no-shortcut validation would reject.
-	sub, err := core.NewInstanceLenient(r.inst.Topo, set)
-	if err != nil {
-		r.violation(now, fmt.Sprintf("reallocate: instance: %v", err))
-		return
+	sub := r.instance(set)
+	if r.alloc == nil {
+		r.alloc = core.NewAllocatorWorkers(1)
 	}
-	shares, degraded, err := r.solveShares(sub)
+	shares, delta, degraded, err := solveShares(r.alloc, sub, r.cfg.Protocol)
 	if err != nil {
 		r.violation(now, fmt.Sprintf("reallocate: solve: %v", err))
 		return
 	}
+	r.rep.GroupSolves += int64(delta.Solved)
+	r.rep.GroupReuses += int64(delta.Reused)
 	r.rep.Reallocations++
 	if degraded {
 		r.rep.DegradedAllocs++
 		r.trace(mac.TraceEvent{Kind: mac.TraceDegraded, At: now, Node: -1, Peer: -1})
 	}
-	for _, f := range sub.Flows.Flows() {
+	for _, f := range fls {
 		for _, s := range f.Subflows() {
 			share := shares[s.ID]
-			sched := r.stack.Medium.SchedulerAt(s.Src)
-			ss, ok := sched.(shareSetter)
+			ss, ok := r.stack.Medium.SchedulerAt(s.Src).(shareSetter)
 			if !ok {
 				continue
 			}
@@ -694,41 +678,33 @@ func (r *resilience) reallocate(now sim.Time) {
 				_ = ss.AddSubflow(s.ID, share)
 			}
 		}
-		r.flowShare[f.ID()] = shares[flow.SubflowID{Flow: f.ID(), Hop: 0}]
+		r.flowShare[r.index[f.ID()]] = shares[flow.SubflowID{Flow: f.ID(), Hop: 0}]
 	}
+	r.final = shares
 	if r.cfg.Watchdog {
-		r.checkShareFloorInstance(sub, shares)
+		r.checkShareFloor(sub, shares)
 	}
 }
 
 // trace forwards a resilience event through the configured tracer.
-func (r *resilience) trace(ev mac.TraceEvent) {
+func (r *coordinator) trace(ev mac.TraceEvent) {
 	if r.cfg.Tracer != nil {
 		r.cfg.Tracer.Trace(ev)
 	}
 }
 
 // violation records a watchdog violation (bounded).
-func (r *resilience) violation(now sim.Time, msg string) {
+func (r *coordinator) violation(now sim.Time, msg string) {
 	if len(r.rep.Violations) >= maxViolations {
 		return
 	}
 	r.rep.Violations = append(r.rep.Violations, fmt.Sprintf("t=%.6f %s", now.Seconds(), msg))
 }
 
-// checkShareFloor verifies the basic-share floor of the paper's
-// fairness constraint on the initial allocation.
-func (r *resilience) checkShareFloor(inst *core.Instance, shares core.SubflowAllocation) {
-	switch r.cfg.Protocol {
-	case Protocol2PAC, Protocol2PAD, ProtocolDFS:
-		r.checkShareFloorInstance(inst, shares)
-	}
-}
-
-// checkShareFloorInstance asserts every flow's installed share is at
-// least its closed-form basic share (within tolerance) — the invariant
-// both the LP and the degraded fallback must satisfy.
-func (r *resilience) checkShareFloorInstance(inst *core.Instance, shares core.SubflowAllocation) {
+// checkShareFloor asserts every flow's installed share is at least its
+// closed-form basic share (within tolerance) — the paper's fairness
+// floor, which both the LP and the degraded fallback must satisfy.
+func (r *coordinator) checkShareFloor(inst *core.Instance, shares core.SubflowAllocation) {
 	if shares == nil {
 		return
 	}
@@ -747,7 +723,7 @@ func (r *resilience) checkShareFloorInstance(inst *core.Instance, shares core.Su
 // checks at the current instant. Events fire atomically between
 // packet handoffs, so the balance holds exactly: every accepted
 // packet is delivered, attributed to one drop cause, or still queued.
-func (r *resilience) checkInvariants() {
+func (r *coordinator) checkInvariants() {
 	r.rep.WatchdogChecks++
 	now := r.stack.Engine.Now()
 	backlog := int64(r.stack.Medium.Backlog())

@@ -2,8 +2,8 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"maps"
+	"slices"
 
 	"e2efair/internal/core"
 	"e2efair/internal/fault"
@@ -49,7 +49,7 @@ func NewSharder() *Sharder {
 // behaviorally interchangeable even when positions drifted without
 // changing any range predicate.
 func (s *Sharder) subTopo(t *topology.Topology, members []topology.NodeID, fp uint64) (*topology.Topology, error) {
-	if e, ok := s.cache[fp]; ok && equalNodeIDs(e.members, members) {
+	if e, ok := s.cache[fp]; ok && slices.Equal(e.members, members) {
 		return e.topo, nil
 	}
 	sub, err := t.Subset(members)
@@ -63,110 +63,121 @@ func (s *Sharder) subTopo(t *topology.Topology, members []topology.NodeID, fp ui
 	return sub, nil
 }
 
-func equalNodeIDs(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// shardProblem is one component's fully prepared sub-run: the induced
-// instance plus a config carrying the sliced shares, the filtered
-// fault plan, and the local→global node and flow index maps.
-type shardProblem struct {
-	comp    int
-	members []topology.NodeID
+// component is one engine's share of a run: the whole instance with
+// identity maps, or one radio component's induced sub-instance with
+// the config slice (t=0 shares, fault plan) and churn events of its
+// own flows.
+type component struct {
+	index   int               // radio component, for error messages
+	members []topology.NodeID // local → global node ID; nil: identity
+	flowIdx []int             // local → global flow index; nil: identity
 	inst    *core.Instance
 	cfg     Config
+	events  []FlowEvent
+	dynamic bool // flows emit only inside their churn on-intervals
 }
 
-// runSharded dispatches a Config.ShardSim run: partition, solve the
-// first phase once over the whole instance, run one single-engine
-// sub-run per radio component on a worker pool, and merge. The bool
-// reports whether sharding applied; false means the caller should take
-// the single-engine path (sharding disabled, a tracer attached, or too
-// few components).
+// run is the one dispatcher behind Run, RunWith and RunDynamic. It
+// validates the churn events and the fault plan against the whole
+// instance and solves the t=0 shares once with the caller's allocator
+// (or a fresh one), which the single-engine run keeps for its
+// re-solves. A Config.ShardSim run with no tracer and at least
+// shardMinComponents radio components is then split per component,
+// the components run on the worker pool and their results merge;
+// otherwise the whole instance is the one component and its result is
+// returned as is.
 //
-// Byte-identity with the single-engine run rests on three invariants:
-// interference-closed components never exchange MAC events; every
-// random draw comes from a per-node stream seeded by the node's global
-// ID (so draw sequences depend only on intra-component event order);
-// and CBR stagger offsets are keyed to global flow indices. Merge
-// order is component order, so the worker count never changes the
-// result.
-func runSharded(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, bool, error) {
-	if !cfg.ShardSim || cfg.Tracer != nil || inst.Topo == nil {
-		return nil, false, nil
+// Byte-identity of the sharded run with the single-engine run rests on
+// four invariants: interference-closed components never exchange MAC
+// events; every random draw comes from a per-node stream seeded by the
+// node's global ID, so draw sequences depend only on intra-component
+// event order; CBR stagger offsets are keyed to global flow indices;
+// and group LPs never span radio components (contention needs
+// interference proximity), so the whole-instance shares sliced per
+// component, and every per-component re-solve, equal what the single
+// engine installs. Merge order is component order, so the worker count
+// never changes the result. Reallocations, WatchdogChecks and the
+// group-delta counters tally per component, so they can exceed the
+// single-engine counts.
+func run(a *core.Allocator, inst *core.Instance, cfg Config, events []FlowEvent, dynamic bool) (*DynamicResult, error) {
+	cfg = cfg.withDefaults()
+	if inst.Topo == nil {
+		return nil, ErrNeedTopology
+	}
+	for _, ev := range events {
+		for _, id := range slices.Concat(ev.Start, ev.Stop) {
+			if _, err := inst.Flows.Get(id); err != nil {
+				return nil, fmt.Errorf("netsim: dynamic event: %w", err)
+			}
+		}
+	}
+	if cfg.Fault != nil {
+		if _, err := cfg.Fault.Compile(inst.Topo.NumNodes()); err != nil {
+			return nil, err
+		}
+	}
+	if a == nil {
+		a = core.NewAllocatorWorkers(1)
+	}
+	var delta core.Delta
+	degraded := false
+	if cfg.Shares == nil {
+		var err error
+		if cfg.Shares, delta, degraded, err = solveShares(a, inst, cfg.Protocol); err != nil {
+			return nil, err
+		}
+	}
+
+	comps, err := partition(inst, cfg, events, dynamic)
+	if err != nil {
+		return nil, err
+	}
+	var res *DynamicResult
+	if comps == nil {
+		res, err = runComponent(a, &component{inst: inst, cfg: cfg, events: events, dynamic: dynamic})
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		results := make([]*DynamicResult, len(comps))
+		if i, err := forEach(len(comps), cfg.ShardWorkers, func(eng *sim.Engine, i int) (err error) {
+			comps[i].cfg.eng = eng
+			results[i], err = runComponent(nil, comps[i])
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("netsim: shard %d (component %d): %w", i, comps[i].index, err)
+		}
+		res = merge(cfg, comps, results)
+	}
+	if rep := res.Resilience; rep != nil {
+		rep.GroupSolves += int64(delta.Solved)
+		rep.GroupReuses += int64(delta.Reused)
+		if degraded {
+			rep.DegradedAllocs++
+		}
+	}
+	return res, nil
+}
+
+// partition splits a ShardSim run into one component per radio
+// component that carries at least one flow, or returns nil when the
+// run stays on one engine (sharding off, a tracer attached, or too few
+// components). Flowless components are skipped: without sources they
+// produce no packets, no stats and no observable fault effects.
+func partition(inst *core.Instance, cfg Config, events []FlowEvent, dynamic bool) ([]*component, error) {
+	if !cfg.ShardSim || cfg.Tracer != nil {
+		return nil, nil
 	}
 	sh := cfg.Sharder
 	if sh == nil {
 		sh = NewSharder()
 	}
 	inst.Topo.AppendRadioComponents(&sh.comps)
-	if sh.comps.Len() < shardMinComponents {
-		return nil, false, nil
-	}
-	resilient := cfg.Fault != nil || cfg.Watchdog
-	if cfg.Fault != nil {
-		// Validate the whole plan up front so an invalid plan fails
-		// exactly as it would on the single-engine path, before any
-		// per-shard filtering could mask the offending entry.
-		if _, err := cfg.Fault.Compile(inst.Topo.NumNodes()); err != nil {
-			return nil, true, err
-		}
-	}
-
-	// Hoist the first-phase solve: one whole-instance allocation,
-	// sliced into each shard. Group LPs never span radio components
-	// (contention needs interference proximity), so the slice equals
-	// what a per-shard solve would produce — but solving once keeps the
-	// allocator's delta/cache behavior identical to the single path.
-	shares := cfg.Shares
-	var initDelta core.Delta
-	initDegraded := false
-	if shares == nil && cfg.Protocol != Protocol80211 {
-		var err error
-		if resilient {
-			shares, initDelta, initDegraded, err = solveSharesGraceful(a, inst, cfg.Protocol)
-		} else {
-			shares, _, err = sharesForDelta(a, inst, cfg.Protocol)
-		}
-		if err != nil {
-			return nil, true, err
-		}
-	}
-
-	probs, err := buildShardProblems(sh, inst, cfg, shares, resilient)
-	if err != nil {
-		return nil, true, err
-	}
-	results, err := runShardProblems(probs, cfg.ShardWorkers)
-	if err != nil {
-		return nil, true, err
-	}
-	res := mergeShardResults(cfg, shares, probs, results)
-	if res.Resilience != nil {
-		res.Resilience.GroupSolves += int64(initDelta.Solved)
-		res.Resilience.GroupReuses += int64(initDelta.Reused)
-		if initDegraded {
-			res.Resilience.DegradedAllocs++
-		}
-	}
-	return res, true, nil
-}
-
-// buildShardProblems prepares one sub-run per component that carries
-// at least one flow. Flowless components are skipped: without sources
-// they produce no packets, no stats, and no observable fault effects,
-// exactly as on the single-engine path.
-func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares core.SubflowAllocation, resilient bool) ([]*shardProblem, error) {
-	n := inst.Topo.NumNodes()
 	ncomp := sh.comps.Len()
+	if ncomp < shardMinComponents {
+		return nil, nil
+	}
+	n := inst.Topo.NumNodes()
 	compOf := make([]int32, n)
 	for c := 0; c < ncomp; c++ {
 		for _, id := range sh.comps.Component(c) {
@@ -185,7 +196,8 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 	}
 
 	localOf := make([]int32, n) // global → local, valid for the component in flight
-	var probs []*shardProblem
+	slot := make(map[flow.ID]int, inst.Flows.Len())
+	var comps []*component
 	for c := 0; c < ncomp; c++ {
 		if len(flowsOf[c]) == 0 {
 			continue
@@ -203,33 +215,22 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 		remapped := make([]*flow.Flow, len(flowsOf[c]))
 		for fi, f := range flowsOf[c] {
 			path := f.Path()
-			local := make([]topology.NodeID, len(path))
 			for j, node := range path {
 				if int(compOf[node]) != c {
 					return nil, fmt.Errorf("netsim: flow %s leaves radio component %d at node %s", f.ID(), c, inst.Topo.Name(node))
 				}
-				local[j] = topology.NodeID(localOf[node])
+				path[j] = topology.NodeID(localOf[node])
 			}
-			nf, err := flow.New(f.ID(), f.Weight(), local)
+			nf, err := flow.New(f.ID(), f.Weight(), path)
 			if err != nil {
 				return nil, err
 			}
 			remapped[fi] = nf
+			slot[f.ID()] = len(comps)
 		}
 		subSet, err := flow.NewSet(remapped...)
 		if err != nil {
 			return nil, err
-		}
-		var subInst *core.Instance
-		if resilient {
-			// The resilient path consults the contention graph (share
-			// floors, lenient re-instances); build it per shard.
-			subInst, err = core.NewInstanceLenient(subTopo, subSet)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			subInst = &core.Instance{Topo: subTopo, Flows: subSet}
 		}
 
 		scfg := cfg
@@ -238,12 +239,11 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 		scfg.ShardWorkers = 0
 		scfg.eng = nil
 		scfg.nodeIDs = nodeIDs
-		scfg.flowIdx = gidxOf[c]
-		if shares != nil {
+		if cfg.Shares != nil {
 			sub := make(core.SubflowAllocation)
 			for _, f := range flowsOf[c] {
 				for _, s := range f.Subflows() {
-					sub[s.ID] = shares[s.ID]
+					sub[s.ID] = cfg.Shares[s.ID]
 				}
 			}
 			scfg.Shares = sub
@@ -251,9 +251,41 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 		if cfg.Fault != nil {
 			scfg.Fault = shardFaultPlan(cfg.Fault, compOf, localOf, c)
 		}
-		probs = append(probs, &shardProblem{comp: c, members: members, inst: subInst, cfg: scfg})
+		comps = append(comps, &component{
+			index:   c,
+			members: members,
+			flowIdx: gidxOf[c],
+			inst:    &core.Instance{Topo: subTopo, Flows: subSet},
+			cfg:     scfg,
+			dynamic: dynamic,
+		})
 	}
-	return probs, nil
+
+	// Each component replays the events restricted to its own flows,
+	// in order; events that name none of them are dropped.
+	last := make([]int, len(comps))
+	for k := range last {
+		last[k] = -1
+	}
+	for e, ev := range events {
+		eventOf := func(id flow.ID) *FlowEvent {
+			k := slot[id]
+			if last[k] != e {
+				last[k] = e
+				comps[k].events = append(comps[k].events, FlowEvent{At: ev.At})
+			}
+			return &comps[k].events[len(comps[k].events)-1]
+		}
+		for _, id := range ev.Stop {
+			sub := eventOf(id)
+			sub.Stop = append(sub.Stop, id)
+		}
+		for _, id := range ev.Start {
+			sub := eventOf(id)
+			sub.Start = append(sub.Start, id)
+		}
+	}
+	return comps, nil
 }
 
 // shardFaultPlan restricts a validated fault plan to one component,
@@ -287,203 +319,26 @@ func shardFaultPlan(p *fault.Plan, compOf, localOf []int32, c int) *fault.Plan {
 	return sp
 }
 
-// runShardProblems executes the sub-runs across a worker pool. Each
-// worker owns one engine recycled via Reset between shards; results
-// are index-addressed so the outcome is independent of scheduling. On
-// failure the lowest-indexed shard's error is returned.
-func runShardProblems(probs []*shardProblem, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probs) {
-		workers = len(probs)
-	}
-	results := make([]*Result, len(probs))
-	errs := make([]error, len(probs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := sim.NewEngine()
-			for i := range idx {
-				scfg := probs[i].cfg
-				scfg.eng = eng
-				results[i], errs[i] = runSingle(nil, probs[i].inst, scfg)
-			}
-		}()
-	}
-	for i := range probs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("netsim: shard %d (component %d): %w", i, probs[i].comp, err)
-		}
-	}
-	return results, nil
-}
-
-// runDynamicSharded is the churn-run analog of runSharded: flow events
-// route to the component owning the flow (the source's component —
-// paths never leave it), and each shard replays only its own start/
-// stop schedule. The hoisted initial allocation is sliced exactly as
-// in the static case; reallocations then run shard-locally. Because
-// group LPs never span radio components and installing an unchanged
-// share is a no-op, the scheduler state after any event matches the
-// single-engine run, so delivery statistics are byte-identical. The
-// Reallocations/GroupSolves/GroupReuses counters tally per-shard solves
-// and can differ from the single-engine tally; FinalShares is the union
-// of the shards' final allocations.
-func runDynamicSharded(inst *core.Instance, cfg Config, events []FlowEvent) (*DynamicResult, bool, error) {
-	if !cfg.ShardSim || cfg.Tracer != nil || inst.Topo == nil || cfg.Fault != nil || cfg.Watchdog {
-		return nil, false, nil
-	}
-	sh := cfg.Sharder
-	if sh == nil {
-		sh = NewSharder()
-	}
-	inst.Topo.AppendRadioComponents(&sh.comps)
-	if sh.comps.Len() < shardMinComponents {
-		return nil, false, nil
-	}
-
-	// Validate events against the full flow set first, preserving the
-	// single-engine error behavior even for flows that end up in a
-	// shard the event never reaches.
-	for _, ev := range events {
-		for _, id := range ev.Start {
-			if _, err := inst.Flows.Get(id); err != nil {
-				return nil, true, fmt.Errorf("netsim: dynamic event: %w", err)
-			}
-		}
-		for _, id := range ev.Stop {
-			if _, err := inst.Flows.Get(id); err != nil {
-				return nil, true, fmt.Errorf("netsim: dynamic event: %w", err)
-			}
-		}
-	}
-
-	shares := cfg.Shares
-	if shares == nil && cfg.Protocol != Protocol80211 {
-		var err error
-		shares, err = sharesFor(inst, cfg.Protocol)
-		if err != nil {
-			return nil, true, err
-		}
-	}
-	probs, err := buildShardProblems(sh, inst, cfg, shares, false)
-	if err != nil {
-		return nil, true, err
-	}
-
-	// Split the event schedule: each shard sees the events restricted
-	// to its own flows, with emptied events dropped.
-	compOfFlow := make(map[flow.ID]int, inst.Flows.Len())
-	for pi, p := range probs {
-		for _, f := range p.inst.Flows.Flows() {
-			compOfFlow[f.ID()] = pi
-		}
-	}
-	shardEvents := make([][]FlowEvent, len(probs))
-	for _, ev := range events {
-		for pi := range probs {
-			var sub FlowEvent
-			sub.At = ev.At
-			for _, id := range ev.Start {
-				if compOfFlow[id] == pi {
-					sub.Start = append(sub.Start, id)
-				}
-			}
-			for _, id := range ev.Stop {
-				if compOfFlow[id] == pi {
-					sub.Stop = append(sub.Stop, id)
-				}
-			}
-			if len(sub.Start) > 0 || len(sub.Stop) > 0 {
-				shardEvents[pi] = append(shardEvents[pi], sub)
-			}
-		}
-	}
-
-	results, err := runDynamicShardProblems(probs, shardEvents, cfg.ShardWorkers)
-	if err != nil {
-		return nil, true, err
-	}
-	plain := make([]*Result, len(results))
-	for i, r := range results {
-		plain[i] = &r.Result
-	}
-	merged := mergeShardResults(cfg, shares, probs, plain)
-	merged.Latency = nil // RunDynamic does not track latency
-	out := &DynamicResult{Result: *merged}
-	out.FinalShares = make(core.SubflowAllocation)
-	for _, r := range results {
-		out.Reallocations += r.Reallocations
-		out.GroupSolves += r.GroupSolves
-		out.GroupReuses += r.GroupReuses
-		for id, s := range r.FinalShares {
-			out.FinalShares[id] = s
-		}
-	}
-	return out, true, nil
-}
-
-func runDynamicShardProblems(probs []*shardProblem, shardEvents [][]FlowEvent, workers int) ([]*DynamicResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probs) {
-		workers = len(probs)
-	}
-	results := make([]*DynamicResult, len(probs))
-	errs := make([]error, len(probs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := sim.NewEngine()
-			for i := range idx {
-				scfg := probs[i].cfg
-				scfg.eng = eng
-				results[i], errs[i] = RunDynamic(probs[i].inst, scfg, shardEvents[i])
-			}
-		}()
-	}
-	for i := range probs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("netsim: shard %d (component %d): %w", i, probs[i].comp, err)
-		}
-	}
-	return results, nil
-}
-
-// mergeShardResults folds the per-component results into one, in
-// component order: collectors and latency trackers union (flow sets
-// are disjoint), series merge window-wise on the shared sampling
-// schedule, airtime sums with per-node totals remapped to global IDs,
-// and resilience counters sum with final routes remapped.
-func mergeShardResults(cfg Config, shares core.SubflowAllocation, probs []*shardProblem, results []*Result) *Result {
-	out := &Result{
-		Protocol: cfg.Protocol,
-		Duration: cfg.Duration,
-		Stats:    stats.NewCollector(),
-		Shares:   shares,
-		Latency:  stats.NewLatencyTracker(),
-		Airtime: &mac.AirtimeReport{
-			Duration:  cfg.Duration,
-			PerNodeTx: make(map[topology.NodeID]sim.Time),
+// merge folds the per-component results into one, in component order:
+// collectors and latency trackers union (flow sets are disjoint),
+// series merge window-wise on the shared sampling schedule, airtime
+// sums with per-node totals remapped to global IDs, churn counters sum
+// and final shares union, and resilience counters sum with final
+// routes remapped.
+func merge(cfg Config, comps []*component, results []*DynamicResult) *DynamicResult {
+	out := &DynamicResult{
+		Result: Result{
+			Protocol: cfg.Protocol,
+			Duration: cfg.Duration,
+			Stats:    stats.NewCollector(),
+			Shares:   cfg.Shares,
+			Latency:  stats.NewLatencyTracker(),
+			Airtime: &mac.AirtimeReport{
+				Duration:  cfg.Duration,
+				PerNodeTx: make(map[topology.NodeID]sim.Time),
+			},
 		},
+		FinalShares: make(core.SubflowAllocation),
 	}
 	var rep *ResilienceReport
 	if cfg.Fault != nil || cfg.Watchdog {
@@ -491,17 +346,15 @@ func mergeShardResults(cfg Config, shares core.SubflowAllocation, probs []*shard
 		out.Resilience = rep
 	}
 	for i, r := range results {
-		members := probs[i].members
+		members := comps[i].members
 		out.Stats.Merge(r.Stats)
 		out.Latency.Merge(r.Latency)
-		if r.Airtime != nil {
-			out.Airtime.TxTime += r.Airtime.TxTime
-			out.Airtime.CollisionTime += r.Airtime.CollisionTime
-			out.Airtime.Exchanges += r.Airtime.Exchanges
-			out.Airtime.Collisions += r.Airtime.Collisions
-			for local, t := range r.Airtime.PerNodeTx {
-				out.Airtime.PerNodeTx[members[local]] = t
-			}
+		out.Airtime.TxTime += r.Airtime.TxTime
+		out.Airtime.CollisionTime += r.Airtime.CollisionTime
+		out.Airtime.Exchanges += r.Airtime.Exchanges
+		out.Airtime.Collisions += r.Airtime.Collisions
+		for local, t := range r.Airtime.PerNodeTx {
+			out.Airtime.PerNodeTx[members[local]] = t
 		}
 		if r.Series != nil {
 			if out.Series == nil {
@@ -512,7 +365,11 @@ func mergeShardResults(cfg Config, shares core.SubflowAllocation, probs []*shard
 				_ = out.Series.Merge(r.Series)
 			}
 		}
-		if rep != nil && r.Resilience != nil {
+		out.Reallocations += r.Reallocations
+		out.GroupSolves += r.GroupSolves
+		out.GroupReuses += r.GroupReuses
+		maps.Copy(out.FinalShares, r.FinalShares)
+		if rep != nil {
 			mergeResilience(rep, r.Resilience, members)
 		}
 	}
@@ -521,11 +378,8 @@ func mergeShardResults(cfg Config, shares core.SubflowAllocation, probs []*shard
 
 // mergeResilience folds one shard's report into the merged report,
 // remapping final routes to global node IDs. Violations concatenate in
-// shard order up to the usual cap. Reallocations, WatchdogChecks and
-// the group-delta counters sum across shards, so they can legitimately
-// exceed the single-engine counts (each shard reallocates and checks
-// independently); every packet- and repair-accounting counter matches
-// the single-engine run exactly.
+// shard order up to the usual cap. Every packet- and repair-accounting
+// counter matches the single-engine run exactly.
 func mergeResilience(dst, src *ResilienceReport, members []topology.NodeID) {
 	dst.Emitted += src.Emitted
 	dst.Injected += src.Injected

@@ -255,7 +255,10 @@ func TestNodeIDPermutation(t *testing.T) {
 // must deliver identical packet accounting sharded and single. Repair
 // and reallocation cadence counters (Reallocations, WatchdogChecks,
 // GroupSolves/GroupReuses) legitimately differ — each shard runs its
-// own watchdog — so they are excluded from the comparison.
+// own watchdog — so they are excluded from the comparison. The churn
+// cases run the same check on RunDynamic: a tiled diamond whose flows
+// stop and restart while a link on each flow's path is cut, so the
+// fault plan, the repair and the churn reallocations all take effect.
 func TestShardedResilientEquivalence(t *testing.T) {
 	s := tiledFig1(t, 2)
 	// fig1 nodes per tile: A B C D E F = 0..5, tile 1 at 6..11.
@@ -266,7 +269,51 @@ func TestShardedResilientEquivalence(t *testing.T) {
 		NodeFaults:  []fault.NodeFault{{Node: 7, Down: sim.Second, Up: 2 * sim.Second}},
 		LinkFaults:  []fault.LinkFault{{A: 1, B: 2, Down: 1500 * sim.Millisecond, Up: 2500 * sim.Millisecond}},
 	}
-	for _, p := range []netsim.Protocol{netsim.Protocol80211, netsim.Protocol2PAC, netsim.ProtocolDFS} {
+	// check compares a sharded run with the single-engine run.
+	check := func(t *testing.T, s *scenario.Scenario, sharded, single *netsim.Result) {
+		t.Helper()
+		if got, want := renderDeep(s, sharded), renderDeep(s, single); got != want {
+			t.Errorf("sharded resilient run diverged:\n got: %s\nwant: %s", got, want)
+		}
+		sr, wr := sharded.Resilience, single.Resilience
+		if sr == nil || wr == nil {
+			t.Fatal("missing resilience report")
+		}
+		type packetView struct {
+			emitted, injected, delivered            int64
+			srcDrops, queueDrops, retryDrops        int64
+			noRoute, corrupt, injectedLoss          int64
+			linkDead, routeErrors, reroutes, salved int64
+		}
+		view := func(r *netsim.ResilienceReport) packetView {
+			return packetView{
+				r.Emitted, r.Injected, r.Delivered,
+				r.SourceDrops, r.QueueDrops, r.RetryDrops,
+				r.NoRouteDrops, r.CorruptFrames, r.InjectedLosses,
+				r.LinkDeadSignals, r.RouteErrors, r.Reroutes, r.Salvaged,
+			}
+		}
+		if view(sr) != view(wr) {
+			t.Errorf("resilience packet accounting diverged:\n got: %+v\nwant: %+v", view(sr), view(wr))
+		}
+		if len(sr.FinalRoutes) != len(wr.FinalRoutes) {
+			t.Fatalf("final route counts differ: %d vs %d", len(sr.FinalRoutes), len(wr.FinalRoutes))
+		}
+		for id, want := range wr.FinalRoutes {
+			got := sr.FinalRoutes[id]
+			if len(got) != len(want) {
+				t.Errorf("flow %s final route length %d != %d", id, len(got), len(want))
+				continue
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("flow %s final route hop %d: %d != %d", id, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	protocols := []netsim.Protocol{netsim.Protocol80211, netsim.Protocol2PAC, netsim.ProtocolDFS}
+	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := netsim.Config{
 				Protocol: p,
@@ -285,44 +332,58 @@ func TestShardedResilientEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := renderDeep(s, sharded), renderDeep(s, single); got != want {
-				t.Errorf("sharded resilient run diverged:\n got: %s\nwant: %s", got, want)
+			check(t, s, sharded, single)
+		})
+	}
+
+	dia := diamondInstance(t)
+	ds, err := scenario.Tiled(&scenario.Scenario{Name: "diamond", Topo: dia.Topo, Flows: dia.Flows, Inst: dia}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Diamond nodes per tile: A B C D = 0..3, tile 1 at 4..7. Each
+	// tile's A-B link is cut for good; tile 1's while its flow is off.
+	churnPlan := &fault.Plan{
+		Seed:        4,
+		DefaultLoss: 0.01,
+		LinkFaults: []fault.LinkFault{
+			{A: 0, B: 1, Down: sim.Second},
+			{A: 4, B: 5, Down: 2500 * sim.Millisecond},
+		},
+	}
+	events := []netsim.FlowEvent{
+		{At: 0, Start: []flow.ID{"T0:F1", "T1:F1"}},
+		{At: 2 * sim.Second, Stop: []flow.ID{"T0:F1", "T1:F1"}},
+		{At: 3 * sim.Second, Start: []flow.ID{"T0:F1", "T1:F1"}},
+	}
+	for _, p := range protocols {
+		t.Run("churn/"+p.String(), func(t *testing.T) {
+			cfg := netsim.Config{
+				Protocol:    p,
+				Duration:    5 * sim.Second,
+				Seed:        13,
+				PacketsPerS: 100,
+				SampleEvery: sim.Second,
+				Fault:       churnPlan,
+				Watchdog:    true,
 			}
-			sr, wr := sharded.Resilience, single.Resilience
-			if sr == nil || wr == nil {
-				t.Fatal("missing resilience report")
+			single, err := netsim.RunDynamic(ds.Inst, cfg, events)
+			if err != nil {
+				t.Fatal(err)
 			}
-			type packetView struct {
-				emitted, injected, delivered            int64
-				srcDrops, queueDrops, retryDrops        int64
-				noRoute, corrupt, injectedLoss          int64
-				linkDead, routeErrors, reroutes, salved int64
+			cfg.ShardSim = true
+			cfg.ShardWorkers = 2
+			sharded, err := netsim.RunDynamic(ds.Inst, cfg, events)
+			if err != nil {
+				t.Fatal(err)
 			}
-			view := func(r *netsim.ResilienceReport) packetView {
-				return packetView{
-					r.Emitted, r.Injected, r.Delivered,
-					r.SourceDrops, r.QueueDrops, r.RetryDrops,
-					r.NoRouteDrops, r.CorruptFrames, r.InjectedLosses,
-					r.LinkDeadSignals, r.RouteErrors, r.Reroutes, r.Salvaged,
-				}
+			check(t, ds, &sharded.Result, &single.Result)
+			rep := single.Resilience
+			if rep.Reroutes < 2 {
+				t.Errorf("reroutes = %d, want one per cut tile", rep.Reroutes)
 			}
-			if view(sr) != view(wr) {
-				t.Errorf("resilience packet accounting diverged:\n got: %+v\nwant: %+v", view(sr), view(wr))
-			}
-			if len(sr.FinalRoutes) != len(wr.FinalRoutes) {
-				t.Fatalf("final route counts differ: %d vs %d", len(sr.FinalRoutes), len(wr.FinalRoutes))
-			}
-			for id, want := range wr.FinalRoutes {
-				got := sr.FinalRoutes[id]
-				if len(got) != len(want) {
-					t.Errorf("flow %s final route length %d != %d", id, len(got), len(want))
-					continue
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("flow %s final route hop %d: %d != %d", id, i, got[i], want[i])
-					}
-				}
+			if len(rep.Violations) != 0 || len(sharded.Resilience.Violations) != 0 {
+				t.Errorf("watchdog violations: single %v, sharded %v", rep.Violations, sharded.Resilience.Violations)
 			}
 		})
 	}

@@ -38,7 +38,7 @@ func NewStackWith(a *core.Allocator, inst *core.Instance, cfg Config, hooks mac.
 	shares := cfg.Shares
 	if shares == nil {
 		var err error
-		shares, err = sharesForWith(a, inst, cfg.Protocol)
+		shares, _, _, err = solveShares(a, inst, cfg.Protocol)
 		if err != nil {
 			return nil, err
 		}

@@ -1,14 +1,7 @@
 package netsim
 
 import (
-	"errors"
-	"math"
-	"sort"
-
 	"e2efair/internal/core"
-	"e2efair/internal/flow"
-	"e2efair/internal/sim"
-	"e2efair/internal/stats"
 	"e2efair/internal/twin"
 )
 
@@ -17,11 +10,11 @@ import (
 // is confident, anchoring the analytical predictions against drift.
 const DefaultTwinEvery = 16
 
-// TwinConfig enables analytical-twin screening: epoch loops
-// (mobility.Run) and churn runs (RunDynamic) consult the closed-form
-// twin first and only fall back to full packet simulation when the
-// twin's self-reported confidence is low or the drift-control cadence
-// demands a real run. The zero value takes the defaults.
+// TwinConfig enables analytical-twin screening of mobility epochs:
+// mobility.Run consults the closed-form twin first and only falls back
+// to full packet simulation when the twin's self-reported confidence
+// is low or the drift-control cadence demands a real run. The zero
+// value takes the defaults.
 type TwinConfig struct {
 	// Every forces a full simulation on every Nth epoch (mobility
 	// sweeps); <=0 selects DefaultTwinEvery. Epoch 0 always simulates.
@@ -74,172 +67,6 @@ func TwinEstimate(inst *core.Instance, cfg Config, shares core.SubflowAllocation
 // to an unscreened run, keeping the epochs that do simulate
 // byte-identical.
 func SolveShares(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, error) {
-	return sharesForWith(a, inst, p)
-}
-
-// errTwinUnconfident aborts the screened fast path in favor of a full
-// packet simulation; it never escapes this package.
-var errTwinUnconfident = errors.New("netsim: twin unconfident")
-
-// runDynamicScreened is the analytical fast path of RunDynamic: the
-// run is piecewise stationary between churn events, so each segment is
-// priced by the twin under the shares the segment's active-flow set is
-// allocated. Returns ok=false — fall back to the packet simulator —
-// when any segment's estimate is unconfident or the config carries
-// features the twin cannot model (traces, sampling, faults, watchdog).
-func runDynamicScreened(inst *core.Instance, cfg Config, events []FlowEvent) (*DynamicResult, bool, error) {
-	if cfg.Twin == nil || cfg.Tracer != nil || cfg.SampleEvery > 0 ||
-		cfg.Fault != nil || cfg.Watchdog {
-		return nil, false, nil
-	}
-	for _, ev := range events {
-		for _, id := range append(append([]flow.ID{}, ev.Start...), ev.Stop...) {
-			if _, err := inst.Flows.Get(id); err != nil {
-				return nil, false, err
-			}
-		}
-	}
-	// The t=0 allocation matches stack construction exactly: the
-	// installed override, or a solve over the full instance before any
-	// source is active (NewStack's path, outside the churn allocator —
-	// so GroupSolves/GroupReuses count the same delta solves as an
-	// unscreened run).
-	allocator := core.NewAllocator()
-	initShares := cfg.Shares
-	if initShares == nil {
-		var err error
-		initShares, err = sharesForWith(nil, inst, cfg.Protocol)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	res := &DynamicResult{Result: Result{
-		Protocol: cfg.Protocol,
-		Duration: cfg.Duration,
-		Stats:    stats.NewCollector(),
-		Shares:   initShares,
-	}}
-	res.Screened = true
-	res.FinalShares = initShares
-	res.TwinMinConfidence = 1
-
-	active := make(map[flow.ID]bool, inst.Flows.Len())
-	instCache := make(map[string]*core.Instance)
-	activeInstance := func() (*core.Instance, error) {
-		var flows []*flow.Flow
-		var key []byte
-		for _, f := range inst.Flows.Flows() {
-			if active[f.ID()] {
-				flows = append(flows, f)
-				key = append(key, f.ID()...)
-				key = append(key, 0)
-			}
-		}
-		if len(flows) == 0 {
-			return nil, nil
-		}
-		if sub, ok := instCache[string(key)]; ok {
-			return sub, nil
-		}
-		set, err := flow.NewSet(flows...)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := core.NewInstance(inst.Topo, set)
-		if err != nil {
-			return nil, err
-		}
-		instCache[string(key)] = sub
-		return sub, nil
-	}
-
-	shares := initShares
-	segment := func(from, to sim.Time) error {
-		if to <= from {
-			return nil
-		}
-		sub, err := activeInstance()
-		if err != nil {
-			return err
-		}
-		if sub == nil {
-			return nil
-		}
-		segCfg := cfg
-		segCfg.Duration = to - from
-		est, err := TwinEstimate(sub, segCfg, shares)
-		if err != nil {
-			return err
-		}
-		if est.Confidence < res.TwinMinConfidence {
-			res.TwinMinConfidence = est.Confidence
-		}
-		if !est.Confident {
-			return errTwinUnconfident
-		}
-		secs := segCfg.Duration.Seconds()
-		for _, fe := range est.Flows {
-			res.Stats.AddEndToEnd(fe.ID, int64(math.Round(fe.ThroughputPPS*secs)))
-			for _, he := range fe.Hops {
-				res.Stats.AddSubflowDelivered(he.ID, int64(math.Round(he.ServedPPS*secs)))
-			}
-			res.Stats.AddLost(int64(math.Round(fe.LossPPS*secs)), 0)
-		}
-		return nil
-	}
-
-	// Segment the run at event boundaries, in time order (stable for
-	// simultaneous events, matching engine FIFO order).
-	order := make([]int, len(events))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return events[order[a]].At < events[order[b]].At })
-
-	prev := sim.Time(0)
-	for _, i := range order {
-		ev := events[i]
-		if ev.At > cfg.Duration {
-			break
-		}
-		if err := segment(prev, ev.At); err != nil {
-			if errors.Is(err, errTwinUnconfident) {
-				return nil, false, nil
-			}
-			return nil, false, err
-		}
-		prev = ev.At
-		for _, id := range ev.Stop {
-			active[id] = false
-		}
-		for _, id := range ev.Start {
-			active[id] = true
-		}
-		// Reallocate over the active set, mirroring RunDynamic's
-		// per-event re-solve (including its churn-delta accounting).
-		if cfg.Protocol != Protocol80211 {
-			sub, err := activeInstance()
-			if err != nil {
-				return nil, false, err
-			}
-			if sub != nil {
-				newShares, delta, err := sharesForDelta(allocator, sub, cfg.Protocol)
-				if err != nil {
-					return nil, false, err
-				}
-				res.GroupSolves += delta.Solved
-				res.GroupReuses += delta.Reused
-				res.Reallocations++
-				res.FinalShares = newShares
-				shares = newShares
-			}
-		}
-	}
-	if err := segment(prev, cfg.Duration); err != nil {
-		if errors.Is(err, errTwinUnconfident) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return res, true, nil
+	shares, _, _, err := solveShares(a, inst, p)
+	return shares, err
 }

@@ -32,7 +32,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func FuzzTwinEstimate(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(3), uint64(0x4069000000000000), uint64(0), uint64(0x3FD0000000000000), int64(2_000_000), false)
-	f.Add(int64(2), uint8(2), uint8(1), uint64(0x7FF8000000000000), uint64(0), uint64(0), int64(0), true)           // NaN rate
+	f.Add(int64(2), uint8(2), uint8(1), uint64(0x7FF8000000000000), uint64(0), uint64(0), int64(0), true)                                             // NaN rate
 	f.Add(int64(3), uint8(16), uint8(4), uint64(0x4059000000000000), uint64(0x3FB999999999999A), uint64(0x7FF0000000000000), int64(1_000_000), false) // +Inf share
 	f.Add(int64(4), uint8(5), uint8(2), uint64(0x4069000000000000), uint64(0x3FF0000000000000), uint64(0x3FE0000000000000), int64(-1), false)         // loss = 1, bad bitrate
 	f.Add(int64(5), uint8(30), uint8(7), uint64(0xC069000000000000), uint64(0), uint64(0x8000000000000001), int64(11_000_000), false)                 // negative rate, -0 share
