@@ -19,8 +19,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # LP-solver perf trajectory: ns/op and allocs/op for cold solves,
-# warm-started re-solves (must be 0 allocs/op) and the distributed
-# first phase, written to BENCH_lp.json for PR-over-PR comparison.
+# warm-started re-solves (must be 0 allocs/op), one refined group
+# solve on the dense arrival shape (with its LP solves per refine) and
+# the distributed first phase, written to BENCH_lp.json for
+# PR-over-PR comparison.
 bench-lp: build
 	$(GO) run ./cmd/benchtables -only lp -json BENCH_lp.json
 

@@ -606,8 +606,9 @@ func nsPerOp(f func() error) (float64, error) {
 // lpSection measures the LP-solver fast path added by the flat-tableau
 // reusable Solver: cold solves against the retained reference, the
 // warm-started steady-state re-solve loop (which must not allocate),
-// and the distributed first phase on sequential vs machine-sized
-// worker pools. Emitted to BENCH_lp.json by `make bench-lp`.
+// one refined group solve on the dense arrival shape, and the
+// distributed first phase on sequential vs machine-sized worker pools.
+// Emitted to BENCH_lp.json by `make bench-lp`.
 func lpSection(_ float64, _ int64, sec *Section) error {
 	fmt.Println("== LP solver fast path ==")
 	// The Fig. 6 centralized LP: 5 flows, 5 clique rows, 5 floors.
@@ -705,6 +706,32 @@ func lpSection(_ float64, _ int64, sec *Section) error {
 	sec.add("warmResolve", map[string]float64{"nsPerOp": warmNs, "allocsPerOp": warmAllocs})
 	fmt.Printf("warm-started re-solve:           %10.0f ns/op  %6.1f allocs/op\n", warmNs, warmAllocs)
 
+	// The same measurement as core's BenchmarkRefineDenseArrivals: the
+	// share cache is reset before every solve, so each one misses as a
+	// fresh arrival does.
+	dense, err := denseArrivalInstances(8)
+	if err != nil {
+		return err
+	}
+	refineAlloc := core.NewAllocatorWorkers(1)
+	refineOpts := core.CentralizedOptions{Refine: true}
+	var calls, solved, lpSolves int
+	refineNs, err := nsPerOp(func() error {
+		refineAlloc.ResetCache()
+		_, d, err := refineAlloc.CentralizedDelta(dense[calls%len(dense)], refineOpts)
+		calls++
+		solved += d.Solved
+		lpSolves += d.LPSolves
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	perRefine := float64(lpSolves) / float64(solved)
+	flows := dense[0].Flows.Len()
+	sec.add("refineDenseGroup", map[string]float64{"nsPerOp": refineNs, "lpSolvesPerRefine": perRefine, "flows": float64(flows)})
+	fmt.Printf("refine (dense group):            %10.0f ns/op  (%.1f LP solves per refine, %d flows)\n", refineNs, perRefine, flows)
+
 	sc, err := scenario.Figure6()
 	if err != nil {
 		return err
@@ -725,6 +752,45 @@ func lpSection(_ float64, _ int64, sec *Section) error {
 	sec.add("distributedParallel", map[string]float64{"nsPerOp": parNs})
 	fmt.Printf("DistributedAllocate parallel:    %10.0f ns/op  (%d workers)\n", parNs, runtime.GOMAXPROCS(0))
 	return nil
+}
+
+// denseArrivalInstances is the dense arrival shape of the serving
+// benchmark: one connected 100-node scenario.Random component
+// (topology seed 14) with 40 shortest-path background flows, plus one
+// session on a fresh 3–4-hop path per instance. Each instance is one
+// 41-flow contending group.
+func denseArrivalInstances(n int) ([]*core.Instance, error) {
+	sc, err := scenario.Random(scenario.RandomConfig{
+		Nodes: 100, Flows: 40, Width: 1300, Height: 1300, MaxHops: 6,
+	}, rand.New(rand.NewSource(14)))
+	if err != nil {
+		return nil, err
+	}
+	tbl := routing.BuildTable(sc.Topo)
+	rng := rand.New(rand.NewSource(5))
+	var out []*core.Instance
+	for len(out) < n {
+		src := topology.NodeID(rng.Intn(sc.Topo.NumNodes()))
+		dst := topology.NodeID(rng.Intn(sc.Topo.NumNodes()))
+		path, err := tbl.Route(src, dst)
+		if err != nil || len(path) < 4 || len(path) > 5 {
+			continue
+		}
+		sess, err := flow.New(flow.ID(fmt.Sprintf("session%d", len(out))), 1, path)
+		if err != nil {
+			return nil, err
+		}
+		set, err := flow.NewSet(append(append([]*flow.Flow{}, sc.Flows.Flows()...), sess)...)
+		if err != nil {
+			return nil, err
+		}
+		inst, err := core.NewInstance(sc.Topo, set)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, inst)
+	}
+	return out, nil
 }
 
 // allocClusteredWorkload builds the sharded engine's benchmark shape:

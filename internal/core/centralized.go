@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-
-	"e2efair/internal/lp"
 )
 
 // CentralizedOptions configures the centralized phase-1 algorithm.
@@ -35,6 +34,10 @@ type Delta struct {
 	// the size-capped LRU; see Allocator.SetGroupCacheCap. Eviction
 	// never changes results, only future Solved/Reused splits.
 	Evicted int
+	// LPSolves counts the LP solves the Solved groups took: each
+	// group's optimal total plus, under Refine, the refinement's floor,
+	// re-derivation and probe LPs.
+	LPSolves int
 }
 
 // CentralizedAllocate solves the paper's linear program (Sec. III-B,
@@ -97,10 +100,12 @@ func (a *Allocator) centralized(inst *Instance, opts CentralizedOptions) (FlowAl
 		}
 		a.pending = append(a.pending, gi)
 	}
+	lpBefore := a.lpSolves()
 	if err := a.solveGroups(groups, a.pending, shares, opts.Refine); err != nil {
 		return nil, Delta{}, err
 	}
 	delta.Solved = len(a.pending)
+	delta.LPSolves = a.lpSolves() - lpBefore
 	for _, gi := range a.pending {
 		delta.Evicted += a.cache.put(groupCacheKey{groups[gi].key, opts.Refine}, shares[gi])
 	}
@@ -112,6 +117,16 @@ func (a *Allocator) centralized(inst *Instance, opts CentralizedOptions) (FlowAl
 		}
 	}
 	return out, delta, nil
+}
+
+// lpSolves sums the LP solves run on the Allocator's sessions.
+func (a *Allocator) lpSolves() int {
+	var n int
+	for _, s := range a.sessions {
+		solves, _ := s.solver.Work()
+		n += solves
+	}
+	return n
 }
 
 // shardMinGroups is the work-size cutoff below which the sharded path
@@ -193,10 +208,13 @@ func (s *session) solveGroup(g *group, refine bool) ([]float64, error) {
 }
 
 // refinement tolerances: optTol is the slack allowed on the optimal
-// total, freezeTol decides whether a flow can still grow.
+// total, freezeTol decides whether a flow can still grow, and dualTol
+// is the shadow price above which a floor row certifies its flow as
+// blocking.
 const (
 	optTol    = 1e-7
 	freezeTol = 1e-6
+	dualTol   = 1e-9
 )
 
 // refineMaxMin computes the lexicographic weighted max-min fairest
@@ -204,6 +222,14 @@ const (
 // x ≥ basic. It repeatedly maximizes the smallest normalized share
 // x_i/w_i among unfrozen flows, then freezes the flows that cannot
 // exceed that level, in the style of progressive filling.
+//
+// A flow is frozen by one of two tests. Most are certified by the
+// floor LP's duals: a floor row with a positive shadow price binds at
+// every optimum of max t (complementary slackness), so its flow cannot
+// rise above w_i·t* without lowering t*. This is the dual test of
+// LP-based max-min fairness (Radunović & Le Boudec, IEEE/ACM ToN 2007).
+// A flow whose floor has a zero dual and that sits at the threshold is
+// probed: one LP maximizes its share among the round's optima.
 func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
 	n := len(basic)
 	frozen := make([]bool, n)
@@ -232,59 +258,47 @@ func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt f
 		// values can be jointly infeasible, while s.point is one
 		// consistent optimal vertex.
 		point := s.point
-		// Consecutive per-variable probes share one program — only the
-		// objective changes between targets — so each probe after the
-		// first warm-starts from the previous probe's optimal basis.
-		// A mid-round freeze turns that variable's floor into an
-		// equality for the probes that follow, so the shared program is
-		// rebuilt (and the warm chain restarted) whenever one happens.
-		var vp *probeProgram
-		prev := -1
 		anyFrozen := false
+		freeze := func(i int) {
+			frozen[i] = true
+			value[i] = point[i]
+			remaining--
+			anyFrozen = true
+		}
 		for i := 0; i < n; i++ {
-			if frozen[i] {
-				continue
+			if !frozen[i] && s.blocking[i] && point[i] <= weights[i]*t+freezeTol {
+				freeze(i)
 			}
+		}
+		// The probes of one round share one program, which pins the
+		// flows frozen so far; only the objective changes between
+		// targets, so each probe after the first re-optimizes in place
+		// from the vertex the previous one left. A probe that freezes
+		// its flow turns that flow's floor into an equality for the
+		// probes that follow, so the program is rebuilt.
+		built := false
+		for i := 0; i < n; i++ {
 			// point satisfies every probe constraint, so the probe's
 			// maximum is at least point[i]: a variable strictly above
 			// the freeze threshold at point cannot freeze, and its
 			// probe LP is skipped outright.
-			if point[i] > weights[i]*t+freezeTol {
+			if frozen[i] || point[i] > weights[i]*t+freezeTol {
 				continue
 			}
-			if vp == nil {
-				vp, err = buildProbeProgram(rows, basic, weights, opt, frozen, value, t)
-				if err != nil {
+			if !built {
+				if err := s.buildProbe(rows, basic, weights, opt, frozen, value, t); err != nil {
 					return nil, err
 				}
-				prev = -1
+				built = true
 			}
-			if prev >= 0 {
-				if err := vp.prob.SetObjectiveCoeff(vp.col[prev], 0); err != nil {
-					return nil, err
-				}
-			}
-			if err := vp.prob.SetObjectiveCoeff(vp.col[i], 1); err != nil {
+			xi, err := s.probe(i)
+			if err != nil {
 				return nil, err
 			}
-			var solveErr error
-			if prev >= 0 {
-				solveErr = s.solver.SolveFromInto(vp.prob, s.basis, &s.sol)
-			} else {
-				solveErr = s.solver.SolveInto(vp.prob, &s.sol)
-			}
-			if solveErr != nil {
-				return nil, solveErr
-			}
-			s.basis = s.solver.AppendBasis(s.basis[:0])
-			prev = i
 			// Flows that cannot exceed w_i·t* at any optimum freeze.
-			if s.sol.X[vp.col[i]]+vp.shift[i] <= weights[i]*t+freezeTol {
-				frozen[i] = true
-				value[i] = point[i]
-				remaining--
-				anyFrozen = true
-				vp = nil
+			if xi <= weights[i]*t+freezeTol {
+				freeze(i)
+				built = false
 			}
 		}
 		if !anyFrozen {
@@ -292,9 +306,7 @@ func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt f
 			// point to guarantee progress; in practice unreached.
 			for i := 0; i < n; i++ {
 				if !frozen[i] {
-					frozen[i] = true
-					value[i] = point[i]
-					remaining--
+					freeze(i)
 				}
 			}
 		}
@@ -308,38 +320,64 @@ func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt f
 // implicit z ≥ 0 bounds. Clique rows keep nonnegative right-hand sides
 // at every reachable state, so their slacks form a feasible basis and
 // phase 1 has at most one artificial — the total-optimality row — to
-// drive out, instead of one per floor and frozen equality.
+// drive out, instead of one per floor and frozen equality. Every
+// program is rebuilt in place in the session's one lp.Problem, on the
+// session's column and row scratch.
 
-// reduceColumns assigns a reduced column to every unfrozen variable.
-// col[i] is −1 for frozen variables; k is the reduced column count.
-func reduceColumns(frozen []bool) (col []int, k int) {
-	col = make([]int, len(frozen))
+// reduce assigns a reduced column to every unfrozen variable (s.col[i]
+// is −1 for a frozen one) and shifts each variable by value_i when
+// frozen and floor_i otherwise. It returns the reduced column count
+// and Σ shift.
+func (s *session) reduce(frozen []bool, value, floor []float64) (k int, off float64) {
+	n := len(frozen)
+	s.col = slices.Grow(s.col[:0], n)[:n]
+	s.shift = slices.Grow(s.shift[:0], n)[:n]
 	for i, f := range frozen {
 		if f {
-			col[i] = -1
-			continue
+			s.col[i], s.shift[i] = -1, value[i]
+		} else {
+			s.col[i], s.shift[i] = k, floor[i]
+			k++
 		}
-		col[i] = k
-		k++
+		off += s.shift[i]
 	}
-	return col, k
+	return k, off
 }
 
-// reducedRow rewrites one clique row over the reduced columns into
-// buf (which must have width ≥ k entries, zeroed by this call) and
-// returns the shifted right-hand side 1 − Σ a_i·shift_i.
-func reducedRow(r []float64, col []int, shift []float64, buf []float64) float64 {
-	for j := range buf {
-		buf[j] = 0
-	}
-	rhs := 1.0
-	for i, a := range r {
-		if col[i] >= 0 {
-			buf[col[i]] = a
+// rowBuf returns the session's row scratch with width zeroed entries.
+func (s *session) rowBuf(width int) []float64 {
+	s.buf = slices.Grow(s.buf[:0], width)[:width]
+	clear(s.buf)
+	return s.buf
+}
+
+// addCliqueRows appends each clique row rewritten over the k reduced
+// columns, Σ a_i·z_i ≤ 1 − Σ a_i·shift_i, with width − k trailing zero
+// columns.
+func (s *session) addCliqueRows(rows [][]float64, k, width int) error {
+	for _, r := range rows {
+		buf := s.rowBuf(width)
+		rhs := 1.0
+		for i, a := range r {
+			if c := s.col[i]; c >= 0 {
+				buf[c] = a
+			}
+			rhs -= a * s.shift[i]
 		}
-		rhs -= a * shift[i]
+		if err := s.prob.AddLE(buf, rhs); err != nil {
+			return err
+		}
 	}
-	return rhs
+	return nil
+}
+
+// addTotalRow appends Σ z ≥ rhs over the k reduced columns.
+func (s *session) addTotalRow(k, width int, rhs float64) error {
+	buf := s.rowBuf(width)
+	for j := 0; j < k; j++ {
+		buf[j] = 1
+	}
+	return s.prob.AddGE(buf, rhs)
 }
 
 // maximizeTotalFrozen solves max Σx with frozen variables pinned,
@@ -347,33 +385,17 @@ func reducedRow(r []float64, col []int, shift []float64, buf []float64) float64 
 // reduced form the program is pure-LE over the clique rows: no
 // artificials at all.
 func (s *session) maximizeTotalFrozen(rows [][]float64, basic []float64, frozen []bool, value []float64) (float64, error) {
-	n := len(basic)
-	col, k := reduceColumns(frozen)
-	shift := make([]float64, n)
-	var off float64
-	for i := 0; i < n; i++ {
-		if frozen[i] {
-			shift[i] = value[i]
-		} else {
-			shift[i] = basic[i]
-		}
-		off += shift[i]
-	}
-	p := lp.NewProblem(k)
-	obj := make([]float64, k)
-	for j := range obj {
-		obj[j] = 1
-	}
-	if err := p.SetObjective(obj); err != nil {
-		return 0, err
-	}
-	buf := make([]float64, k)
-	for _, r := range rows {
-		if err := p.AddLE(buf, reducedRow(r, col, shift, buf)); err != nil {
+	k, off := s.reduce(frozen, value, basic)
+	s.prob.Reset(k)
+	for j := 0; j < k; j++ {
+		if err := s.prob.SetObjectiveCoeff(j, 1); err != nil {
 			return 0, err
 		}
 	}
-	if err := s.solver.SolveInto(p, &s.sol); err != nil {
+	if err := s.addCliqueRows(rows, k, k); err != nil {
+		return 0, err
+	}
+	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
 		return 0, err
 	}
 	return s.sol.Objective + off, nil
@@ -382,113 +404,89 @@ func (s *session) maximizeTotalFrozen(rows [][]float64, basic []float64, frozen 
 // maximizeFloor solves: max t subject to rows·x ≤ 1, x ≥ basic,
 // Σ x ≥ opt − ε, x_i = value_i for frozen i, x_i ≥ w_i·t otherwise.
 // It returns t and leaves the solution's x vector — a consistent
-// optimal point used as the freeze target — in s.point. Reduced, the
-// floor rows flip to −z_i + w_i·t ≤ basic_i (nonnegative RHS), leaving
-// the total row as the only artificial.
+// optimal point used as the freeze target — in s.point, and in
+// s.blocking which unfrozen flows' floor rows have a shadow price
+// above dualTol. Reduced, the floor rows flip to
+// −z_i + w_i·t ≤ basic_i (nonnegative RHS), leaving the total row as
+// the only artificial.
 func (s *session) maximizeFloor(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error) {
 	n := len(basic)
-	col, k := reduceColumns(frozen)
-	shift := make([]float64, n)
-	var off float64
-	for i := 0; i < n; i++ {
-		if frozen[i] {
-			shift[i] = value[i]
-		} else {
-			shift[i] = basic[i]
-		}
-		off += shift[i]
-	}
-	p := lp.NewProblem(k + 1) // reduced columns, then t
-	obj := make([]float64, k+1)
-	obj[k] = 1
-	if err := p.SetObjective(obj); err != nil {
+	k, off := s.reduce(frozen, value, basic)
+	s.prob.Reset(k + 1) // reduced columns, then t
+	if err := s.prob.SetObjectiveCoeff(k, 1); err != nil {
 		return 0, err
 	}
-	buf := make([]float64, k+1)
-	for _, r := range rows {
-		rhs := reducedRow(r, col, shift, buf[:k])
-		buf[k] = 0
-		if err := p.AddLE(buf, rhs); err != nil {
-			return 0, err
-		}
+	if err := s.addCliqueRows(rows, k, k+1); err != nil {
+		return 0, err
 	}
 	for i := 0; i < n; i++ {
-		if col[i] < 0 {
+		if s.col[i] < 0 {
 			continue
 		}
-		for j := range buf {
-			buf[j] = 0
-		}
-		buf[col[i]] = -1
+		buf := s.rowBuf(k + 1)
+		buf[s.col[i]] = -1
 		buf[k] = weights[i]
-		if err := p.AddLE(buf, basic[i]); err != nil {
+		if err := s.prob.AddLE(buf, basic[i]); err != nil {
 			return 0, err
 		}
 	}
-	for j := 0; j < k; j++ {
-		buf[j] = 1
-	}
-	buf[k] = 0
-	if err := p.AddGE(buf, opt-optTol-off); err != nil {
+	if err := s.addTotalRow(k, k+1, opt-optTol-off); err != nil {
 		return 0, err
 	}
-	if err := s.solver.SolveInto(p, &s.sol); err != nil {
+	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
 		return 0, err
 	}
-	// Copy the x-space point out of the solver's scratch: the probe
-	// solves that follow reuse s.sol.X.
+	// Copy the x-space point and the floor duals out of the solver's
+	// scratch: the probe solves that follow reuse both.
 	s.point = s.point[:0]
+	s.blocking = s.blocking[:0]
 	for i := 0; i < n; i++ {
-		if col[i] >= 0 {
-			s.point = append(s.point, s.sol.X[col[i]]+basic[i])
+		if c := s.col[i]; c >= 0 {
+			s.point = append(s.point, s.sol.X[c]+basic[i])
+			s.blocking = append(s.blocking, s.solver.Dual(len(rows)+c) > dualTol)
 		} else {
 			s.point = append(s.point, value[i])
+			s.blocking = append(s.blocking, false)
 		}
 	}
 	return s.sol.X[k], nil
 }
 
-// probeProgram is one refinement round's shared per-variable probe LP
-// in reduced form. The probe floors max(basic_i, w_i·t − ε) are folded
-// into the shifts, so the program is the clique rows plus the single
-// total-optimality row; only the objective changes between targets.
-type probeProgram struct {
-	prob  *lp.Problem
-	col   []int
-	shift []float64
+// buildProbe rebuilds the session's program as one refinement round's
+// shared per-variable probe LP in reduced form. The probe floors
+// max(basic_i, w_i·t − ε) are folded into the shifts, so the program
+// is the clique rows plus the single total-optimality row; only the
+// objective changes between targets (see probe).
+func (s *session) buildProbe(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64, t float64) error {
+	n := len(basic)
+	s.floor = slices.Grow(s.floor[:0], n)[:n]
+	for i := range s.floor {
+		s.floor[i] = max(basic[i], weights[i]*t-optTol)
+	}
+	k, off := s.reduce(frozen, value, s.floor)
+	s.prob.Reset(k)
+	s.probed = -1
+	if err := s.addCliqueRows(rows, k, k); err != nil {
+		return err
+	}
+	return s.addTotalRow(k, k, opt-optTol-off)
 }
 
-func buildProbeProgram(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64, t float64) (*probeProgram, error) {
-	n := len(basic)
-	col, k := reduceColumns(frozen)
-	shift := make([]float64, n)
-	var off float64
-	for i := 0; i < n; i++ {
-		switch {
-		case frozen[i]:
-			shift[i] = value[i]
-		case weights[i]*t-optTol > basic[i]:
-			shift[i] = weights[i]*t - optTol
-		default:
-			shift[i] = basic[i]
-		}
-		off += shift[i]
-	}
-	p := lp.NewProblem(k)
-	if err := p.SetObjective(make([]float64, k)); err != nil {
-		return nil, err
-	}
-	buf := make([]float64, k)
-	for _, r := range rows {
-		if err := p.AddLE(buf, reducedRow(r, col, shift, buf)); err != nil {
-			return nil, err
+// probe returns the largest x_i over the probe program. Each probe
+// after the first on one program re-optimizes in place from the vertex
+// the previous probe left in the solver's tableau.
+func (s *session) probe(i int) (float64, error) {
+	if s.probed >= 0 {
+		if err := s.prob.SetObjectiveCoeff(s.col[s.probed], 0); err != nil {
+			return 0, err
 		}
 	}
-	for j := range buf {
-		buf[j] = 1
+	s.probed = i
+	if err := s.prob.SetObjectiveCoeff(s.col[i], 1); err != nil {
+		return 0, err
 	}
-	if err := p.AddGE(buf, opt-optTol-off); err != nil {
-		return nil, err
+	if err := s.solver.ReoptimizeInto(&s.prob, &s.sol); err != nil {
+		return 0, err
 	}
-	return &probeProgram{prob: p, col: col, shift: shift}, nil
+	return s.sol.X[s.col[i]] + s.shift[i], nil
 }

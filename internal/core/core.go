@@ -143,10 +143,11 @@ func (a FlowAllocation) Uniform(flows *flow.Set) SubflowAllocation {
 // group is one contending flow group with its local clique structure,
 // flattened to LP-ready slices: ids orders the group's flows (instance
 // insertion order), and basic, weights and the deduplicated clique
-// rows are aligned with it. key serializes the exact bits of the
-// group's LP — row count and width, clique rows, basic floors, weights
-// — and is what the Allocator's churn-delta share cache is keyed by:
-// equal keys imply identical LPs and therefore identical solutions.
+// rows are aligned with it. key serializes the group's LP exactly —
+// row count and width, clique rows as uvarint counts, basic floors and
+// weights as float64 bits — and is what the Allocator's churn-delta
+// share cache is keyed by: equal keys imply identical LPs and
+// therefore identical solutions.
 // Flow IDs are deliberately excluded: the solution vector is
 // positional, so isomorphic groups (same structure, renamed flows)
 // share one cache entry.
@@ -295,7 +296,10 @@ func (inst *Instance) buildGroups() []*group {
 
 	// Clique rows, deduplicated per group in instance clique order,
 	// serialize straight into each group's LP key: a row is dropped when
-	// an earlier row of its group has the same hash and the same bits.
+	// an earlier row of its group has the same hash and the same bytes.
+	// The counts n_{i,k} are small non-negative integers, written as
+	// uvarints; every row holds exactly width of them, so the
+	// concatenation decodes one way and the key stays injective.
 	sc := keyScratch.Get().(*groupKeyScratch)
 	defer keyScratch.Put(sc)
 	sc.reset(len(out))
@@ -316,11 +320,21 @@ func (inst *Instance) buildGroups() []*group {
 		for _, x := range sc.row {
 			h = h*0x100000001b3 ^ math.Float64bits(x)
 		}
-		sc.enc = appendFloats(sc.enc[:0], sc.row)
-		key, size := sc.keys[gi], len(sc.enc)
+		sc.enc = sc.enc[:0]
+		for _, x := range sc.row {
+			sc.enc = binary.AppendUvarint(sc.enc, uint64(x))
+		}
+		key, ends := sc.keys[gi], sc.ends[gi]
 		dup := false
 		for r, rh := range sc.hashes[gi] {
-			if rh == h && bytes.Equal(key[keyHeader+r*size:keyHeader+(r+1)*size], sc.enc) {
+			if rh != h {
+				continue
+			}
+			begin := keyHeader
+			if r > 0 {
+				begin = ends[r-1]
+			}
+			if bytes.Equal(key[begin:ends[r]], sc.enc) {
 				dup = true
 				break
 			}
@@ -328,6 +342,7 @@ func (inst *Instance) buildGroups() []*group {
 		if !dup {
 			sc.keys[gi] = append(key, sc.enc...)
 			sc.hashes[gi] = append(sc.hashes[gi], h)
+			sc.ends[gi] = append(ends, len(sc.keys[gi]))
 		}
 	}
 	for gi, g := range out {
@@ -369,12 +384,13 @@ func appendFloats(buf []byte, xs []float64) []byte {
 // and the row width, 8 bytes each.
 const keyHeader = 16
 
-// groupKeyScratch holds buildGroups' per-group key buffers and row
-// hashes, pooled so that building a group's key allocates only the
-// key string itself.
+// groupKeyScratch holds buildGroups' per-group key buffers, row
+// hashes and row end offsets, pooled so that building a group's key
+// allocates only the key string itself.
 type groupKeyScratch struct {
 	keys   [][]byte
 	hashes [][]uint64
+	ends   [][]int
 	row    []float64
 	enc    []byte
 }
@@ -387,23 +403,27 @@ func (sc *groupKeyScratch) reset(n int) {
 	for len(sc.keys) < n {
 		sc.keys = append(sc.keys, nil)
 		sc.hashes = append(sc.hashes, nil)
+		sc.ends = append(sc.ends, nil)
 	}
 	for gi := 0; gi < n; gi++ {
 		sc.keys[gi] = append(sc.keys[gi][:0], make([]byte, keyHeader)...)
 		sc.hashes[gi] = sc.hashes[gi][:0]
+		sc.ends[gi] = sc.ends[gi][:0]
 	}
 }
 
 // lpRows returns the group's deduplicated clique rows n_{i,k}, decoded
-// from the LP key on first use: a solve served from the share cache
-// never needs them.
+// from the LP key's uvarint counts on first use: a solve served from
+// the share cache never needs them.
 func (g *group) lpRows() [][]float64 {
 	g.rowsOnce.Do(func() {
 		w := len(g.ids)
 		flat := make([]float64, g.nrows*w)
+		enc := []byte(g.key[keyHeader:])
 		for i := range flat {
-			off := keyHeader + 8*i
-			flat[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(g.key[off : off+8])))
+			v, n := binary.Uvarint(enc)
+			flat[i] = float64(v)
+			enc = enc[n:]
 		}
 		g.rows = make([][]float64, g.nrows)
 		for r := range g.rows {

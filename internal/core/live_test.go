@@ -233,3 +233,41 @@ func TestInstanceSharedAcrossGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeyCountsCompact: a group LP key carries the clique counts
+// n_{i,k} as one-byte uvarints (the counts are small), and the rows
+// decoded from it are the instance's cliques counted per flow, in
+// clique order with repeated rows dropped.
+func TestGroupKeyCountsCompact(t *testing.T) {
+	inst := denseArrivals(t, 1)[0]
+	lps := core.GroupLPs(inst)
+	if len(lps) != 1 {
+		t.Fatalf("dense arrival shape has %d groups, want 1", len(lps))
+	}
+	g := lps[0]
+	pos := make(map[flow.ID]int, len(g.IDs))
+	for i, id := range g.IDs {
+		pos[id] = i
+	}
+	var want [][]float64
+	seen := make(map[string]bool)
+	for _, c := range inst.Cliques {
+		row := make([]float64, len(g.IDs))
+		for _, v := range c {
+			row[pos[inst.Graph.Subflow(v).ID.Flow]]++
+		}
+		if k := fmt.Sprint(row); !seen[k] {
+			seen[k] = true
+			want = append(want, row)
+		}
+	}
+	if fmt.Sprint(g.Rows) != fmt.Sprint(want) {
+		t.Fatalf("decoded rows %v, want %v", g.Rows, want)
+	}
+	// Header (row count, width), one byte per count, then the floors
+	// and weights as float64 bits.
+	width := len(g.IDs)
+	if got, wantLen := len(g.Key), 16+len(want)*width+16*width; got != wantLen {
+		t.Errorf("key is %d bytes, want %d", got, wantLen)
+	}
+}

@@ -8,76 +8,67 @@ import (
 )
 
 // session bundles one reusable lp.Solver with the scratch it needs to
-// run the phase-1 algorithms without per-solve allocation churn: a
-// reusable Solution, a basis buffer for warm-chained probe sequences,
-// and a copy buffer for the floor LP's consistent optimal point.
+// run the phase-1 algorithms without per-solve allocation churn: one
+// lp.Problem every LP is rebuilt in, a reusable Solution, the reduced
+// form's column and row scratch, and copy buffers for the floor LP's
+// consistent optimal point and its dual-certified blocking flows.
 //
 // A session is not safe for concurrent use; Allocator gives each
 // worker its own.
 type session struct {
 	solver *lp.Solver
 	sol    lp.Solution
-	basis  []int
-	point  []float64
+	prob   lp.Problem
+
+	col    []int     // reduced column per flow, −1 when frozen
+	shift  []float64 // per-flow shift of the reduced form
+	floor  []float64 // probe floors
+	buf    []float64 // one constraint row
+	probed int       // flow the probe objective selects, or −1
+
+	point    []float64
+	blocking []bool
 }
 
 func newSession() *session {
 	return &session{solver: lp.NewSolver()}
 }
 
-// buildTotalProblem constructs max Σ x_i subject to rows·x ≤ 1 and
-// x ≥ basic, substituted as y_i = x_i − basic_i so the floors become
-// the implicit y ≥ 0 bounds: when the floors fit every clique the
-// program is pure-LE with nonnegative right-hand sides, the slack
-// basis is feasible, and phase 1 has no artificials to drive out.
-// Floors that do not fit flip a row's normalized sense, and phase 1
-// reports ErrInfeasible exactly as the unshifted form would.
-func buildTotalProblem(rows [][]float64, basic []float64) (*lp.Problem, error) {
+// maximizeTotal solves max Σ x_i subject to rows·x ≤ 1 and x ≥ basic,
+// substituted as y_i = x_i − basic_i so the floors become the implicit
+// y ≥ 0 bounds: when the floors fit every clique the program is
+// pure-LE with nonnegative right-hand sides, the slack basis is
+// feasible, and phase 1 has no artificials to drive out. Floors that
+// do not fit flip a row's normalized sense, and phase 1 reports
+// ErrInfeasible exactly as the unshifted form would. The returned
+// slice aliases the session's solution scratch and is valid only until
+// the next solve on this session.
+func (s *session) maximizeTotal(rows [][]float64, basic []float64) ([]float64, float64, error) {
 	n := len(basic)
-	p := lp.NewProblem(n)
-	obj := make([]float64, n)
-	for i := range obj {
-		obj[i] = 1
-	}
-	if err := p.SetObjective(obj); err != nil {
-		return nil, err
+	s.prob.Reset(n)
+	for i := 0; i < n; i++ {
+		if err := s.prob.SetObjectiveCoeff(i, 1); err != nil {
+			return nil, 0, err
+		}
 	}
 	for _, row := range rows {
 		rhs := 1.0
 		for i, a := range row {
 			rhs -= a * basic[i]
 		}
-		if err := p.AddLE(row, rhs); err != nil {
-			return nil, err
+		if err := s.prob.AddLE(row, rhs); err != nil {
+			return nil, 0, err
 		}
 	}
-	return p, nil
-}
-
-// unshiftTotal maps the solved shifted program back to x-space in
-// place: x_i = y_i + basic_i, objective offset Σ basic.
-func (s *session) unshiftTotal(basic []float64) ([]float64, float64) {
+	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
+		return nil, 0, err
+	}
 	var off float64
 	for i, b := range basic {
 		s.sol.X[i] += b
 		off += b
 	}
-	return s.sol.X, s.sol.Objective + off
-}
-
-// maximizeTotal solves max Σ x_i subject to rows·x ≤ 1 and x ≥ basic.
-// The returned slice aliases the session's solution scratch and is
-// valid only until the next solve on this session.
-func (s *session) maximizeTotal(rows [][]float64, basic []float64) ([]float64, float64, error) {
-	p, err := buildTotalProblem(rows, basic)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := s.solver.SolveInto(p, &s.sol); err != nil {
-		return nil, 0, err
-	}
-	x, obj := s.unshiftTotal(basic)
-	return x, obj, nil
+	return s.sol.X, s.sol.Objective + off, nil
 }
 
 // Allocator owns the reusable solver state behind the phase-1

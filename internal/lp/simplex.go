@@ -55,12 +55,30 @@ type Problem struct {
 	n           int
 	objective   []float64
 	constraints []Constraint
+
+	// version counts constraint mutations (AddConstraint, SetRHS,
+	// Reset); a Solver re-optimizes in place only while it is unchanged
+	// since its last successful solve of this Problem.
+	version uint64
 }
 
 // NewProblem creates a problem with numVars non-negative variables and
 // a zero objective.
 func NewProblem(numVars int) *Problem {
 	return &Problem{n: numVars, objective: make([]float64, numVars)}
+}
+
+// Reset empties p into a program over numVars variables with a zero
+// objective and no constraints, keeping its storage: a caller that
+// rebuilds a program before every solve allocates only while the
+// program outgrows each earlier one. A Solver treats the reset
+// program as new (see Solver.ReoptimizeInto).
+func (p *Problem) Reset(numVars int) {
+	p.n = numVars
+	p.objective = growFloat(p.objective, numVars)
+	clear(p.objective)
+	p.constraints = p.constraints[:0]
+	p.version++
 }
 
 // NumVars returns the number of decision variables.
@@ -86,9 +104,15 @@ func (p *Problem) AddConstraint(coeffs []float64, sense Sense, rhs float64) erro
 	if sense != LE && sense != GE && sense != EQ {
 		return fmt.Errorf("%w: bad sense %d", ErrShape, sense)
 	}
-	row := make([]float64, p.n)
+	// Reuse the row storage a Reset left behind, if it fits.
+	var row []float64
+	if k := len(p.constraints); k < cap(p.constraints) {
+		row = p.constraints[:k+1][k].Coeffs
+	}
+	row = growFloat(row, p.n)
 	copy(row, coeffs)
 	p.constraints = append(p.constraints, Constraint{Coeffs: row, Sense: sense, RHS: rhs})
+	p.version++
 	return nil
 }
 
@@ -115,11 +139,13 @@ func (p *Problem) SetRHS(i int, rhs float64) error {
 		return fmt.Errorf("%w: constraint %d of %d", ErrShape, i, len(p.constraints))
 	}
 	p.constraints[i].RHS = rhs
+	p.version++
 	return nil
 }
 
 // SetObjectiveCoeff sets a single objective coefficient in place; the
-// companion to SetRHS for objective-only re-solves.
+// companion to SetRHS for objective-only re-solves (see
+// Solver.ReoptimizeInto).
 func (p *Problem) SetObjectiveCoeff(j int, v float64) error {
 	if j < 0 || j >= p.n {
 		return fmt.Errorf("%w: variable %d of %d", ErrShape, j, p.n)

@@ -19,6 +19,10 @@ import (
 // termination guarantee — and returns to Dantzig on the next strict
 // improvement.
 //
+// After a successful solve the Solver retains the optimal tableau, so
+// Dual reads the constraints' shadow prices off it and ReoptimizeInto
+// re-prices it in place after an objective-only change.
+//
 // A Solver is not safe for concurrent use; give each goroutine its
 // own.
 type Solver struct {
@@ -38,6 +42,24 @@ type Solver struct {
 	cost    []float64 // dense cost vector, len width
 	colSeen []bool    // warm-start validation scratch
 	rowUsed []bool
+
+	// dualCol[i] is the column whose final reduced cost prices
+	// constraint i — its slack, surplus or artificial — and
+	// dualSign[i] maps that reduced cost to ∂objective/∂b_i, undoing
+	// the surplus column's −1 and the negative-RHS row flip. Phase 1
+	// compacts rows but never moves columns, so the map stays valid.
+	dualCol  []int
+	dualSign []float64
+	ncons    int // constraint count of the loaded problem
+
+	// last is the problem whose optimal tableau the solver holds, at
+	// constraint version lastVersion; nil unless the latest solve
+	// succeeded. Holding the pointer keeps the address from being
+	// reused by a different Problem.
+	last        *Problem
+	lastVersion uint64
+
+	solves, pivots int // cumulative work, see Work
 
 	// stallLimit counts consecutive non-improving pivots tolerated
 	// under Dantzig pricing before the Bland fallback; maxIter, when
@@ -94,6 +116,48 @@ func (s *Solver) SolveFromInto(p *Problem, prevBasis []int, sol *Solution) error
 	return s.solve(p, prevBasis, sol)
 }
 
+// ReoptimizeInto re-solves p after an objective-only change
+// (SetObjective, SetObjectiveCoeff): phase 2 runs from the optimal
+// vertex the previous solve of p left in the tableau, with no reload
+// and no re-pivoting to a saved basis. That vertex stays primal
+// feasible because the constraints are unchanged. When the last
+// successful solve was of another problem, or p's constraints changed
+// since (AddConstraint, SetRHS, Reset), or no solve has succeeded yet, it
+// falls back to a cold two-phase solve, so the result is always p's
+// optimum.
+func (s *Solver) ReoptimizeInto(p *Problem, sol *Solution) error {
+	if s.last != p || s.lastVersion != p.version {
+		return s.solve(p, nil, sol)
+	}
+	s.last = nil
+	s.solves++
+	obj, err := s.phase2(p)
+	if err != nil {
+		return err
+	}
+	s.extract(sol, obj)
+	s.last = p
+	return nil
+}
+
+// Dual returns constraint i's shadow price at the optimum of the last
+// successful solve: y_i = ∂objective/∂b_i, read off the final
+// reduced-cost row, so Σ b_i·y_i equals the objective, y_i ≥ 0 on a
+// ≤ row and y_i ≤ 0 on a ≥ row. A row with y_i ≠ 0 is tight at every
+// optimum. Dual returns 0 for an out-of-range i or when the last solve
+// failed.
+func (s *Solver) Dual(i int) float64 {
+	if s.last == nil || i < 0 || i >= s.ncons {
+		return 0
+	}
+	return s.dualSign[i] * s.z[s.dualCol[i]]
+}
+
+// Work reports the solver's cumulative effort since NewSolver: LP
+// solves of every kind (cold, warm-started, re-optimized) and tableau
+// pivots.
+func (s *Solver) Work() (solves, pivots int) { return s.solves, s.pivots }
+
 // Basis returns a copy of the optimal basis of the last successful
 // solve, suitable for a later SolveFrom.
 func (s *Solver) Basis() []int { return s.AppendBasis(nil) }
@@ -104,6 +168,8 @@ func (s *Solver) Basis() []int { return s.AppendBasis(nil) }
 func (s *Solver) AppendBasis(dst []int) []int { return append(dst, s.basis[:s.m]...) }
 
 func (s *Solver) solve(p *Problem, prevBasis []int, sol *Solution) error {
+	s.last = nil
+	s.solves++
 	s.load(p)
 	warm := prevBasis != nil && s.warmStart(prevBasis)
 	if !warm {
@@ -119,6 +185,7 @@ func (s *Solver) solve(p *Problem, prevBasis []int, sol *Solution) error {
 		return err
 	}
 	s.extract(sol, obj)
+	s.last, s.lastVersion = p, p.version
 	return nil
 }
 
@@ -150,12 +217,17 @@ func (s *Solver) load(p *Problem) {
 		s.tab[i] = 0
 	}
 	s.basis = growInt(s.basis, m)
+	s.ncons = m
+	s.dualCol = growInt(s.dualCol, m)
+	s.dualSign = growFloat(s.dualSign, m)
 	slackAt, artAt := n, n+nSlack
 	for i, c := range p.constraints {
 		row := s.row(i)
 		b := c.RHS
+		sign := 1.0
 		if b < 0 {
 			b = -b
+			sign = -1
 			for j, v := range c.Coeffs {
 				row[j] = -v
 			}
@@ -167,9 +239,11 @@ func (s *Solver) load(p *Problem) {
 		case LE:
 			row[slackAt] = 1
 			s.basis[i] = slackAt
+			s.dualCol[i], s.dualSign[i] = slackAt, sign
 			slackAt++
 		case GE:
 			row[slackAt] = -1
+			s.dualCol[i], s.dualSign[i] = slackAt, -sign
 			slackAt++
 			row[artAt] = 1
 			s.basis[i] = artAt
@@ -177,6 +251,7 @@ func (s *Solver) load(p *Problem) {
 		default:
 			row[artAt] = 1
 			s.basis[i] = artAt
+			s.dualCol[i], s.dualSign[i] = artAt, sign
 			artAt++
 		}
 	}
@@ -318,9 +393,6 @@ func (s *Solver) phase2(p *Problem) (float64, error) {
 // considering columns below enterLimit as entering candidates, and
 // returns the optimal objective value.
 func (s *Solver) simplex(enterLimit int) (float64, error) {
-	if s.m == 0 {
-		return 0, nil
-	}
 	width := s.width
 	s.z = growFloat(s.z, s.stride)
 	z := s.z
@@ -328,6 +400,9 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 		z[j] = -s.cost[j]
 	}
 	z[width] = 0
+	if s.m == 0 {
+		return 0, nil
+	}
 	for i := 0; i < s.m; i++ {
 		cb := s.cost[s.basis[i]]
 		if cb == 0 {
@@ -406,6 +481,7 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 
 // pivot performs a Gauss-Jordan pivot on tableau entry (row, col).
 func (s *Solver) pivot(row, col int) {
+	s.pivots++
 	pr := s.row(row)
 	pv := pr[col]
 	for j := range pr {
