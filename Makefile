@@ -18,20 +18,24 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# LP-solver perf trajectory: ns/op and allocs/op for cold solves,
-# warm-started re-solves (must be 0 allocs/op), one refined group
-# solve on the dense arrival shape (with its LP solves per refine) and
-# the distributed first phase, written to BENCH_lp.json for
-# PR-over-PR comparison.
+# BENCH_lp.json, BENCH_alloc.json and BENCH_topo.json come from Go
+# benchmarks: five runs each, summarized by cmd/benchjson into the
+# median (values) and min/max of every reported unit. benchjson fails
+# and keeps the old file when a benchmark fails or none ran.
+
+# LP-solver perf trajectory: cold solves on the reusable Solver vs the
+# seed reference (ns/op, allocs/op), one refined group solve on the
+# dense arrival shape (with its LP solves per refine) and the
+# distributed first phase, sequential vs parallel.
 bench-lp: build
-	$(GO) run ./cmd/benchtables -only lp -json BENCH_lp.json
+	$(GO) test -run '^$$' -bench '^Benchmark(LPSolve|LPSolveReference|RefineDenseArrivals|DistributedAllocate)$$' -benchmem -count 5 ./internal/lp ./internal/core . | $(GO) run ./cmd/benchjson BENCH_lp.json
 
 # Sharded allocation-engine perf trajectory: sequential oracle walk vs
 # 8-worker sharded fan-out on a 32-component instance, and the
 # churn-delta re-solve (solves per churn event must stay ≪ group
-# count), written to BENCH_alloc.json.
+# count).
 bench-alloc: build
-	$(GO) run ./cmd/benchtables -only alloc -json BENCH_alloc.json
+	$(GO) test -run '^$$' -bench '^Benchmark(CentralizedShardedSeq|CentralizedShardedPar|ChurnDelta)$$' -benchmem -count 5 ./internal/core | $(GO) run ./cmd/benchjson BENCH_alloc.json
 
 # MAC/PHY datapath perf trajectory: full-stack simulation rate
 # (simSec/s), channel accounting, and steady-state allocations per
@@ -39,12 +43,11 @@ bench-alloc: build
 bench-mac: build
 	$(GO) run ./cmd/benchtables -only mac -json BENCH_mac.json
 
-# Topology-layer perf trajectory: grid vs all-pairs build ns/node at
-# 1k/4k nodes, incidence vs pairwise contention edges/s on a 1k-node
-# scenario, and incremental vs rebuild mobility epoch wall time,
-# written to BENCH_topo.json.
+# Topology-layer perf trajectory: grid vs all-pairs neighbor build at
+# 1k/4k nodes, incidence vs pairwise contention build on a 1k-node
+# scenario, and incremental vs rebuild mobility epochs (ms/epoch).
 bench-topo: build
-	$(GO) run ./cmd/benchtables -only topo -json BENCH_topo.json
+	$(GO) test -run '^$$' -bench '^Benchmark(TopologyBuild1k|TopologyBuild4k|ContentionBuild|MobilityEpoch)$$' -benchmem -count 5 ./internal/topology ./internal/contention ./internal/mobility | $(GO) run ./cmd/benchjson BENCH_topo.json
 
 # Component-sharded simulator perf trajectory: simSec/s (best of 3) and
 # steady-state allocations per delivered packet on the eight-tile

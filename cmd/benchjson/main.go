@@ -1,0 +1,183 @@
+// Command benchjson summarizes `go test -bench` output into a BENCH
+// JSON file: one section per package, one entry per benchmark or
+// sub-benchmark, and for every unit it reports (ns/op, B/op,
+// allocs/op and custom ReportMetric units) the median over the runs in
+// values, beside their min and max.
+//
+// Usage:
+//
+//	go test -run '^$' -bench <regexp> -benchmem -count 5 <packages> | benchjson BENCH_x.json
+//
+// The input is echoed to stdout as it is read. benchjson exits non-zero
+// and leaves the output file untouched when the input holds a FAIL line
+// or no benchmark result.
+package main
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
+
+	"e2efair/internal/benchreport"
+)
+
+func main() {
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: go test -bench ... | benchjson BENCH_x.json")
+		os.Exit(2)
+	}
+	if err := run(os.Stdin, os.Stdout, os.Args[1]); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses in, echoing it to echo, and writes the summary to path.
+func run(in io.Reader, echo io.Writer, path string) error {
+	rep, err := parse(io.TeeReader(in, echo))
+	if err != nil {
+		return err
+	}
+	rep.NumCPU = runtime.NumCPU()
+	rep.GitSHA = benchreport.GitSHA()
+	if err := benchreport.Write(path, rep); err != nil {
+		return err
+	}
+	fmt.Fprintf(echo, "wrote %s (%d sections)\n", path, len(rep.Sections))
+	return nil
+}
+
+// parse reads `go test -bench` output into a report whose GoMaxProcs
+// comes from the benchmarks' -N name suffix (none means 1).
+func parse(in io.Reader) (*benchreport.Report, error) {
+	type bench struct {
+		label   string
+		runs    int
+		samples map[string][]float64 // by unit
+	}
+	type pkg struct {
+		name    string
+		benches []*bench
+		byLabel map[string]*bench
+	}
+	var pkgs []*pkg
+	var cur *pkg
+	procs := 0
+	failed := ""
+	sc := bufio.NewScanner(in)
+	for sc.Scan() {
+		line := sc.Text()
+		// Read on past a failure so the whole run is echoed.
+		trimmed := strings.TrimSpace(line)
+		if failed == "" && (strings.HasPrefix(trimmed, "FAIL") || strings.HasPrefix(trimmed, "--- FAIL")) {
+			failed = trimmed
+		}
+		if name, ok := strings.CutPrefix(line, "pkg: "); ok {
+			cur = &pkg{name: strings.TrimSpace(name), byLabel: map[string]*bench{}}
+			pkgs = append(pkgs, cur)
+			continue
+		}
+		label, n, values, ok := parseResult(line)
+		if !ok {
+			continue
+		}
+		if procs != 0 && n != procs {
+			return nil, fmt.Errorf("benchmarks ran at GOMAXPROCS %d and %d; pass one -cpu value", procs, n)
+		}
+		procs = n
+		if cur == nil {
+			cur = &pkg{byLabel: map[string]*bench{}}
+			pkgs = append(pkgs, cur)
+		}
+		b := cur.byLabel[label]
+		if b == nil {
+			b = &bench{label: label, samples: map[string][]float64{}}
+			cur.byLabel[label] = b
+			cur.benches = append(cur.benches, b)
+		}
+		b.runs++
+		for _, v := range values {
+			b.samples[v.unit] = append(b.samples[v.unit], v.value)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if failed != "" {
+		return nil, fmt.Errorf("benchmark run failed: %s", failed)
+	}
+	rep := &benchreport.Report{GoMaxProcs: procs}
+	for _, p := range pkgs {
+		if len(p.benches) == 0 {
+			continue
+		}
+		sec := &benchreport.Section{Name: p.name}
+		for _, b := range p.benches {
+			e := benchreport.Entry{
+				Label: b.label, Runs: b.runs,
+				Values: map[string]float64{}, Min: map[string]float64{}, Max: map[string]float64{},
+			}
+			for u, xs := range b.samples {
+				sort.Float64s(xs)
+				e.Values[u], e.Min[u], e.Max[u] = median(xs), xs[0], xs[len(xs)-1]
+			}
+			sec.Entries = append(sec.Entries, e)
+		}
+		rep.Sections = append(rep.Sections, sec)
+	}
+	if len(rep.Sections) == 0 {
+		return nil, errors.New("no benchmark results in the input")
+	}
+	return rep, nil
+}
+
+type measurement struct {
+	value float64
+	unit  string
+}
+
+// parseResult parses one benchmark result line,
+//
+//	BenchmarkName/sub-8   1000   1234 ns/op   16 B/op   1 allocs/op
+//
+// returning the name without its -GOMAXPROCS suffix, that GOMAXPROCS
+// (1 when the suffix is absent), and the (value, unit) pairs after the
+// iteration count.
+func parseResult(line string) (label string, procs int, values []measurement, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return "", 0, nil, false
+	}
+	if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
+		return "", 0, nil, false
+	}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", 0, nil, false
+		}
+		values = append(values, measurement{v, f[i+1]})
+	}
+	label, procs = f[0], 1
+	if i := strings.LastIndexByte(label, '-'); i >= 0 {
+		if n, err := strconv.Atoi(label[i+1:]); err == nil && n > 0 {
+			label, procs = label[:i], n
+		}
+	}
+	return label, procs, values, true
+}
+
+// median of sorted xs; the mean of the middle two for an even count.
+func median(xs []float64) float64 {
+	m := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[m]
+	}
+	return (xs[m-1] + xs[m]) / 2
+}

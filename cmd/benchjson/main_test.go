@@ -1,0 +1,151 @@
+package main
+
+import (
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"e2efair/internal/benchreport"
+)
+
+// canned is `go test -bench -benchmem -count N` output over two
+// packages: sub-benchmarks, the -2 GOMAXPROCS suffix, a custom
+// ReportMetric unit, an odd (3) and an even (4) run count, a b.Logf
+// line under a parent benchmark, and the goos/pkg/PASS/ok lines go
+// test interleaves.
+const canned = `goos: linux
+goarch: amd64
+pkg: e2efair/internal/lp
+cpu: Some CPU @ 2.00GHz
+BenchmarkLPSolve/fig6-2         	  400000	      3000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLPSolve/fig6-2         	  400000	      2000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLPSolve/fig6-2         	  400000	      2500 ns/op	       0 B/op	       0 allocs/op
+BenchmarkContention
+    build_test.go:165: 1k-node scenario: 188 subflows
+BenchmarkContention/incidence-2 	    1000	   1000000 ns/op	   80000 B/op	     100 allocs/op	         4.0 lpsolves/refine
+BenchmarkContention/incidence-2 	    1000	   3000000 ns/op	   80000 B/op	     100 allocs/op	         2.0 lpsolves/refine
+BenchmarkContention/incidence-2 	    1000	   2000000 ns/op	   80000 B/op	     100 allocs/op	         8.0 lpsolves/refine
+BenchmarkContention/incidence-2 	    1000	   4000000 ns/op	   80000 B/op	     100 allocs/op	         1.0 lpsolves/refine
+PASS
+ok  	e2efair/internal/lp	12.345s
+goos: linux
+goarch: amd64
+pkg: e2efair/internal/topology
+PASS
+ok  	e2efair/internal/topology	0.010s
+goos: linux
+goarch: amd64
+pkg: e2efair
+BenchmarkDistributedAllocate/fig6/sequential-2 	   10000	    150000 ns/op	 5.5 totalB
+PASS
+ok  	e2efair	3.2s
+`
+
+func TestParseCannedOutput(t *testing.T) {
+	rep, err := parse(strings.NewReader(canned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoMaxProcs != 2 {
+		t.Errorf("gomaxprocs = %d, want 2", rep.GoMaxProcs)
+	}
+	// The topology package ran no benchmark and gets no section.
+	if len(rep.Sections) != 2 || rep.Sections[0].Name != "e2efair/internal/lp" || rep.Sections[1].Name != "e2efair" {
+		t.Fatalf("sections = %+v", rep.Sections)
+	}
+	lp := rep.Sections[0].Entries
+	if len(lp) != 2 || lp[0].Label != "BenchmarkLPSolve/fig6" || lp[1].Label != "BenchmarkContention/incidence" {
+		t.Fatalf("lp entries = %+v", lp)
+	}
+	check := func(e benchreport.Entry, unit string, runs int, med, lo, hi float64) {
+		t.Helper()
+		if e.Runs != runs {
+			t.Errorf("%s: runs = %d, want %d", e.Label, e.Runs, runs)
+		}
+		if e.Values[unit] != med || e.Min[unit] != lo || e.Max[unit] != hi {
+			t.Errorf("%s %s: median/min/max = %g/%g/%g, want %g/%g/%g",
+				e.Label, unit, e.Values[unit], e.Min[unit], e.Max[unit], med, lo, hi)
+		}
+	}
+	check(lp[0], "ns/op", 3, 2500, 2000, 3000)
+	check(lp[0], "allocs/op", 3, 0, 0, 0)
+	check(lp[1], "ns/op", 4, 2500000, 1000000, 4000000)
+	check(lp[1], "B/op", 4, 80000, 80000, 80000)
+	check(lp[1], "lpsolves/refine", 4, 3, 1, 8)
+	check(rep.Sections[1].Entries[0], "totalB", 1, 5.5, 5.5, 5.5)
+	if got := rep.Sections[1].Entries[0].Label; got != "BenchmarkDistributedAllocate/fig6/sequential" {
+		t.Errorf("label = %q", got)
+	}
+}
+
+func TestParseNoSuffixIsOneProc(t *testing.T) {
+	rep, err := parse(strings.NewReader("pkg: p\nBenchmarkX 	 10	 5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoMaxProcs != 1 || rep.Sections[0].Entries[0].Label != "BenchmarkX" {
+		t.Errorf("report = %+v", rep.Sections[0].Entries)
+	}
+}
+
+// TestRunWritesReport checks the file run writes: the shared schema
+// with runs, median, min and max, and the echoed input.
+func TestRunWritesReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_x.json")
+	var echo strings.Builder
+	if err := run(strings.NewReader(canned), &echo, path); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(echo.String(), "BenchmarkLPSolve/fig6-2") {
+		t.Error("input was not echoed")
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep benchreport.Report
+	if err := json.Unmarshal(buf, &rep); err != nil {
+		t.Fatal(err)
+	}
+	e := rep.Sections[0].Entries[0]
+	if e.Runs != 3 || e.Values["ns/op"] != 2500 || e.Min["ns/op"] != 2000 || e.Max["ns/op"] != 3000 {
+		t.Errorf("entry = %+v", e)
+	}
+	if rep.NumCPU < 1 || rep.GoMaxProcs != 2 {
+		t.Errorf("stamp: numCPU %d gomaxprocs %d", rep.NumCPU, rep.GoMaxProcs)
+	}
+}
+
+// TestRunFailureKeepsExistingFile feeds a failed and an empty run: run
+// must fail and leave the previous BENCH file byte-for-byte intact, so
+// a broken benchmark cannot commit an empty table.
+func TestRunFailureKeepsExistingFile(t *testing.T) {
+	for name, in := range map[string]string{
+		"fail-line":     canned + "--- FAIL: BenchmarkBroken\n    x_test.go:9: boom\nFAIL\ne2efair/internal/x\t0.1s\nFAIL\n",
+		"build-failed":  "FAIL\te2efair/internal/lp [build failed]\n",
+		"no-benchmarks": "goos: linux\npkg: e2efair/internal/lp\nPASS\nok  \te2efair/internal/lp\t0.01s\n",
+		"empty":         "",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "BENCH_x.json")
+			const old = `{"old": true}` + "\n"
+			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(strings.NewReader(in), io.Discard, path); err == nil {
+				t.Fatal("run succeeded")
+			}
+			buf, err := os.ReadFile(path)
+			if err != nil || string(buf) != old {
+				t.Errorf("BENCH file changed: %q, %v", buf, err)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+				t.Errorf("left %d files behind", len(ents))
+			}
+		})
+	}
+}

@@ -19,28 +19,21 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
-	"os/exec"
 	"runtime"
 	"sort"
-	"strings"
-	"testing"
 	"time"
 
-	"e2efair/internal/contention"
+	"e2efair/internal/benchreport"
 	"e2efair/internal/core"
 	"e2efair/internal/fault"
 	"e2efair/internal/flow"
-	"e2efair/internal/geom"
-	"e2efair/internal/lp"
 	"e2efair/internal/mobility"
 	"e2efair/internal/netsim"
-	"e2efair/internal/routing"
 	"e2efair/internal/scenario"
 	"e2efair/internal/sim"
 	"e2efair/internal/stats"
@@ -49,53 +42,10 @@ import (
 	"e2efair/internal/transport"
 )
 
-// Report is the machine-readable run summary written by -json: per
-// section, the paper metrics of every table row plus wall-clock
-// timings, so successive PRs can track the perf trajectory in
-// BENCH_*.json files. Every report is stamped with the environment the
-// numbers were taken on — GOMAXPROCS, CPU count, and the git commit —
-// so cross-PR comparisons never mix machines or revisions silently.
-type Report struct {
-	DurationSec   float64    `json:"durationSec"`
-	Seed          int64      `json:"seed"`
-	GoMaxProcs    int        `json:"gomaxprocs"`
-	NumCPU        int        `json:"numCPU"`
-	GitSHA        string     `json:"gitSHA,omitempty"`
-	TotalWallSecs float64    `json:"totalWallSeconds"`
-	Sections      []*Section `json:"sections"`
-}
-
-// gitSHA stamps reports with the commit the numbers were taken at;
-// empty (and omitted from the JSON) outside a git checkout.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// Section is one table or figure of the report.
-type Section struct {
-	Name     string  `json:"name"`
-	WallSecs float64 `json:"wallSeconds"`
-	Entries  []Entry `json:"entries,omitempty"`
-}
-
-// Entry is one labelled row of a section (a protocol, a sweep size).
-type Entry struct {
-	Label  string             `json:"label"`
-	Values map[string]float64 `json:"values"`
-}
-
-func (s *Section) add(label string, values map[string]float64) {
-	s.Entries = append(s.Entries, Entry{Label: label, Values: values})
-}
-
 func main() {
 	duration := flag.Float64("duration", 200, "simulated seconds for Tables II/III (paper: 1000)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	only := flag.String("only", "", "run one section: fig1, fig2, fig4, fig5, fig6, tableI, tableII, tableIII, ideal, transport, random, mobility, lp, alloc, mac, topo, resilience, sim, twin, serve")
+	only := flag.String("only", "", "run one section: fig1, fig2, fig4, fig5, fig6, tableI, tableII, tableIII, ideal, transport, random, mobility, mac, resilience, sim, twin, serve")
 	jsonPath := flag.String("json", "", "write machine-readable metrics and wall-clock timings to this file")
 	flag.Parse()
 	if err := run(*duration, *seed, *only, *jsonPath); err != nil {
@@ -107,18 +57,17 @@ func main() {
 func run(durationSec float64, seed int64, only, jsonPath string) error {
 	sections := []struct {
 		name string
-		fn   func(float64, int64, *Section) error
+		fn   func(float64, int64, *benchreport.Section) error
 	}{
 		{"fig1", fig1}, {"fig2", fig2}, {"fig4", fig4}, {"fig5", fig5},
 		{"fig6", fig6}, {"tableI", tableI}, {"tableII", tableII}, {"tableIII", tableIII},
 		{"ideal", ideal}, {"transport", reliableTransport}, {"random", randomSweep},
-		{"mobility", mobilitySection}, {"lp", lpSection}, {"alloc", allocSection},
-		{"mac", macSection}, {"topo", topoSection}, {"resilience", resilienceSection},
+		{"mobility", mobilitySection}, {"mac", macSection}, {"resilience", resilienceSection},
 		{"sim", simSection}, {"twin", twinSection}, {"serve", serveSection},
 	}
-	report := &Report{
+	report := &benchreport.Report{
 		DurationSec: durationSec, Seed: seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GitSHA: gitSHA(),
+		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GitSHA: benchreport.GitSHA(),
 	}
 	start := time.Now()
 	ran := false
@@ -127,7 +76,7 @@ func run(durationSec float64, seed int64, only, jsonPath string) error {
 			continue
 		}
 		ran = true
-		sec := &Section{Name: s.name}
+		sec := &benchreport.Section{Name: s.name}
 		secStart := time.Now()
 		if err := s.fn(durationSec, seed, sec); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
@@ -141,12 +90,7 @@ func run(durationSec float64, seed int64, only, jsonPath string) error {
 	}
 	report.TotalWallSecs = time.Since(start).Seconds()
 	if jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
+		if err := benchreport.Write(jsonPath, report); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (%d sections, %.2fs wall)\n", jsonPath, len(report.Sections), report.TotalWallSecs)
@@ -167,15 +111,15 @@ func flows(alloc core.FlowAllocation) string {
 	return out
 }
 
-func recordAlloc(sec *Section, label string, alloc core.FlowAllocation) {
+func recordAlloc(sec *benchreport.Section, label string, alloc core.FlowAllocation) {
 	values := map[string]float64{"totalB": alloc.TotalEffectiveThroughput()}
 	for id, r := range alloc {
 		values[string(id)] = r
 	}
-	sec.add(label, values)
+	sec.Add(label, values)
 }
 
-func fig1(_ float64, _ int64, sec *Section) error {
+func fig1(_ float64, _ int64, sec *benchreport.Section) error {
 	fmt.Println("== Fig. 1 worked example (Secs. I, III-B) ==")
 	sc, err := scenario.Figure1()
 	if err != nil {
@@ -199,7 +143,7 @@ func fig1(_ float64, _ int64, sec *Section) error {
 	return nil
 }
 
-func fig2(_ float64, _ int64, sec *Section) error {
+func fig2(_ float64, _ int64, sec *benchreport.Section) error {
 	fmt.Println("== Fig. 2 fairness definitions (Sec. II-C) ==")
 	single, err := scenario.Figure2Single()
 	if err != nil {
@@ -224,7 +168,7 @@ func fig2(_ float64, _ int64, sec *Section) error {
 	return nil
 }
 
-func fig4(_ float64, _ int64, sec *Section) error {
+func fig4(_ float64, _ int64, sec *benchreport.Section) error {
 	fmt.Println("== Fig. 4 weighted contention graph (Secs. III, IV-C) ==")
 	sc, err := scenario.Figure4()
 	if err != nil {
@@ -242,7 +186,7 @@ func fig4(_ float64, _ int64, sec *Section) error {
 	return nil
 }
 
-func fig5(_ float64, _ int64, sec *Section) error {
+func fig5(_ float64, _ int64, sec *benchreport.Section) error {
 	fmt.Println("== Fig. 5 pentagon (Sec. III-A) ==")
 	sc, err := scenario.Pentagon()
 	if err != nil {
@@ -264,11 +208,11 @@ func fig5(_ float64, _ int64, sec *Section) error {
 		return err
 	}
 	fmt.Printf("max schedulable symmetric rate: %.4f·B\n", tMax)
-	sec.add("pentagon", map[string]float64{"omega": omega, "maxFairRateB": tMax})
+	sec.Add("pentagon", map[string]float64{"omega": omega, "maxFairRateB": tMax})
 	return nil
 }
 
-func fig6(_ float64, _ int64, sec *Section) error {
+func fig6(_ float64, _ int64, sec *benchreport.Section) error {
 	fmt.Println("== Fig. 6 centralized first phase (Sec. IV-B) ==")
 	sc, err := scenario.Figure6()
 	if err != nil {
@@ -283,7 +227,7 @@ func fig6(_ float64, _ int64, sec *Section) error {
 	return nil
 }
 
-func tableI(_ float64, _ int64, sec *Section) error {
+func tableI(_ float64, _ int64, sec *benchreport.Section) error {
 	fmt.Println("== Table I: distributed local optimization ==")
 	sc, err := scenario.Figure6()
 	if err != nil {
@@ -315,7 +259,7 @@ func sf(id flow.ID, hop int) flow.SubflowID { return flow.SubflowID{Flow: id, Ho
 // ideal runs the Sec. III estimation algorithm: the 2PA allocation
 // executed by a perfectly coordinated TDMA schedule, the upper bound
 // the contention MAC is judged against.
-func ideal(durationSec float64, seed int64, sec *Section) error {
+func ideal(durationSec float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Ideal estimator (Sec. III): 2PA shares under coordination-free TDMA ==")
 	for _, build := range []func() (*scenario.Scenario, error){scenario.Figure1, scenario.Figure6} {
 		sc, err := build()
@@ -338,7 +282,7 @@ func ideal(durationSec float64, seed int64, sec *Section) error {
 		fmt.Printf("%-8s ideal total=%8d pkt  2PA-C total=%8d pkt  MAC efficiency=%.2f  util=%.2f coll=%.3f\n",
 			sc.Name, res.Stats.TotalEndToEnd(), mac.Stats.TotalEndToEnd(),
 			eff, mac.Airtime.Utilization(), mac.Airtime.CollisionOverhead())
-		sec.add(sc.Name, map[string]float64{
+		sec.Add(sc.Name, map[string]float64{
 			"idealTotalPkt": float64(res.Stats.TotalEndToEnd()),
 			"macTotalPkt":   float64(mac.Stats.TotalEndToEnd()),
 			"macEfficiency": eff,
@@ -353,7 +297,7 @@ func ideal(durationSec float64, seed int64, sec *Section) error {
 // effective throughput and the optimality gap of the distributed form,
 // then packet-simulates the largest topology across protocols × seeds
 // on the parallel worker pool.
-func randomSweep(durationSec float64, seed int64, sec *Section) error {
+func randomSweep(durationSec float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Random-topology sweep: mean total effective throughput (fraction of B) ==")
 	fmt.Printf("%8s%8s%10s%10s%10s%10s%10s%12s\n",
 		"nodes", "flows", "basic", "fairness", "2pa-c", "2pa-d", "two-tier", "distGap")
@@ -395,7 +339,7 @@ func randomSweep(durationSec float64, seed int64, sec *Section) error {
 		d := float64(done)
 		fmt.Printf("%8d%8d%10.3f%10.3f%10.3f%10.3f%10.3f%12.3f\n",
 			size.nodes, size.flows, sums[0]/d, sums[1]/d, sums[2]/d, sums[3]/d, sums[4]/d, gap/d)
-		sec.add(fmt.Sprintf("alloc-n%d", size.nodes), map[string]float64{
+		sec.Add(fmt.Sprintf("alloc-n%d", size.nodes), map[string]float64{
 			"basic": sums[0] / d, "fairness": sums[1] / d, "2pa-c": sums[2] / d,
 			"2pa-d": sums[3] / d, "two-tier": sums[4] / d, "distGap": gap / d,
 		})
@@ -428,7 +372,7 @@ func randomSweep(durationSec float64, seed int64, sec *Section) error {
 		}
 		n := float64(len(seeds))
 		fmt.Printf("  %-9s mean %8.1f pkt/s  loss %.4f over %d seeds\n", p, pkt/n, loss/n, len(seeds))
-		sec.add("sim-"+p.String(), map[string]float64{"pktPerS": pkt / n, "lossRatio": loss / n})
+		sec.Add("sim-"+p.String(), map[string]float64{"pktPerS": pkt / n, "lossRatio": loss / n})
 	}
 	return nil
 }
@@ -436,7 +380,7 @@ func randomSweep(durationSec float64, seed int64, sec *Section) error {
 func totalOf(a core.FlowAllocation) float64 { return a.TotalEffectiveThroughput() }
 
 // mobilitySection runs the epochal mobility extension at two speeds.
-func mobilitySection(durationSec float64, seed int64, sec *Section) error {
+func mobilitySection(durationSec float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Mobility extension: epochal rerouting and reallocation (25 nodes, 3 flows) ==")
 	for _, speed := range []float64{2, 20} {
 		res, err := mobility.Run(mobility.Config{
@@ -458,7 +402,7 @@ func mobilitySection(durationSec float64, seed int64, sec *Section) error {
 		}
 		fmt.Printf("maxSpeed=%4.0f m/s: delivered=%d lost=%d routeBreaks=%d unreachable-epochs=%d\n",
 			speed, res.TotalDelivered, res.TotalLost, res.RouteBreaks, res.Unreachable)
-		sec.add(fmt.Sprintf("speed%.0f", speed), map[string]float64{
+		sec.Add(fmt.Sprintf("speed%.0f", speed), map[string]float64{
 			"delivered": float64(res.TotalDelivered), "lost": float64(res.TotalLost),
 			"routeBreaks": float64(res.RouteBreaks),
 		})
@@ -469,7 +413,7 @@ func mobilitySection(durationSec float64, seed int64, sec *Section) error {
 // reliableTransport measures end-to-end goodput and retransmission
 // waste under a sliding-window reliable transport: the paper's wasted
 // bandwidth argument.
-func reliableTransport(durationSec float64, seed int64, sec *Section) error {
+func reliableTransport(durationSec float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Reliable transport: goodput and retransmission waste (Fig. 1) ==")
 	sc, err := scenario.Figure1()
 	if err != nil {
@@ -489,7 +433,7 @@ func reliableTransport(durationSec float64, seed int64, sec *Section) error {
 			abandoned += fr.Abandoned
 		}
 		fmt.Printf("%-9s%10d%10d%12.4f%10d"+"\n", p, res.TotalGoodput(), retx, res.RetransmissionOverhead(), abandoned)
-		sec.add(p.String(), map[string]float64{
+		sec.Add(p.String(), map[string]float64{
 			"goodputPkt":   float64(res.TotalGoodput()),
 			"retx":         float64(retx),
 			"retxOverhead": res.RetransmissionOverhead(),
@@ -500,7 +444,7 @@ func reliableTransport(durationSec float64, seed int64, sec *Section) error {
 
 // simTable runs one protocol table with every row fanned across the
 // worker pool, then prints rows in protocol order.
-func simTable(title string, sc *scenario.Scenario, protocols []netsim.Protocol, durationSec float64, seed int64, paperNote string, sec *Section) error {
+func simTable(title string, sc *scenario.Scenario, protocols []netsim.Protocol, durationSec float64, seed int64, paperNote string, sec *benchreport.Section) error {
 	fmt.Printf("== %s (%g simulated seconds, seed %d) ==\n", title, durationSec, seed)
 	var subs []flow.SubflowID
 	for _, f := range sc.Flows.Flows() {
@@ -533,7 +477,7 @@ func simTable(title string, sc *scenario.Scenario, protocols []netsim.Protocol, 
 		jain := stats.JainIndex(norm)
 		fmt.Printf("%10d%8d%8.4f%7.3f\n",
 			r.Stats.TotalEndToEnd(), r.Stats.Lost(), r.Stats.LossRatio(), jain)
-		sec.add(p.String(), map[string]float64{
+		sec.Add(p.String(), map[string]float64{
 			"totalE2EPkt": float64(r.Stats.TotalEndToEnd()),
 			"pktPerS":     float64(r.Stats.TotalEndToEnd()) / durationSec,
 			"lost":        float64(r.Stats.Lost()),
@@ -545,7 +489,7 @@ func simTable(title string, sc *scenario.Scenario, protocols []netsim.Protocol, 
 	return nil
 }
 
-func tableII(durationSec float64, seed int64, sec *Section) error {
+func tableII(durationSec float64, seed int64, sec *benchreport.Section) error {
 	sc, err := scenario.Figure1()
 	if err != nil {
 		return err
@@ -557,7 +501,7 @@ func tableII(durationSec float64, seed int64, sec *Section) error {
 			"expected shape: 2PA highest total, near-zero loss, subflows ≈ ½:½:¼:¼", sec)
 }
 
-func tableIII(durationSec float64, seed int64, sec *Section) error {
+func tableIII(durationSec float64, seed int64, sec *benchreport.Section) error {
 	sc, err := scenario.Figure6()
 	if err != nil {
 		return err
@@ -603,200 +547,10 @@ func nsPerOp(f func() error) (float64, error) {
 	}
 }
 
-// lpSection measures the LP-solver fast path added by the flat-tableau
-// reusable Solver: cold solves against the retained reference, the
-// warm-started steady-state re-solve loop (which must not allocate),
-// one refined group solve on the dense arrival shape, and the
-// distributed first phase on sequential vs machine-sized worker pools.
-// Emitted to BENCH_lp.json by `make bench-lp`.
-func lpSection(_ float64, _ int64, sec *Section) error {
-	fmt.Println("== LP solver fast path ==")
-	// The Fig. 6 centralized LP: 5 flows, 5 clique rows, 5 floors.
-	buildFig6 := func() (*lp.Problem, error) {
-		p := lp.NewProblem(5)
-		if err := p.SetObjective([]float64{1, 1, 1, 1, 1}); err != nil {
-			return nil, err
-		}
-		rows := [][]float64{
-			{3, 0, 0, 0, 0}, {2, 1, 0, 0, 0}, {0, 1, 1, 0, 0}, {0, 0, 1, 1, 0}, {0, 0, 0, 2, 1},
-		}
-		for _, r := range rows {
-			if err := p.AddLE(r, 1); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < 5; i++ {
-			if err := p.LowerBound(i, 0.125); err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
-	}
-
-	p, err := buildFig6()
-	if err != nil {
-		return err
-	}
-
-	s := lp.NewSolver()
-	var sol lp.Solution
-	coldNs, err := nsPerOp(func() error { return s.SolveInto(p, &sol) })
-	if err != nil {
-		return err
-	}
-	var allocErr error
-	coldAllocs := testing.AllocsPerRun(200, func() {
-		if err := s.SolveInto(p, &sol); err != nil {
-			allocErr = err
-		}
-	})
-	if allocErr != nil {
-		return allocErr
-	}
-	sec.add("solveCold", map[string]float64{"nsPerOp": coldNs, "allocsPerOp": coldAllocs})
-	fmt.Printf("cold solve (reusable Solver):    %10.0f ns/op  %6.1f allocs/op\n", coldNs, coldAllocs)
-
-	refNs, err := nsPerOp(func() error { _, err := lp.Solve(p); return err })
-	if err != nil {
-		return err
-	}
-	refAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := lp.Solve(p); err != nil {
-			allocErr = err
-		}
-	})
-	if allocErr != nil {
-		return allocErr
-	}
-	sec.add("solveReference", map[string]float64{"nsPerOp": refNs, "allocsPerOp": refAllocs})
-	fmt.Printf("cold solve (seed reference):     %10.0f ns/op  %6.1f allocs/op\n", refNs, refAllocs)
-
-	if err := s.SolveInto(p, &sol); err != nil {
-		return err
-	}
-	basis := s.Basis()
-	tick := 0
-	warm := func() error {
-		tick++
-		rhs := 1.0
-		if tick%2 == 0 {
-			rhs = 0.95
-		}
-		if err := p.SetRHS(1, rhs); err != nil {
-			return err
-		}
-		if err := s.SolveFromInto(p, basis, &sol); err != nil {
-			return err
-		}
-		basis = s.AppendBasis(basis[:0])
-		return nil
-	}
-	warmNs, err := nsPerOp(warm)
-	if err != nil {
-		return err
-	}
-	warmAllocs := testing.AllocsPerRun(200, func() {
-		if err := warm(); err != nil {
-			allocErr = err
-		}
-	})
-	if allocErr != nil {
-		return allocErr
-	}
-	sec.add("warmResolve", map[string]float64{"nsPerOp": warmNs, "allocsPerOp": warmAllocs})
-	fmt.Printf("warm-started re-solve:           %10.0f ns/op  %6.1f allocs/op\n", warmNs, warmAllocs)
-
-	// The same measurement as core's BenchmarkRefineDenseArrivals: the
-	// share cache is reset before every solve, so each one misses as a
-	// fresh arrival does.
-	dense, err := denseArrivalInstances(8)
-	if err != nil {
-		return err
-	}
-	refineAlloc := core.NewAllocatorWorkers(1)
-	refineOpts := core.CentralizedOptions{Refine: true}
-	var calls, solved, lpSolves int
-	refineNs, err := nsPerOp(func() error {
-		refineAlloc.ResetCache()
-		_, d, err := refineAlloc.CentralizedDelta(dense[calls%len(dense)], refineOpts)
-		calls++
-		solved += d.Solved
-		lpSolves += d.LPSolves
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	perRefine := float64(lpSolves) / float64(solved)
-	flows := dense[0].Flows.Len()
-	sec.add("refineDenseGroup", map[string]float64{"nsPerOp": refineNs, "lpSolvesPerRefine": perRefine, "flows": float64(flows)})
-	fmt.Printf("refine (dense group):            %10.0f ns/op  (%.1f LP solves per refine, %d flows)\n", refineNs, perRefine, flows)
-
-	sc, err := scenario.Figure6()
-	if err != nil {
-		return err
-	}
-	seqAlloc := core.NewAllocatorWorkers(1)
-	seqNs, err := nsPerOp(func() error { _, err := seqAlloc.Distributed(sc.Inst); return err })
-	if err != nil {
-		return err
-	}
-	sec.add("distributedSequential", map[string]float64{"nsPerOp": seqNs})
-	fmt.Printf("DistributedAllocate sequential:  %10.0f ns/op\n", seqNs)
-
-	parAlloc := core.NewAllocator()
-	parNs, err := nsPerOp(func() error { _, err := parAlloc.Distributed(sc.Inst); return err })
-	if err != nil {
-		return err
-	}
-	sec.add("distributedParallel", map[string]float64{"nsPerOp": parNs})
-	fmt.Printf("DistributedAllocate parallel:    %10.0f ns/op  (%d workers)\n", parNs, runtime.GOMAXPROCS(0))
-	return nil
-}
-
-// denseArrivalInstances is the dense arrival shape of the serving
-// benchmark: one connected 100-node scenario.Random component
-// (topology seed 14) with 40 shortest-path background flows, plus one
-// session on a fresh 3–4-hop path per instance. Each instance is one
-// 41-flow contending group.
-func denseArrivalInstances(n int) ([]*core.Instance, error) {
-	sc, err := scenario.Random(scenario.RandomConfig{
-		Nodes: 100, Flows: 40, Width: 1300, Height: 1300, MaxHops: 6,
-	}, rand.New(rand.NewSource(14)))
-	if err != nil {
-		return nil, err
-	}
-	tbl := routing.BuildTable(sc.Topo)
-	rng := rand.New(rand.NewSource(5))
-	var out []*core.Instance
-	for len(out) < n {
-		src := topology.NodeID(rng.Intn(sc.Topo.NumNodes()))
-		dst := topology.NodeID(rng.Intn(sc.Topo.NumNodes()))
-		path, err := tbl.Route(src, dst)
-		if err != nil || len(path) < 4 || len(path) > 5 {
-			continue
-		}
-		sess, err := flow.New(flow.ID(fmt.Sprintf("session%d", len(out))), 1, path)
-		if err != nil {
-			return nil, err
-		}
-		set, err := flow.NewSet(append(append([]*flow.Flow{}, sc.Flows.Flows()...), sess)...)
-		if err != nil {
-			return nil, err
-		}
-		inst, err := core.NewInstance(sc.Topo, set)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, inst)
-	}
-	return out, nil
-}
-
 // allocClusteredWorkload builds the sharded engine's benchmark shape:
 // `clusters` spatially separated contention components (2 km apart,
 // far beyond the 250 m range), each carrying four coupled flows with
-// rng-drawn weights. Shared by the alloc and serve sections.
+// rng-drawn weights. The serve section runs on it.
 func allocClusteredWorkload(clusters int, seed int64) (*topology.Topology, []*flow.Flow, error) {
 	rng := rand.New(rand.NewSource(seed))
 	b := topology.NewBuilder(topology.DefaultRange, 0)
@@ -850,125 +604,12 @@ func allocClusteredWorkload(clusters int, seed int64) (*topology.Topology, []*fl
 	return topo, all, nil
 }
 
-// allocClusteredInstances derives the alloc section's instance pair
-// from the clustered workload: the full flow set, plus the post-churn
-// variant missing cluster 0's cross flow.
-func allocClusteredInstances(clusters int, seed int64) (*core.Instance, *core.Instance, error) {
-	topo, all, err := allocClusteredWorkload(clusters, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	build := func(flows []*flow.Flow) (*core.Instance, error) {
-		set, err := flow.NewSet(flows...)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewInstance(topo, set)
-	}
-	instA, err := build(all)
-	if err != nil {
-		return nil, nil, err
-	}
-	kept := make([]*flow.Flow, 0, len(all)-1)
-	for _, f := range all {
-		if f.ID() != "c0F-top" {
-			kept = append(kept, f)
-		}
-	}
-	instB, err := build(kept)
-	if err != nil {
-		return nil, nil, err
-	}
-	return instA, instB, nil
-}
-
-// allocSection measures the sharded allocation engine on a 32-component
-// instance: the sequential oracle walk, the 8-worker sharded fan-out
-// (identical bits; on a single-core box it degenerates to the oracle
-// plus striping overhead), and the churn-delta path — one flow leaves,
-// only its component re-solves, everything else copies cached shares.
-// Emitted to BENCH_alloc.json by `make bench-alloc`.
-func allocSection(_ float64, seed int64, sec *Section) error {
-	fmt.Println("== Sharded allocation engine ==")
-	const clusters = 32
-	instA, instB, err := allocClusteredInstances(clusters, seed)
-	if err != nil {
-		return err
-	}
-	opts := core.CentralizedOptions{Refine: true}
-
-	seqAlloc := core.NewAllocatorWorkers(1)
-	seqNs, err := nsPerOp(func() error {
-		seqAlloc.ResetCache()
-		_, err := seqAlloc.Centralized(instA, opts)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	sec.add("centralizedSequential", map[string]float64{"nsPerOp": seqNs, "groups": clusters})
-	fmt.Printf("centralized sequential walk:     %10.0f ns/op  (%d groups)\n", seqNs, clusters)
-
-	const shardWorkers = 8
-	parAlloc := core.NewAllocatorWorkers(shardWorkers)
-	parNs, err := nsPerOp(func() error {
-		parAlloc.ResetCache()
-		_, err := parAlloc.Centralized(instA, opts)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	sec.add("centralizedSharded", map[string]float64{"nsPerOp": parNs, "workers": shardWorkers})
-	fmt.Printf("centralized sharded fan-out:     %10.0f ns/op  (%d workers on %d CPUs)\n",
-		parNs, shardWorkers, runtime.GOMAXPROCS(0))
-
-	// Churn delta: re-warm on the pre-churn instance off the clock so
-	// every timed solve is exactly one churn event on a warm allocator.
-	churnAlloc := core.NewAllocatorWorkers(1)
-	const churnIters = 200
-	var churnNs float64
-	var solved, reused, groups int
-	for i := 0; i < churnIters; i++ {
-		churnAlloc.ResetCache()
-		if _, err := churnAlloc.Centralized(instA, opts); err != nil {
-			return err
-		}
-		start := time.Now()
-		_, delta, err := churnAlloc.CentralizedDelta(instB, opts)
-		if err != nil {
-			return err
-		}
-		churnNs += float64(time.Since(start).Nanoseconds())
-		solved += delta.Solved
-		reused += delta.Reused
-		groups += delta.Groups
-	}
-	churnNs /= churnIters
-	solvesPerEvent := float64(solved) / churnIters
-	groupsPerEvent := float64(groups) / churnIters
-	reduction := math.Inf(1)
-	if solvesPerEvent > 0 {
-		reduction = groupsPerEvent / solvesPerEvent
-	}
-	sec.add("churnDelta", map[string]float64{
-		"nsPerOp":        churnNs,
-		"solvesPerEvent": solvesPerEvent,
-		"reusedPerEvent": float64(reused) / churnIters,
-		"groupsPerEvent": groupsPerEvent,
-		"solveReduction": reduction,
-	})
-	fmt.Printf("churn-delta re-solve:            %10.0f ns/op  (%.1f of %.0f group LPs solved, %.0fx fewer)\n",
-		churnNs, solvesPerEvent, groupsPerEvent, reduction)
-	return nil
-}
-
 // macSection measures the MAC/PHY packet-datapath fast path: the
 // wall-clock simulation rate of full protocol stacks on the paper's
 // scenarios, channel accounting, and the steady-state heap allocations
 // per delivered packet — which the bitset/free-list datapath keeps at
 // zero. Emitted to BENCH_mac.json by `make bench-mac`.
-func macSection(_ float64, seed int64, sec *Section) error {
+func macSection(_ float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== MAC/PHY datapath fast path ==")
 	timedRun := func(sc *scenario.Scenario, p netsim.Protocol, dur sim.Time) (*netsim.Result, float64, error) {
 		start := time.Now()
@@ -1000,7 +641,7 @@ func macSection(_ float64, seed int64, sec *Section) error {
 		rate := rateDur.Seconds() / wall
 		fmt.Printf("%-12s %8.0f simSec/s  util=%.3f collisionOverhead=%.3f\n",
 			c.name, rate, r.Airtime.Utilization(), r.Airtime.CollisionOverhead())
-		sec.add(c.name, map[string]float64{
+		sec.Add(c.name, map[string]float64{
 			"simSecPerS":        rate,
 			"utilization":       r.Airtime.Utilization(),
 			"collisionOverhead": r.Airtime.CollisionOverhead(),
@@ -1035,7 +676,7 @@ func macSection(_ float64, seed int64, sec *Section) error {
 	}
 	perPkt := (mLong - mShort) / (pLong - pShort)
 	fmt.Printf("steady-state allocations:        %10.3f allocs/delivered pkt (fig6 2PA-C)\n", perPkt)
-	sec.add("allocs", map[string]float64{"perDeliveredPkt": perPkt})
+	sec.Add("allocs", map[string]float64{"perDeliveredPkt": perPkt})
 	return nil
 }
 
@@ -1047,7 +688,7 @@ func macSection(_ float64, seed int64, sec *Section) error {
 // the worker pools serialize, so the sharded rows then measure the
 // partitioning overhead plus the smaller-heap win rather than parallel
 // speedup. Emitted to BENCH_sim.json by `make bench-sim`.
-func simSection(_ float64, seed int64, sec *Section) error {
+func simSection(_ float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Component-sharded packet simulation (8 disjoint Fig. 6 tiles) ==")
 	base, err := scenario.Figure6()
 	if err != nil {
@@ -1112,7 +753,7 @@ func simSection(_ float64, seed int64, sec *Section) error {
 		perPkt := (mLong - mShort) / (pLong - pShort)
 		fmt.Printf("%-14s %8.1f simSec/s   %8.3f allocs/delivered pkt   (%d pkt/run)\n",
 			label, rate, perPkt, delivered)
-		sec.add(label, map[string]float64{
+		sec.Add(label, map[string]float64{
 			"workers":            float64(workers),
 			"simSecPerS":         rate,
 			"allocsPerDelivered": perPkt,
@@ -1122,173 +763,12 @@ func simSection(_ float64, seed int64, sec *Section) error {
 	return nil
 }
 
-// topoSection measures the topology-layer fast path: grid-backed
-// neighbor builds against the seed's all-pairs scan, incidence-based
-// contention builds against the pairwise predicate sweep, and the
-// incremental mobility epoch pipeline against the full per-epoch
-// rebuild. Emitted to BENCH_topo.json by `make bench-topo`.
-func topoSection(_ float64, seed int64, sec *Section) error {
-	fmt.Println("== Topology-layer fast path ==")
-	rng := rand.New(rand.NewSource(seed))
-
-	// Topology build: random placements at constant density (~10
-	// neighbors per node at the default 250 m range).
-	for _, n := range []int{1000, 4000} {
-		side := math.Sqrt(float64(n) * 19635)
-		names := make([]string, n)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			names[i] = fmt.Sprintf("n%d", i)
-			pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-		}
-		gridNs, err := nsPerOp(func() error {
-			b := topology.NewBuilder(topology.DefaultRange, 0)
-			for i := range pts {
-				b.Add(names[i], pts[i].X, pts[i].Y)
-			}
-			_, err := b.Build()
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		// The seed's neighbor discovery, reproduced verbatim in shape:
-		// for every node, a scan over every other node, then a per-row
-		// sort — exactly what Builder.Build did before the grid index.
-		naiveNs, err := nsPerOp(func() error {
-			nbr := make([][]topology.NodeID, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if j != i && pts[i].InRange(pts[j], topology.DefaultRange) {
-						nbr[i] = append(nbr[i], topology.NodeID(j))
-					}
-				}
-				row := nbr[i]
-				sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("topology build n=%-5d  grid %8.0f ns/node   all-pairs scan %8.0f ns/node   speedup %5.1fx\n",
-			n, gridNs/float64(n), naiveNs/float64(n), naiveNs/gridNs)
-		sec.add(fmt.Sprintf("build-n%d", n), map[string]float64{
-			"gridNsPerNode":  gridNs / float64(n),
-			"naiveNsPerNode": naiveNs / float64(n),
-			"speedup":        naiveNs / gridNs,
-		})
-	}
-
-	// Contention build on a 1000-node connected scenario with 60 routed
-	// flows, the shape the allocation pipeline sees at scale.
-	topo, err := topology.Random(topology.RandomConfig{
-		Nodes: 1000, Width: 4400, Height: 4400, Connect: true,
-	}, rng)
-	if err != nil {
-		return err
-	}
-	var subs []flow.Subflow
-	for added := 0; added < 60; {
-		src := topology.NodeID(rng.Intn(topo.NumNodes()))
-		dst := topology.NodeID(rng.Intn(topo.NumNodes()))
-		if src == dst {
-			continue
-		}
-		path, err := routing.ShortestPath(topo, src, dst)
-		if err != nil {
-			continue
-		}
-		f, err := flow.New(flow.ID(fmt.Sprintf("F%d", added)), 1, path)
-		if err != nil {
-			continue
-		}
-		subs = append(subs, f.Subflows()...)
-		added++
-	}
-	edges := contention.NewGraph(topo, subs).NumEdges()
-	incNs, err := nsPerOp(func() error {
-		contention.NewGraph(topo, subs)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	pairNs, err := nsPerOp(func() error {
-		count := 0
-		for i := range subs {
-			for j := i + 1; j < len(subs); j++ {
-				if contention.Contend(topo, subs[i], subs[j]) {
-					count++
-				}
-			}
-		}
-		if count != edges {
-			return fmt.Errorf("pairwise sweep found %d edges, graph has %d", count, edges)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("contention build (%d subflows, %d edges): incidence %8.1f Medges/s   pairwise %8.1f Medges/s   speedup %5.1fx\n",
-		len(subs), edges, float64(edges)/incNs*1e3, float64(edges)/pairNs*1e3, pairNs/incNs)
-	sec.add("contention-1k", map[string]float64{
-		"subflows":           float64(len(subs)),
-		"edges":              float64(edges),
-		"incidenceEdgesPerS": float64(edges) / incNs * 1e9,
-		"pairwiseEdgesPerS":  float64(edges) / pairNs * 1e9,
-		"speedup":            pairNs / incNs,
-	})
-
-	// Mobility epochs: slow nodes, so most epoch boundaries leave the
-	// adjacency unchanged — the regime the incremental pipeline targets.
-	mobFlows := make([]mobility.FlowSpec, 10)
-	for i := range mobFlows {
-		mobFlows[i] = mobility.FlowSpec{
-			ID:  flow.ID(fmt.Sprintf("F%d", i+1)),
-			Src: i * 8, Dst: 75 + i*7,
-		}
-	}
-	mobCfg := mobility.Config{
-		Nodes: 150,
-		Waypoint: mobility.WaypointConfig{
-			Width: 1800, Height: 1800, MinSpeed: 0.01, MaxSpeed: 0.1,
-		},
-		Flows:    mobFlows,
-		Protocol: netsim.Protocol2PAC,
-		Epoch:    2 * sim.Second,
-		Duration: 60 * sim.Second,
-		Seed:     seed,
-		Net:      netsim.Config{PacketsPerS: 1},
-	}
-	epochs := float64(mobCfg.Duration / mobCfg.Epoch)
-	incEpochNs, err := nsPerOp(func() error { _, err := mobility.Run(mobCfg); return err })
-	if err != nil {
-		return err
-	}
-	rebCfg := mobCfg
-	rebCfg.Rebuild = true
-	rebEpochNs, err := nsPerOp(func() error { _, err := mobility.Run(rebCfg); return err })
-	if err != nil {
-		return err
-	}
-	fmt.Printf("mobility epoch (150 nodes, 10 flows): incremental %6.3f ms/epoch   rebuild %6.3f ms/epoch   speedup %5.1fx\n",
-		incEpochNs/epochs/1e6, rebEpochNs/epochs/1e6, rebEpochNs/incEpochNs)
-	sec.add("mobility-epoch", map[string]float64{
-		"incrementalMsPerEpoch": incEpochNs / epochs / 1e6,
-		"rebuildMsPerEpoch":     rebEpochNs / epochs / 1e6,
-		"speedup":               rebEpochNs / incEpochNs,
-	})
-	return nil
-}
-
 // resilienceSection exercises the fault-injection layer end to end: a
 // lossy-channel sweep over the Fig. 6 scenario under 2PA-C, then a
 // mid-run link cut on a diamond detour topology showing RERR-style
 // repair, salvage and share reallocation, all with the invariant
 // watchdog on.
-func resilienceSection(durationSec float64, seed int64, sec *Section) error {
+func resilienceSection(durationSec float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Resilience: lossy channels & link-cut recovery ==")
 	dur := sim.Time(durationSec * float64(sim.Second))
 
@@ -1310,7 +790,7 @@ func resilienceSection(durationSec float64, seed int64, sec *Section) error {
 		rep := r.Resilience
 		fmt.Printf("fig6 2PA-C loss=%-4.2f  delivered %6d  corrupt %6d  retryDrop %5d  queueDrop %5d  violations %d\n",
 			rate, rep.Delivered, rep.CorruptFrames, rep.RetryDrops, rep.QueueDrops, len(rep.Violations))
-		sec.add(fmt.Sprintf("fig6-loss-%g", rate), map[string]float64{
+		sec.Add(fmt.Sprintf("fig6-loss-%g", rate), map[string]float64{
 			"lossRate":       rate,
 			"delivered":      float64(rep.Delivered),
 			"corruptFrames":  float64(rep.CorruptFrames),
@@ -1361,7 +841,7 @@ func resilienceSection(durationSec float64, seed int64, sec *Section) error {
 		(dur / 2).Seconds(), rep.Delivered, rep.Injected, rep.Reroutes,
 		rep.Salvaged, rep.Reallocations, rep.DegradedAllocs,
 		rep.MeanTimeToRepair().Seconds()*1e6, len(rep.Violations))
-	sec.add("diamond-linkcut", map[string]float64{
+	sec.Add("diamond-linkcut", map[string]float64{
 		"delivered":      float64(rep.Delivered),
 		"injected":       float64(rep.Injected),
 		"reroutes":       float64(rep.Reroutes),
@@ -1384,7 +864,7 @@ func resilienceSection(durationSec float64, seed int64, sec *Section) error {
 // baseline (the screened epochs skip the event loop entirely; the
 // drift-control cadence still forces real simulations). Emitted to
 // BENCH_twin.json by `make bench-twin`.
-func twinSection(durationSec float64, seed int64, sec *Section) error {
+func twinSection(durationSec float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Analytical twin: closed-form predictions vs packet simulation ==")
 	sc, err := scenario.Figure6()
 	if err != nil {
@@ -1412,7 +892,7 @@ func twinSection(durationSec float64, seed int64, sec *Section) error {
 			confident = 1
 		}
 		fmt.Printf("%-9s%12.0f%12.0f%10.3f%12.2f\n", p, est.TotalPkt, simPkt, relErr, est.Confidence)
-		sec.add("crosscheck-fig6-"+p.String(), map[string]float64{
+		sec.Add("crosscheck-fig6-"+p.String(), map[string]float64{
 			"twinTotalPkt":  est.TotalPkt,
 			"simTotalPkt":   simPkt,
 			"relErr":        relErr,
@@ -1438,7 +918,7 @@ func twinSection(durationSec float64, seed int64, sec *Section) error {
 		return err
 	}
 	fmt.Printf("one estimate (fig6 2PA-C):       %10.0f ns/op\n", estNs)
-	sec.add("estimateCost", map[string]float64{"nsPerOp": estNs})
+	sec.Add("estimateCost", map[string]float64{"nsPerOp": estNs})
 
 	// Screened vs unscreened near-static mobility sweep: six crawling
 	// nodes, two short flows, spare channel capacity — the regime the
@@ -1493,7 +973,7 @@ func twinSection(durationSec float64, seed int64, sec *Section) error {
 	plainRate := epochs / plainWall
 	fmt.Printf("sweep unscreened:                %10.0f epochs/s  (%d epochs, all simulated)\n",
 		plainRate, len(plainRes.Epochs))
-	sec.add("sweep-unscreened", map[string]float64{
+	sec.Add("sweep-unscreened", map[string]float64{
 		"epochs": epochs, "epochsPerS": plainRate, "delivered": float64(plainRes.TotalDelivered),
 	})
 
@@ -1509,7 +989,7 @@ func twinSection(durationSec float64, seed int64, sec *Section) error {
 		speedup := scrRate / plainRate
 		fmt.Printf("sweep screened (%-15s  %10.0f epochs/s  (%d screened / %d simulated)  speedup %5.1fx\n",
 			tc.label+"):", scrRate, scrRes.EpochsScreened, scrRes.EpochsSimulated, speedup)
-		sec.add("sweep-screened-"+tc.label, map[string]float64{
+		sec.Add("sweep-screened-"+tc.label, map[string]float64{
 			"epochs":            epochs,
 			"epochsPerS":        scrRate,
 			"epochsScreened":    float64(scrRes.EpochsScreened),

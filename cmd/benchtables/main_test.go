@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"e2efair/internal/benchreport"
 )
 
 // capture redirects stdout during fn and returns what was printed.
@@ -64,8 +66,11 @@ func TestSimulationSectionsShort(t *testing.T) {
 }
 
 func TestUnknownSection(t *testing.T) {
-	if err := run(1, 1, "nope", ""); err == nil {
-		t.Error("unknown section should fail")
+	// lp, alloc and topo are Go benchmarks now (make bench-lp etc.).
+	for _, section := range []string{"nope", "lp", "alloc", "topo"} {
+		if err := run(1, 1, section, ""); err == nil {
+			t.Errorf("unknown section %q should fail", section)
+		}
 	}
 }
 
@@ -78,7 +83,7 @@ func TestJSONReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep Report
+	var rep benchreport.Report
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
@@ -111,14 +116,14 @@ func TestJSONReport(t *testing.T) {
 // identical metric values: the parallel fan-out must not leak
 // scheduling nondeterminism into results.
 func TestJSONDeterministicMetrics(t *testing.T) {
-	read := func() *Report {
+	read := func() *benchreport.Report {
 		path := filepath.Join(t.TempDir(), "bench.json")
 		capture(t, func() error { return run(2, 7, "tableII", path) })
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep Report
+		var rep benchreport.Report
 		if err := json.Unmarshal(raw, &rep); err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"e2efair/internal/benchreport"
 	"e2efair/internal/core"
 	"e2efair/internal/durable"
 	"e2efair/internal/flow"
@@ -23,7 +24,7 @@ import (
 // end in byte-identical shares — checked here on every run, and pinned
 // independently by the serve package's seeded property test. Emitted
 // to BENCH_serve.json by `make bench-serve`.
-func serveSection(_ float64, seed int64, sec *Section) error {
+func serveSection(_ float64, seed int64, sec *benchreport.Section) error {
 	fmt.Println("== Batched serving core ==")
 	const clusters = 32
 	const maxBatch = 64
@@ -78,7 +79,7 @@ func serveSection(_ float64, seed int64, sec *Section) error {
 	}
 	baseSecs := time.Since(baseStart).Seconds()
 	baseRate := float64(baseEvents) / baseSecs
-	sec.add("churnPerEvent", map[string]float64{
+	sec.Add("churnPerEvent", map[string]float64{
 		"eventsPerSec": baseRate, "events": float64(baseEvents),
 	})
 	fmt.Printf("per-event CentralizedDelta:      %10.0f events/s  (%d events, %.2fs)\n",
@@ -129,7 +130,7 @@ func serveSection(_ float64, seed int64, sec *Section) error {
 	rebuilds := st1.Rebuilds - st0.Rebuilds
 	eventsPerRebuild := float64(batchEvents) / float64(rebuilds)
 	speedup := batchRate / baseRate
-	sec.add("churnBatched", map[string]float64{
+	sec.Add("churnBatched", map[string]float64{
 		"eventsPerSec":     batchRate,
 		"speedup":          speedup,
 		"eventsPerRebuild": eventsPerRebuild,
@@ -165,7 +166,7 @@ func serveSection(_ float64, seed int64, sec *Section) error {
 	readAllocs := testing.AllocsPerRun(1000, func() {
 		eng.GetShare(readID)
 	})
-	sec.add("snapshotRead", map[string]float64{"nsPerOp": readNs, "allocsPerOp": readAllocs})
+	sec.Add("snapshotRead", map[string]float64{"nsPerOp": readNs, "allocsPerOp": readAllocs})
 	fmt.Printf("snapshot read (GetShare):        %10.1f ns/op  %6.1f allocs/op\n", readNs, readAllocs)
 
 	// Awaited register latency: each Register returns only once its
@@ -188,7 +189,7 @@ func serveSection(_ float64, seed int64, sec *Section) error {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	p50 := float64(lat[len(lat)/2]) / float64(time.Microsecond)
 	p99 := float64(lat[(len(lat)*99+99)/100-1]) / float64(time.Microsecond)
-	sec.add("registerLatency", map[string]float64{"p50Us": p50, "p99Us": p99})
+	sec.Add("registerLatency", map[string]float64{"p50Us": p50, "p99Us": p99})
 	fmt.Printf("awaited register latency:        p50 %.0fµs  p99 %.0fµs\n", p50, p99)
 
 	// Crash recovery: boot time vs WAL length. A synthetic WAL of N
@@ -201,7 +202,7 @@ func serveSection(_ float64, seed int64, sec *Section) error {
 			return err
 		}
 		rate := float64(events) / secs
-		sec.add(fmt.Sprintf("recoveryReplay%dk", n/1000), map[string]float64{
+		sec.Add(fmt.Sprintf("recoveryReplay%dk", n/1000), map[string]float64{
 			"events":       float64(events),
 			"seconds":      secs,
 			"eventsPerSec": rate,

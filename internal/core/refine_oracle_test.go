@@ -3,9 +3,8 @@ package core
 // The probe-only max-min refinement is kept here as the reference the
 // production refinement is checked against. It freezes a flow only
 // after a probe LP shows the flow cannot exceed the round's threshold,
-// warm-chains consecutive probes from the previous probe's basis
-// (SolveFromInto), and rebuilds the shared probe program after every
-// freeze.
+// solves every probe cold (SolveInto), and rebuilds the shared probe
+// program after every freeze.
 
 // CentralizedOracle is CentralizedAllocate with Refine on, run with
 // the probe-only refinement.
@@ -34,7 +33,6 @@ func (s *session) refineMaxMinOracle(rows [][]float64, basic, weights []float64,
 	n := len(basic)
 	frozen := make([]bool, n)
 	value := make([]float64, n)
-	var basis []int
 	first := true
 	for remaining := n; remaining > 0; {
 		if !first {
@@ -72,16 +70,9 @@ func (s *session) refineMaxMinOracle(rows [][]float64, basic, weights []float64,
 			if err := s.prob.SetObjectiveCoeff(s.col[i], 1); err != nil {
 				return nil, err
 			}
-			var solveErr error
-			if prev >= 0 {
-				solveErr = s.solver.SolveFromInto(&s.prob, basis, &s.sol)
-			} else {
-				solveErr = s.solver.SolveInto(&s.prob, &s.sol)
+			if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
+				return nil, err
 			}
-			if solveErr != nil {
-				return nil, solveErr
-			}
-			basis = s.solver.AppendBasis(basis[:0])
 			prev = i
 			if s.sol.X[s.col[i]]+s.shift[i] <= weights[i]*t+freezeTol {
 				frozen[i] = true

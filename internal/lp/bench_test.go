@@ -84,43 +84,3 @@ func BenchmarkLPSolveReference(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLPWarmResolve is the churn steady state: mutate one RHS,
-// re-solve from the previous optimal basis. Must run at 0 allocs/op.
-func BenchmarkLPWarmResolve(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		prob func(testing.TB) *Problem
-		row  int
-		lo   float64
-		hi   float64
-	}{
-		{"fig6", func(t testing.TB) *Problem { return fig6Problem(t) }, 1, 1, 0.95},
-		{"dense25x40", func(t testing.TB) *Problem { return benchProblem(b) }, 0, 2, 1.9},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			p := bc.prob(b)
-			s := NewSolver()
-			var sol Solution
-			if err := s.SolveInto(p, &sol); err != nil {
-				b.Fatal(err)
-			}
-			basis := s.Basis()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rhs := bc.lo
-				if i%2 == 0 {
-					rhs = bc.hi
-				}
-				if err := p.SetRHS(bc.row, rhs); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.SolveFromInto(p, basis, &sol); err != nil {
-					b.Fatal(err)
-				}
-				basis = s.AppendBasis(basis[:0])
-			}
-		})
-	}
-}

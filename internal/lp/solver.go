@@ -5,11 +5,10 @@ import (
 	"math"
 )
 
-// Solver is a reusable two-phase primal simplex engine. Unlike the
-// package-level Solve — retained as the slow reference implementation —
-// a Solver keeps every piece of working state (one flat, contiguous,
-// row-major tableau plus basis, cost and reduced-cost rows) across
-// solves, so the steady-state re-solve loop allocates nothing.
+// Solver is a reusable two-phase primal simplex engine. It keeps every
+// piece of working state (one flat, contiguous, row-major tableau plus
+// basis, cost and reduced-cost rows) across solves, so the
+// steady-state re-solve loop allocates nothing.
 //
 // Pricing is Dantzig's rule (most negative reduced cost), which on the
 // clique-capacity programs of phase 1 reaches the optimum in far fewer
@@ -37,11 +36,9 @@ type Solver struct {
 	nSlack int
 	nArt   int
 
-	basis   []int
-	z       []float64 // reduced-cost row, len stride
-	cost    []float64 // dense cost vector, len width
-	colSeen []bool    // warm-start validation scratch
-	rowUsed []bool
+	basis []int
+	z     []float64 // reduced-cost row, len stride
+	cost  []float64 // dense cost vector, len width
 
 	// dualCol[i] is the column whose final reduced cost prices
 	// constraint i — its slack, surplus or artificial — and
@@ -92,28 +89,19 @@ func (s *Solver) Solve(p *Problem) (*Solution, error) {
 // SolveInto is Solve writing the result into sol, reusing sol.X when
 // its capacity suffices.
 func (s *Solver) SolveInto(p *Problem, sol *Solution) error {
-	return s.solve(p, nil, sol)
-}
-
-// SolveFrom warm-starts from prevBasis — typically the optimal basis
-// of a previous solve of the same problem with mutated RHS or
-// objective (see Problem.SetRHS and Problem.SetObjectiveCoeff). When
-// the basis is still primal feasible the solve skips phase 1 entirely
-// and re-optimizes from that vertex; an incompatible or infeasible
-// basis silently falls back to a cold two-phase solve, so SolveFrom is
-// always correct and never worse than Solve by more than the failed
-// warm attempt.
-func (s *Solver) SolveFrom(p *Problem, prevBasis []int) (*Solution, error) {
-	sol := &Solution{}
-	if err := s.SolveFromInto(p, prevBasis, sol); err != nil {
-		return nil, err
+	s.last = nil
+	s.solves++
+	s.load(p)
+	if err := s.phase1(); err != nil {
+		return err
 	}
-	return sol, nil
-}
-
-// SolveFromInto is SolveFrom writing the result into sol.
-func (s *Solver) SolveFromInto(p *Problem, prevBasis []int, sol *Solution) error {
-	return s.solve(p, prevBasis, sol)
+	obj, err := s.phase2(p)
+	if err != nil {
+		return err
+	}
+	s.extract(sol, obj)
+	s.last, s.lastVersion = p, p.version
+	return nil
 }
 
 // ReoptimizeInto re-solves p after an objective-only change
@@ -127,7 +115,7 @@ func (s *Solver) SolveFromInto(p *Problem, prevBasis []int, sol *Solution) error
 // optimum.
 func (s *Solver) ReoptimizeInto(p *Problem, sol *Solution) error {
 	if s.last != p || s.lastVersion != p.version {
-		return s.solve(p, nil, sol)
+		return s.SolveInto(p, sol)
 	}
 	s.last = nil
 	s.solves++
@@ -154,45 +142,13 @@ func (s *Solver) Dual(i int) float64 {
 }
 
 // Work reports the solver's cumulative effort since NewSolver: LP
-// solves of every kind (cold, warm-started, re-optimized) and tableau
-// pivots.
+// solves of every kind (cold and re-optimized) and tableau pivots.
 func (s *Solver) Work() (solves, pivots int) { return s.solves, s.pivots }
-
-// Basis returns a copy of the optimal basis of the last successful
-// solve, suitable for a later SolveFrom.
-func (s *Solver) Basis() []int { return s.AppendBasis(nil) }
-
-// AppendBasis appends the last optimal basis to dst and returns the
-// extended slice; AppendBasis(dst[:0]) records a basis without
-// allocating in the steady state.
-func (s *Solver) AppendBasis(dst []int) []int { return append(dst, s.basis[:s.m]...) }
-
-func (s *Solver) solve(p *Problem, prevBasis []int, sol *Solution) error {
-	s.last = nil
-	s.solves++
-	s.load(p)
-	warm := prevBasis != nil && s.warmStart(prevBasis)
-	if !warm {
-		if prevBasis != nil {
-			s.load(p) // the failed warm attempt left partial pivots behind
-		}
-		if err := s.phase1(); err != nil {
-			return err
-		}
-	}
-	obj, err := s.phase2(p)
-	if err != nil {
-		return err
-	}
-	s.extract(sol, obj)
-	s.last, s.lastVersion = p, p.version
-	return nil
-}
 
 func (s *Solver) row(i int) []float64 { return s.tab[i*s.stride : (i+1)*s.stride] }
 
-// load normalizes p into the flat tableau exactly as the reference
-// Solve does: every row an equality with RHS ≥ 0, LE rows gaining a
+// load normalizes p into the flat tableau exactly as the seed's
+// reference Solve (reference_test.go) does: every row an equality with RHS ≥ 0, LE rows gaining a
 // slack, GE rows a surplus and an artificial, EQ rows an artificial.
 func (s *Solver) load(p *Problem) {
 	m := len(p.constraints)
@@ -268,58 +224,6 @@ func normSense(c Constraint) Sense {
 		}
 	}
 	return c.Sense
-}
-
-// warmStart re-expresses the freshly loaded tableau in terms of
-// prevBasis and reports whether that basis is a valid primal-feasible
-// phase-2 start. On failure the tableau may be partially pivoted and
-// the caller must reload.
-func (s *Solver) warmStart(prevBasis []int) bool {
-	if len(prevBasis) != s.m {
-		return false
-	}
-	structural := s.n + s.nSlack
-	s.colSeen = growBool(s.colSeen, structural)
-	for j := range s.colSeen {
-		s.colSeen[j] = false
-	}
-	for _, b := range prevBasis {
-		if b < 0 || b >= structural || s.colSeen[b] {
-			return false
-		}
-		s.colSeen[b] = true
-	}
-	// Pivot each basis column into some still-unassigned row, taking
-	// the largest available pivot for numerical safety. Row identity
-	// doesn't matter — basis[] records which column is basic in which
-	// row.
-	s.rowUsed = growBool(s.rowUsed, s.m)
-	for i := range s.rowUsed {
-		s.rowUsed[i] = false
-	}
-	for _, col := range prevBasis {
-		best, bestAbs := -1, tol
-		for i := 0; i < s.m; i++ {
-			if s.rowUsed[i] {
-				continue
-			}
-			if a := math.Abs(s.tab[i*s.stride+col]); a > bestAbs {
-				best, bestAbs = i, a
-			}
-		}
-		if best < 0 {
-			return false // basis singular against this matrix
-		}
-		s.pivot(best, col)
-		s.basis[best] = col
-		s.rowUsed[best] = true
-	}
-	for i := 0; i < s.m; i++ {
-		if s.tab[i*s.stride+s.width] < -tol {
-			return false // RHS drifted outside the basis' feasibility
-		}
-	}
-	return true
 }
 
 func (s *Solver) phase1() error {
@@ -536,13 +440,6 @@ func growFloat(buf []float64, n int) []float64 {
 func growInt(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
 	}
 	return buf[:n]
 }

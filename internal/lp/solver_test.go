@@ -172,17 +172,17 @@ func TestWarmStartRHSMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basis := s.Basis()
-	// Tighten two clique capacities and warm-start; compare against a
-	// cold solve of the same mutated program.
+	// Tighten two clique capacities and re-solve on the same solver: the
+	// constraint change must make ReoptimizeInto fall back to a cold
+	// solve that matches a fresh solver's.
 	if err := p.SetRHS(1, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SetRHS(4, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s.SolveFrom(p, basis)
-	if err != nil {
+	var warm Solution
+	if err := s.ReoptimizeInto(p, &warm); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := NewSolver().Solve(p)
@@ -203,10 +203,10 @@ func TestWarmStartObjectiveMutation(t *testing.T) {
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)
 	}
-	var basis []int
+	var warm Solution
 	// Sweep single-variable objectives e_i over the same constraints —
-	// the refinement's per-variable probe pattern — warm-chaining the
-	// basis from probe to probe.
+	// the refinement's per-variable probe pattern — re-optimizing each
+	// probe from the previous probe's optimal tableau.
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
 			v := 0.0
@@ -217,9 +217,7 @@ func TestWarmStartObjectiveMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		basis = s.AppendBasis(basis[:0])
-		warm, err := s.SolveFrom(p, basis)
-		if err != nil {
+		if err := s.ReoptimizeInto(p, &warm); err != nil {
 			t.Fatal(err)
 		}
 		cold, err := Solve(p)
@@ -234,7 +232,7 @@ func TestWarmStartObjectiveMutation(t *testing.T) {
 
 // TestWarmStartCrossingZeroRHS flips a right-hand side across zero,
 // which changes the row's normalized sense and the tableau layout; the
-// warm attempt must degrade gracefully into a correct solve.
+// re-solve on the same solver must reload into a correct solve.
 func TestWarmStartCrossingZeroRHS(t *testing.T) {
 	s := NewSolver()
 	p := NewProblem(2)
@@ -250,12 +248,11 @@ func TestWarmStartCrossingZeroRHS(t *testing.T) {
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)
 	}
-	basis := s.Basis()
 	if err := p.SetRHS(1, -0.25); err != nil { // now −x ≤ −1/4, i.e. x ≥ 1/4
 		t.Fatal(err)
 	}
-	warm, err := s.SolveFrom(p, basis)
-	if err != nil {
+	var warm Solution
+	if err := s.ReoptimizeInto(p, &warm); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(warm.Objective-1) > 1e-9 {
@@ -263,25 +260,6 @@ func TestWarmStartCrossingZeroRHS(t *testing.T) {
 	}
 	if warm.X[0] < 0.25-1e-9 {
 		t.Errorf("x = %v violates x0 ≥ 1/4", warm.X)
-	}
-}
-
-func TestSolveFromBadBasis(t *testing.T) {
-	p := fig6Problem(t)
-	want := 53.0 / 24
-	for name, basis := range map[string][]int{
-		"short":        {0, 1},
-		"out-of-range": {0, 1, 2, 3, 4, 5, 6, 7, 8, 99},
-		"duplicate":    {0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
-		"artificial":   {0, 1, 2, 3, 4, 5, 6, 7, 8, -1},
-	} {
-		sol, err := NewSolver().SolveFrom(p, basis)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(sol.Objective-want) > 1e-6 {
-			t.Errorf("%s: objective = %g, want %g", name, sol.Objective, want)
-		}
 	}
 }
 
@@ -345,8 +323,8 @@ func TestSolverShapeChurn(t *testing.T) {
 	}
 }
 
-// TestWarmResolveZeroAllocs pins the steady-state warm re-solve loop —
-// mutate RHS, SolveFromInto, AppendBasis — at zero allocations.
+// TestWarmResolveZeroAllocs pins the steady-state re-solve loop on a
+// warm solver — mutate RHS, SolveInto — at zero allocations.
 func TestWarmResolveZeroAllocs(t *testing.T) {
 	s := NewSolver()
 	p := fig6Problem(t)
@@ -354,7 +332,6 @@ func TestWarmResolveZeroAllocs(t *testing.T) {
 	if err := s.SolveInto(p, &sol); err != nil {
 		t.Fatal(err)
 	}
-	basis := s.Basis()
 	tick := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		tick++
@@ -365,12 +342,11 @@ func TestWarmResolveZeroAllocs(t *testing.T) {
 		if err := p.SetRHS(1, rhs); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SolveFromInto(p, basis, &sol); err != nil {
+		if err := s.SolveInto(p, &sol); err != nil {
 			t.Fatal(err)
 		}
-		basis = s.AppendBasis(basis[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("warm re-solve loop allocates %.1f/op, want 0", allocs)
+		t.Errorf("re-solve loop allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"e2efair/internal/sim"
 )
 
-func mobileCfg(rebuild bool) mobility.Config {
+func mobileCfg() mobility.Config {
 	return mobility.Config{
 		Nodes:    22,
 		Waypoint: wpCfg(),
@@ -24,24 +24,25 @@ func mobileCfg(rebuild bool) mobility.Config {
 		Epoch:    5 * sim.Second,
 		Duration: 40 * sim.Second,
 		Seed:     17,
-		Rebuild:  rebuild,
 	}
 }
 
-// TestRunDeterministic pins both pipelines: two runs of the same
-// config must agree on every field of every epoch.
+// TestRunDeterministic pins Run and the rebuild oracle: two runs of
+// the same config must agree on every field of every epoch.
 func TestRunDeterministic(t *testing.T) {
-	for _, rebuild := range []bool{false, true} {
-		a, err := mobility.Run(mobileCfg(rebuild))
+	for name, run := range map[string]func(mobility.Config) (*mobility.Result, error){
+		"incremental": mobility.Run, "rebuild": mobility.RunRebuild,
+	} {
+		a, err := run(mobileCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := mobility.Run(mobileCfg(rebuild))
+		b, err := run(mobileCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("rebuild=%v: two identical runs diverged", rebuild)
+			t.Fatalf("%s: two identical runs diverged", name)
 		}
 	}
 }
@@ -54,11 +55,11 @@ func TestRunDeterministic(t *testing.T) {
 // first epoch has no previous routes to keep, so it must match the
 // baseline exactly, packet counts included.
 func TestIncrementalMatchesRebuildInvariants(t *testing.T) {
-	inc, err := mobility.Run(mobileCfg(false))
+	inc, err := mobility.Run(mobileCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reb, err := mobility.Run(mobileCfg(true))
+	reb, err := mobility.RunRebuild(mobileCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +89,14 @@ func TestIncrementalMatchesRebuildInvariants(t *testing.T) {
 // must produce identical results end to end — the strongest statement
 // that topology/instance reuse does not alter behavior.
 func TestIncrementalNearStaticMatchesRebuild(t *testing.T) {
-	base := mobileCfg(false)
+	base := mobileCfg()
 	base.Waypoint.MinSpeed, base.Waypoint.MaxSpeed = 0.001, 0.002
 	base.Waypoint.MaxPause = 0
 	inc, err := mobility.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Rebuild = true
-	reb, err := mobility.Run(base)
+	reb, err := mobility.RunRebuild(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestIncrementalNearStaticMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRebuildModeBasics keeps the baseline pipeline covered by the
-// same smoke assertions TestMobileRun applies to the default one.
+// TestRebuildModeBasics keeps the rebuild oracle covered by the same
+// smoke assertions TestMobileRun applies to Run.
 func TestRebuildModeBasics(t *testing.T) {
-	res, err := mobility.Run(mobileCfg(true))
+	res, err := mobility.RunRebuild(mobileCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRebuildModeBasics(t *testing.T) {
 // benchmarkMobilityEpoch runs a whole mobile simulation sized so the
 // epoch pipeline (topology, routing, instance construction) dominates
 // over the deliberately tiny packet phase, and reports per-epoch cost.
-func benchmarkMobilityEpoch(b *testing.B, rebuild bool) {
+func benchmarkMobilityEpoch(b *testing.B, run func(mobility.Config) (*mobility.Result, error)) {
 	flows := make([]mobility.FlowSpec, 10)
 	for i := range flows {
 		flows[i] = mobility.FlowSpec{
@@ -148,13 +148,12 @@ func benchmarkMobilityEpoch(b *testing.B, rebuild bool) {
 		Epoch:    2 * sim.Second,
 		Duration: 60 * sim.Second,
 		Seed:     5,
-		Rebuild:  rebuild,
 		Net:      netsim.Config{PacketsPerS: 1},
 	}
 	epochs := int(cfg.Duration / cfg.Epoch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := mobility.Run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,6 +165,6 @@ func benchmarkMobilityEpoch(b *testing.B, rebuild bool) {
 }
 
 func BenchmarkMobilityEpoch(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) { benchmarkMobilityEpoch(b, false) })
-	b.Run("rebuild", func(b *testing.B) { benchmarkMobilityEpoch(b, true) })
+	b.Run("incremental", func(b *testing.B) { benchmarkMobilityEpoch(b, mobility.Run) })
+	b.Run("rebuild", func(b *testing.B) { benchmarkMobilityEpoch(b, mobility.RunRebuild) })
 }

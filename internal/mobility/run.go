@@ -38,15 +38,6 @@ type Config struct {
 	Duration sim.Time // default 100 s
 	Seed     int64
 	TxRange  float64 // default 250 m
-	// Rebuild selects the full per-epoch rebuild pipeline — fresh
-	// topology, per-flow shortest-path searches, instance, and
-	// allocator every epoch — instead of the default incremental one.
-	// It is the reference baseline the incremental pipeline is
-	// benchmarked against; the incremental pipeline additionally keeps
-	// a flow's previous route while it remains a valid shortcut-free
-	// path (DSR-style route maintenance), where Rebuild always
-	// switches to a current shortest path.
-	Rebuild bool
 	// Net carries packet-level parameters (rate, queue, α…); its
 	// Protocol/Duration/Seed fields are managed per epoch.
 	Net netsim.Config
@@ -96,8 +87,18 @@ type Result struct {
 
 // Run executes the epochal mobile simulation.
 func Run(cfg Config) (*Result, error) {
+	cfg, wp, err := prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return runIncremental(cfg, wp)
+}
+
+// prepare validates cfg, fills its defaults and seeds the waypoint
+// model.
+func prepare(cfg Config) (Config, *Waypoint, error) {
 	if cfg.Nodes <= 0 || len(cfg.Flows) == 0 {
-		return nil, fmt.Errorf("mobility: need nodes and flows")
+		return cfg, nil, fmt.Errorf("mobility: need nodes and flows")
 	}
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 10 * sim.Second
@@ -110,13 +111,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for _, f := range cfg.Flows {
 		if f.Src < 0 || f.Src >= cfg.Nodes || f.Dst < 0 || f.Dst >= cfg.Nodes || f.Src == f.Dst {
-			return nil, fmt.Errorf("mobility: flow %s has bad endpoints (%d, %d)", f.ID, f.Src, f.Dst)
+			return cfg, nil, fmt.Errorf("mobility: flow %s has bad endpoints (%d, %d)", f.ID, f.Src, f.Dst)
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	wp, err := NewWaypoint(cfg.Nodes, cfg.Waypoint, rng)
 	if err != nil {
-		return nil, err
+		return cfg, nil, err
 	}
 	if cfg.Net.ShardSim && cfg.Net.Sharder == nil {
 		// One sharder spans the whole run: epochs that leave a radio
@@ -124,88 +125,7 @@ func Run(cfg Config) (*Result, error) {
 		// instead of re-deriving it, so mobility re-shards incrementally.
 		cfg.Net.Sharder = netsim.NewSharder()
 	}
-	if cfg.Rebuild {
-		return runRebuild(cfg, wp)
-	}
-	return runIncremental(cfg, wp)
-}
-
-// runRebuild is the reference epoch loop: every epoch rebuilds the
-// topology from scratch, re-searches every flow's shortest path, and
-// constructs a fresh instance and allocator. Kept as the oracle the
-// incremental pipeline is cross-checked and benchmarked against.
-func runRebuild(cfg Config, wp *Waypoint) (*Result, error) {
-	res := &Result{PerFlow: make(map[flow.ID]int64, len(cfg.Flows))}
-	prevRoutes := make(map[flow.ID][]topology.NodeID, len(cfg.Flows))
-	var twinAlloc *core.Allocator
-
-	for start := sim.Time(0); start < cfg.Duration; start += cfg.Epoch {
-		topo, err := buildTopo(wp.Positions(), cfg.TxRange)
-		if err != nil {
-			return nil, err
-		}
-		ep := EpochStat{Start: start}
-		// Detect breakage of last epoch's routes.
-		for _, route := range prevRoutes {
-			for i := 0; i+1 < len(route); i++ {
-				if !topo.InTxRange(route[i], route[i+1]) {
-					ep.Broken++
-					res.RouteBreaks++
-					break
-				}
-			}
-		}
-		// Recompute routes.
-		set, routes, err := routeFlows(topo, cfg.Flows)
-		if err != nil {
-			return nil, err
-		}
-		for id, route := range routes {
-			if prev, ok := prevRoutes[id]; ok && !samePath(prev, route) {
-				ep.Rerouted++
-			}
-		}
-		res.Unreachable += len(cfg.Flows) - len(routes)
-		ep.Routed = len(routes)
-		prevRoutes = routes
-
-		if set != nil && set.Len() > 0 {
-			inst, err := core.NewInstance(topo, set)
-			if err != nil {
-				return nil, err
-			}
-			netCfg := epochNetConfig(cfg, start)
-			screened := false
-			if twinEpoch(cfg, len(res.Epochs)) {
-				// The twin needs the epoch's shares; rebuild mode has no
-				// share cache, so solve on a twin-private allocator —
-				// netsim.Run allocates its own, so simulated epochs stay
-				// byte-identical either way.
-				if twinAlloc == nil {
-					twinAlloc = core.NewAllocator()
-				}
-				shares, err := netsim.SolveShares(twinAlloc, inst, cfg.Protocol)
-				if err != nil {
-					return nil, err
-				}
-				if est, terr := netsim.TwinEstimate(inst, netCfg, shares); terr == nil && est.Confident {
-					accountTwinEpoch(res, &ep, set, est, shares)
-					screened = true
-				}
-			}
-			if !screened {
-				run, err := netsim.Run(inst, netCfg)
-				if err != nil {
-					return nil, err
-				}
-				accountEpoch(res, &ep, set, run)
-				res.EpochsSimulated++
-			}
-		}
-		res.Epochs = append(res.Epochs, ep)
-		wp.Advance(cfg.Epoch)
-	}
-	return res, nil
+	return cfg, wp, nil
 }
 
 // maxCachedInstances bounds the incremental loop's instance cache; on
@@ -497,44 +417,6 @@ func accountEpoch(res *Result, ep *EpochStat, set *flow.Set, run *netsim.Result)
 			}
 		}
 	}
-}
-
-// buildTopo snapshots positions into a topology.
-func buildTopo(pos []geom.Point, txRange float64) (*topology.Topology, error) {
-	b := topology.NewBuilder(txRange, 0)
-	for i, p := range pos {
-		b.Add(fmt.Sprintf("n%d", i), p.X, p.Y)
-	}
-	return b.Build()
-}
-
-// routeFlows computes shortest-path routes for the reachable flows and
-// wraps them in a flow set. Unreachable flows are skipped.
-func routeFlows(topo *topology.Topology, specs []FlowSpec) (*flow.Set, map[flow.ID][]topology.NodeID, error) {
-	set, err := flow.NewSet()
-	if err != nil {
-		return nil, nil, err
-	}
-	routes := make(map[flow.ID][]topology.NodeID, len(specs))
-	for _, fs := range specs {
-		path, err := routing.ShortestPath(topo, topology.NodeID(fs.Src), topology.NodeID(fs.Dst))
-		if err != nil {
-			continue // unreachable this epoch
-		}
-		weight := fs.Weight
-		if weight == 0 {
-			weight = 1
-		}
-		f, err := flow.New(fs.ID, weight, path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := set.Add(f); err != nil {
-			return nil, nil, err
-		}
-		routes[fs.ID] = path
-	}
-	return set, routes, nil
 }
 
 // samePath reports whether two routes are identical.

@@ -44,55 +44,45 @@ func slowCfg(twin *netsim.TwinConfig) Config {
 }
 
 func TestTwinScreenedSweepByteIdenticalSimulatedEpochs(t *testing.T) {
-	for _, rebuild := range []bool{false, true} {
-		name := "incremental"
-		if rebuild {
-			name = "rebuild"
+	t.Run("incremental", func(t *testing.T) {
+		ref, err := Run(slowCfg(nil))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			plain := slowCfg(nil)
-			plain.Rebuild = rebuild
-			ref, err := Run(plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			screenedCfg := slowCfg(&netsim.TwinConfig{Every: 4})
-			screenedCfg.Rebuild = rebuild
-			scr, err := Run(screenedCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		scr, err := Run(slowCfg(&netsim.TwinConfig{Every: 4}))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			if scr.EpochsScreened == 0 {
-				t.Fatalf("no epoch was screened (min confidence %.2f); want the twin to short-circuit most epochs", scr.TwinMinConfidence)
+		if scr.EpochsScreened == 0 {
+			t.Fatalf("no epoch was screened (min confidence %.2f); want the twin to short-circuit most epochs", scr.TwinMinConfidence)
+		}
+		if len(scr.Epochs) != len(ref.Epochs) {
+			t.Fatalf("epoch count diverged: screened %d vs plain %d", len(scr.Epochs), len(ref.Epochs))
+		}
+		simulated := 0
+		for i := range scr.Epochs {
+			if scr.Epochs[i].Screened {
+				continue
 			}
-			if len(scr.Epochs) != len(ref.Epochs) {
-				t.Fatalf("epoch count diverged: screened %d vs plain %d", len(scr.Epochs), len(ref.Epochs))
+			simulated++
+			if !reflect.DeepEqual(scr.Epochs[i], ref.Epochs[i]) {
+				t.Errorf("simulated epoch %d diverged under screening:\nscreened: %+v\nplain:    %+v", i, scr.Epochs[i], ref.Epochs[i])
 			}
-			simulated := 0
-			for i := range scr.Epochs {
-				if scr.Epochs[i].Screened {
-					continue
-				}
-				simulated++
-				if !reflect.DeepEqual(scr.Epochs[i], ref.Epochs[i]) {
-					t.Errorf("simulated epoch %d diverged under screening:\nscreened: %+v\nplain:    %+v", i, scr.Epochs[i], ref.Epochs[i])
-				}
-			}
-			if simulated == 0 {
-				t.Fatal("every epoch was screened; the drift-control cadence must force simulated epochs")
-			}
-			if scr.EpochsSimulated != simulated {
-				t.Errorf("EpochsSimulated = %d, want %d", scr.EpochsSimulated, simulated)
-			}
-			// Epoch 0 must always simulate (cadence anchor).
-			if scr.Epochs[0].Screened {
-				t.Error("epoch 0 was screened; it must anchor the cadence with a real run")
-			}
-			t.Logf("screened %d / simulated %d epochs, min twin confidence %.2f",
-				scr.EpochsScreened, scr.EpochsSimulated, scr.TwinMinConfidence)
-		})
-	}
+		}
+		if simulated == 0 {
+			t.Fatal("every epoch was screened; the drift-control cadence must force simulated epochs")
+		}
+		if scr.EpochsSimulated != simulated {
+			t.Errorf("EpochsSimulated = %d, want %d", scr.EpochsSimulated, simulated)
+		}
+		// Epoch 0 must always simulate (cadence anchor).
+		if scr.Epochs[0].Screened {
+			t.Error("epoch 0 was screened; it must anchor the cadence with a real run")
+		}
+		t.Logf("screened %d / simulated %d epochs, min twin confidence %.2f",
+			scr.EpochsScreened, scr.EpochsSimulated, scr.TwinMinConfidence)
+	})
 }
 
 // TestTwinScreeningDeclinesUnscheduled pins the confidence gate: plain

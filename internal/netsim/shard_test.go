@@ -427,12 +427,11 @@ func TestShardedDynamicEquivalence(t *testing.T) {
 }
 
 // TestShardedMobilityEquivalence composes sharding with the mobility
-// epoch loops: the same mobile scenario with Net.ShardSim on and off
-// must produce identical epoch and total accounting for both the
-// rebuild and incremental pipelines, with one Sharder re-sharding
-// incrementally across epochs.
+// epoch loop: the same mobile scenario with Net.ShardSim on and off
+// must produce identical epoch and total accounting, with one Sharder
+// re-sharding incrementally across epochs.
 func TestShardedMobilityEquivalence(t *testing.T) {
-	base := func(rebuild, shard bool) mobility.Config {
+	base := func(shard bool) mobility.Config {
 		return mobility.Config{
 			Nodes: 30,
 			Waypoint: mobility.WaypointConfig{
@@ -447,35 +446,32 @@ func TestShardedMobilityEquivalence(t *testing.T) {
 			Epoch:    5 * sim.Second,
 			Duration: 25 * sim.Second,
 			Seed:     17,
-			Rebuild:  rebuild,
 			Net:      netsim.Config{ShardSim: shard},
 		}
 	}
-	for _, rebuild := range []bool{false, true} {
-		plain, err := mobility.Run(base(rebuild, false))
-		if err != nil {
-			t.Fatal(err)
+	plain, err := mobility.Run(base(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := mobility.Run(base(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.TotalDelivered != sharded.TotalDelivered || plain.TotalLost != sharded.TotalLost {
+		t.Errorf("totals diverged: delivered %d vs %d, lost %d vs %d",
+			plain.TotalDelivered, sharded.TotalDelivered, plain.TotalLost, sharded.TotalLost)
+	}
+	for id, n := range plain.PerFlow {
+		if sharded.PerFlow[id] != n {
+			t.Errorf("flow %s delivered %d sharded vs %d single", id, sharded.PerFlow[id], n)
 		}
-		sharded, err := mobility.Run(base(rebuild, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.TotalDelivered != sharded.TotalDelivered || plain.TotalLost != sharded.TotalLost {
-			t.Errorf("rebuild=%v: totals diverged: delivered %d vs %d, lost %d vs %d", rebuild,
-				plain.TotalDelivered, sharded.TotalDelivered, plain.TotalLost, sharded.TotalLost)
-		}
-		for id, n := range plain.PerFlow {
-			if sharded.PerFlow[id] != n {
-				t.Errorf("rebuild=%v: flow %s delivered %d sharded vs %d single", rebuild, id, sharded.PerFlow[id], n)
-			}
-		}
-		if len(plain.Epochs) != len(sharded.Epochs) {
-			t.Fatalf("rebuild=%v: epoch counts differ", rebuild)
-		}
-		for i := range plain.Epochs {
-			if plain.Epochs[i].Delivered != sharded.Epochs[i].Delivered || plain.Epochs[i].Lost != sharded.Epochs[i].Lost {
-				t.Errorf("rebuild=%v: epoch %d diverged", rebuild, i)
-			}
+	}
+	if len(plain.Epochs) != len(sharded.Epochs) {
+		t.Fatal("epoch counts differ")
+	}
+	for i := range plain.Epochs {
+		if plain.Epochs[i].Delivered != sharded.Epochs[i].Delivered || plain.Epochs[i].Lost != sharded.Epochs[i].Lost {
+			t.Errorf("epoch %d diverged", i)
 		}
 	}
 }

@@ -108,11 +108,6 @@ type Config struct {
 	// 0 = core.DefaultGroupCacheCap.
 	CacheCap int
 
-	// NoRefine disables the lexicographic max-min refinement. The
-	// default (refined) matches the paper's deterministic solutions and
-	// Allocator.Centralized with Refine: true.
-	NoRefine bool
-
 	// MaxFlows rejects registers once a shard holds this many live
 	// flows; 0 = unlimited.
 	MaxFlows int

@@ -163,7 +163,7 @@ func newShard(e *Engine, id int, cfg Config) *shard {
 		eng:         e,
 		id:          id,
 		topo:        cfg.Topo,
-		opts:        core.CentralizedOptions{Refine: !cfg.NoRefine},
+		opts:        core.CentralizedOptions{Refine: true},
 		window:      cfg.Window,
 		maxBatch:    cfg.MaxBatch,
 		maxFlows:    cfg.MaxFlows,
@@ -296,7 +296,6 @@ func (s *shard) applyChunk(ops []op) {
 		o.err = s.applyOne(o)
 		if o.err == nil && o.kind != opFlush {
 			accepted++
-			s.stats.Events++
 		}
 	}
 	changed := accepted > 0
@@ -376,28 +375,46 @@ func (s *shard) applyOne(o *op) error {
 			return fmt.Errorf("%w: flow %s would push the basic share below %g (shard load Σw·v=%.3f)",
 				ErrAdmission, id, s.minShare, s.wvLoad+wv)
 		}
-		s.index[id] = len(s.flows)
-		s.flows = append(s.flows, o.f)
-		s.wvLoad += wv
-		s.stats.Registers++
+		s.addFlow(o.f)
 		return nil
 	case opRemove:
-		i, ok := s.index[o.id]
-		if !ok {
+		if !s.removeFlow(o.id) {
 			return fmt.Errorf("%w: %s", ErrUnknownFlow, o.id)
 		}
-		f := s.flows[i]
-		s.wvLoad -= f.Weight() * float64(f.VirtualLength())
-		copy(s.flows[i:], s.flows[i+1:])
-		s.flows = s.flows[:len(s.flows)-1]
-		delete(s.index, o.id)
-		for j := i; j < len(s.flows); j++ {
-			s.index[s.flows[j].ID()] = j
-		}
-		s.stats.Removes++
 		return nil
 	}
 	return fmt.Errorf("serve: unknown op kind %d", o.kind)
+}
+
+// addFlow appends f, which must not be live, to the live flow set and
+// counts one accepted register event.
+func (s *shard) addFlow(f *flow.Flow) {
+	s.index[f.ID()] = len(s.flows)
+	s.flows = append(s.flows, f)
+	s.wvLoad += f.Weight() * float64(f.VirtualLength())
+	s.stats.Registers++
+	s.stats.Events++
+}
+
+// removeFlow deletes flow id from the live flow set, keeping the
+// registration order of the rest, and counts one accepted remove
+// event. It reports false, changing nothing, when id is not live.
+func (s *shard) removeFlow(id flow.ID) bool {
+	i, ok := s.index[id]
+	if !ok {
+		return false
+	}
+	f := s.flows[i]
+	s.wvLoad -= f.Weight() * float64(f.VirtualLength())
+	copy(s.flows[i:], s.flows[i+1:])
+	s.flows = s.flows[:len(s.flows)-1]
+	delete(s.index, id)
+	for j := i; j < len(s.flows); j++ {
+		s.index[s.flows[j].ID()] = j
+	}
+	s.stats.Removes++
+	s.stats.Events++
+	return true
 }
 
 // price solves the current flow set — the live instance updated by
@@ -519,7 +536,6 @@ func (s *shard) recover() (int, error) {
 		return 0, nil
 	}
 	if snap != nil {
-		s.stats.restoreCounters(snap.Counters)
 		for _, fs := range snap.Flows {
 			f, err := flow.New(fs.ID, fs.Weight, fs.Path)
 			if err != nil {
@@ -528,10 +544,12 @@ func (s *shard) recover() (int, error) {
 			if _, dup := s.index[f.ID()]; dup {
 				return 0, fmt.Errorf("%w: shard %d: snapshot repeats flow %s", durable.ErrCorrupt, s.id, f.ID())
 			}
-			s.index[f.ID()] = len(s.flows)
-			s.flows = append(s.flows, f)
-			s.wvLoad += f.Weight() * float64(f.VirtualLength())
+			s.addFlow(f)
 		}
+		// The snapshot's counters already count its flows' registers, so
+		// they replace what the adds counted.
+		s.stats = ShardStats{}
+		s.stats.restoreCounters(snap.Counters)
 	}
 	for _, rec := range batches {
 		for _, ev := range rec.Events {
@@ -550,26 +568,11 @@ func (s *shard) recover() (int, error) {
 				if _, dup := s.index[f.ID()]; dup {
 					return 0, fmt.Errorf("%w: shard %d: WAL re-registers live flow %s", durable.ErrCorrupt, s.id, f.ID())
 				}
-				s.index[f.ID()] = len(s.flows)
-				s.flows = append(s.flows, f)
-				s.wvLoad += f.Weight() * float64(f.VirtualLength())
-				s.stats.Registers++
-				s.stats.Events++
+				s.addFlow(f)
 			case durable.EventRemove:
-				i, ok := s.index[ev.ID]
-				if !ok {
+				if !s.removeFlow(ev.ID) {
 					return 0, fmt.Errorf("%w: shard %d: WAL removes unknown flow %s", durable.ErrCorrupt, s.id, ev.ID)
 				}
-				f := s.flows[i]
-				s.wvLoad -= f.Weight() * float64(f.VirtualLength())
-				copy(s.flows[i:], s.flows[i+1:])
-				s.flows = s.flows[:len(s.flows)-1]
-				delete(s.index, ev.ID)
-				for j := i; j < len(s.flows); j++ {
-					s.index[s.flows[j].ID()] = j
-				}
-				s.stats.Removes++
-				s.stats.Events++
 			}
 		}
 		s.stats.Batches++

@@ -56,8 +56,8 @@ func (cs *RadioComponentSet) Fingerprint(c int) uint64 { return cs.fps[c] }
 // interference-range connected components. Components are ordered by
 // first (smallest) member and members are ascending — both fall out of
 // a single pass in node-ID order, so the build is one union-find sweep
-// plus two fill passes. RadioComponents is the naive reference oracle
-// pinned by the cross-check tests.
+// plus two fill passes. The cross-check tests pin it against a naive
+// BFS oracle.
 func (t *Topology) AppendRadioComponents(cs *RadioComponentSet) {
 	n := len(t.nodes)
 	cs.parent = grow32(cs.parent, n)
@@ -174,48 +174,6 @@ func (t *Topology) AppendRadioComponents(cs *RadioComponentSet) {
 		h := cs.fps[c]
 		h = (h ^ cs.rowFP[i]) * fnvPrime
 		cs.fps[c] = (h ^ 0xFF) * fnvPrime // member separator
-	}
-}
-
-// RadioComponents returns the interference-range connected components
-// as freshly allocated slices, components ordered by smallest member,
-// members ascending. It is the allocation-free build's reference
-// oracle: a plain BFS over the all-pairs interference predicate.
-func (t *Topology) RadioComponents() [][]NodeID {
-	n := len(t.nodes)
-	seen := make([]bool, n)
-	var out [][]NodeID
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		comp := []NodeID{NodeID(s)}
-		for k := 0; k < len(comp); k++ {
-			u := comp[k]
-			for v := 0; v < n; v++ {
-				if seen[v] || v == int(u) {
-					continue
-				}
-				if t.nodes[u].Pos.InRange(t.nodes[v].Pos, t.infRange) {
-					seen[v] = true
-					comp = append(comp, NodeID(v))
-				}
-			}
-		}
-		slicesSortNodeIDs(comp)
-		out = append(out, comp)
-	}
-	return out
-}
-
-func slicesSortNodeIDs(s []NodeID) {
-	// Insertion sort: oracle-only path, component sizes are small in
-	// tests and clarity beats pulling in another sort instantiation.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

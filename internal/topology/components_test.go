@@ -6,6 +6,48 @@ import (
 	"testing"
 )
 
+// RadioComponents returns the interference-range connected components
+// as freshly allocated slices, components ordered by smallest member,
+// members ascending. It is the allocation-free build's reference
+// oracle: a plain BFS over the all-pairs interference predicate.
+func (t *Topology) RadioComponents() [][]NodeID {
+	n := len(t.nodes)
+	seen := make([]bool, n)
+	var out [][]NodeID
+	for s := 0; s < n; s++ {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		comp := []NodeID{NodeID(s)}
+		for k := 0; k < len(comp); k++ {
+			u := comp[k]
+			for v := 0; v < n; v++ {
+				if seen[v] || v == int(u) {
+					continue
+				}
+				if t.nodes[u].Pos.InRange(t.nodes[v].Pos, t.infRange) {
+					seen[v] = true
+					comp = append(comp, NodeID(v))
+				}
+			}
+		}
+		slicesSortNodeIDs(comp)
+		out = append(out, comp)
+	}
+	return out
+}
+
+func slicesSortNodeIDs(s []NodeID) {
+	// Insertion sort: oracle-only path, component sizes are small in
+	// tests and clarity beats pulling in another sort instantiation.
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
 // buildLine places n nodes on a horizontal line with the given spacing
 // and radio ranges.
 func buildLine(t *testing.T, n int, spacing, txRange, infRange float64) *Topology {

@@ -5,10 +5,31 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"e2efair/internal/geom"
 )
+
+// neighborsNaive recomputes the adjacency lists with the seed's
+// all-pairs scan: the reference oracle for the grid-backed build —
+// pinned by TestBuildMatchesNaiveReference — and the baseline the
+// BenchmarkTopologyBuild* comparisons time.
+func (t *Topology) neighborsNaive() [][]NodeID {
+	out := make([][]NodeID, len(t.nodes))
+	for i := range t.nodes {
+		for j := range t.nodes {
+			if i == j {
+				continue
+			}
+			if t.nodes[i].Pos.InRange(t.nodes[j].Pos, t.txRange) {
+				out[i] = append(out[i], NodeID(j))
+			}
+		}
+		sort.Slice(out[i], func(a, c int) bool { return out[i][a] < out[i][c] })
+	}
+	return out
+}
 
 // randomBuilt places n uniform nodes in a side×side square and builds
 // the topology through the grid-backed Build.

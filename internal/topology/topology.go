@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"e2efair/internal/geom"
 )
@@ -104,8 +103,8 @@ func (b *Builder) Add(name string, x, y float64) *Builder {
 // neighbor lists are computed through a uniform spatial grid (cell size
 // = interference range) in O(n·k) rather than the seed's O(n²)
 // all-pairs scan; the resulting sorted lists are byte-identical to the
-// all-pairs build, which is retained as neighborsNaive and pinned by
-// the randomized cross-check tests.
+// all-pairs build, pinned by the randomized cross-check tests against
+// the reference scan in reference_test.go.
 func (b *Builder) Build() (*Topology, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -162,26 +161,6 @@ func (t *Topology) buildNeighborsGrid(g *geom.Grid, scratch []int32) []int32 {
 	}
 	t.adjFP = h
 	return scratch
-}
-
-// neighborsNaive recomputes the adjacency lists with the seed's
-// all-pairs scan. It is retained as the reference oracle for the
-// grid-backed build — pinned by TestBuildMatchesNaiveReference — and as
-// the baseline the BenchmarkTopologyBuild* comparisons time.
-func (t *Topology) neighborsNaive() [][]NodeID {
-	out := make([][]NodeID, len(t.nodes))
-	for i := range t.nodes {
-		for j := range t.nodes {
-			if i == j {
-				continue
-			}
-			if t.nodes[i].Pos.InRange(t.nodes[j].Pos, t.txRange) {
-				out[i] = append(out[i], NodeID(j))
-			}
-		}
-		sort.Slice(out[i], func(a, c int) bool { return out[i][a] < out[i][c] })
-	}
-	return out
 }
 
 // FNV-1a constants for the adjacency fingerprint.
