@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-lp bench-alloc bench-mac bench-topo bench-sim bench-twin bench-serve
+.PHONY: build test race bench bench-lp bench-alloc bench-mac bench-topo bench-sim bench-serve
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,10 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# BENCH_lp.json, BENCH_alloc.json and BENCH_topo.json come from Go
-# benchmarks: five runs each, summarized by cmd/benchjson into the
-# median (values) and min/max of every reported unit. benchjson fails
-# and keeps the old file when a benchmark fails or none ran.
+# Every BENCH_*.json comes from Go benchmarks: five runs each,
+# summarized by cmd/benchjson into the median (values) and min/max of
+# every reported unit. benchjson fails and keeps the old file when a
+# benchmark fails or none ran.
 
 # LP-solver perf trajectory: cold solves on the reusable Solver vs the
 # seed reference (ns/op, allocs/op), one refined group solve on the
@@ -37,11 +37,13 @@ bench-lp: build
 bench-alloc: build
 	$(GO) test -run '^$$' -bench '^Benchmark(CentralizedShardedSeq|CentralizedShardedPar|ChurnDelta)$$' -benchmem -count 5 ./internal/core | $(GO) run ./cmd/benchjson BENCH_alloc.json
 
-# MAC/PHY datapath perf trajectory: full-stack simulation rate
-# (simSec/s), channel accounting, and steady-state allocations per
-# delivered packet (must stay ~0), written to BENCH_mac.json.
+# MAC/PHY datapath perf trajectory: the unicast contention and
+# broadcast fan-out hot paths on a dense 30-node medium (must stay at
+# 0 allocs/op), and the full Fig. 6 2PA-C stack's simulation rate
+# (simSec/s). Allocations per delivered packet are gated by
+# internal/netsim's TestSteadyStateAllocsPerDelivered.
 bench-mac: build
-	$(GO) run ./cmd/benchtables -only mac -json BENCH_mac.json
+	$(GO) test -run '^$$' -bench '^Benchmark(MediumResolve|BroadcastFanout|SimulatorEventRate)$$' -benchmem -count 5 . | $(GO) run ./cmd/benchjson BENCH_mac.json
 
 # Topology-layer perf trajectory: grid vs all-pairs neighbor build at
 # 1k/4k nodes, incidence vs pairwise contention build on a 1k-node
@@ -49,27 +51,17 @@ bench-mac: build
 bench-topo: build
 	$(GO) test -run '^$$' -bench '^Benchmark(TopologyBuild1k|TopologyBuild4k|ContentionBuild|MobilityEpoch)$$' -benchmem -count 5 ./internal/topology ./internal/contention ./internal/mobility | $(GO) run ./cmd/benchjson BENCH_topo.json
 
-# Component-sharded simulator perf trajectory: simSec/s (best of 3) and
-# steady-state allocations per delivered packet on the eight-tile
-# Figure 6 workload, for the single-engine baseline and 1/4/8-worker
-# sharded pools, written to BENCH_sim.json. Delivered-packet counts must
-# match across all four rows (byte-identical sharding).
+# Component-sharded simulator perf trajectory: simSec/s on the
+# eight-tile Figure 6 workload for the single-engine baseline and
+# 1/4/8-worker sharded pools. pkt/run must match across all four
+# (byte-identical sharding).
 bench-sim: build
-	$(GO) run ./cmd/benchtables -only sim -json BENCH_sim.json
+	$(GO) test -run '^$$' -bench '^BenchmarkSimulatorEventRate(Multi|Sharded1|Sharded4|Sharded8)$$' -benchmem -count 5 . | $(GO) run ./cmd/benchjson BENCH_sim.json
 
-# Serving-core perf trajectory: churn events/s for the per-event
-# CentralizedDelta baseline vs the batch-coalescing engine at batch
-# size 64 (speedup must stay ≥5x), the lock-free snapshot read path
-# (ns/op; must stay 0 allocs/op), awaited register latency
-# percentiles, and crash-recovery boot time (WAL replay events/s at
-# 10k and 100k logged events), written to BENCH_serve.json.
+# Serving-core perf trajectory on 32 chains × 4 flows: ns per churn
+# event for the per-event CentralizedDelta baseline and for the engine
+# at batch=64 and batch=1, the lock-free GetShare read (must stay 0
+# allocs/op), awaited register latency (p50-us, p99-us), and cold-boot
+# WAL replay at 10k and 100k logged events (events/s).
 bench-serve: build
-	$(GO) run ./cmd/benchtables -only serve -json BENCH_serve.json
-
-# Analytical-twin perf trajectory: prediction error vs the packet
-# simulator on the Fig. 6 golden stacks, the cost of one closed-form
-# estimate, and the epochs/s speedup of a twin-screened near-static
-# mobility sweep (must stay ≥10x over the unscreened baseline), written
-# to BENCH_twin.json.
-bench-twin: build
-	$(GO) run ./cmd/benchtables -only twin -json BENCH_twin.json
+	$(GO) test -run '^$$' -bench '^BenchmarkServe' -benchmem -count 5 ./internal/serve | $(GO) run ./cmd/benchjson BENCH_serve.json

@@ -10,7 +10,9 @@
 //
 // The input is echoed to stdout as it is read. benchjson exits non-zero
 // and leaves the output file untouched when the input holds a FAIL line
-// or no benchmark result.
+// or no benchmark result. It reads the benchmarks' GOMAXPROCS from its
+// own environment, which it shares with `go test` through the pipe, so
+// pass no -cpu flag.
 package main
 
 import (
@@ -32,15 +34,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: go test -bench ... | benchjson BENCH_x.json")
 		os.Exit(2)
 	}
-	if err := run(os.Stdin, os.Stdout, os.Args[1]); err != nil {
+	if err := run(os.Stdin, os.Stdout, os.Args[1], runtime.GOMAXPROCS(0)); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
 // run parses in, echoing it to echo, and writes the summary to path.
-func run(in io.Reader, echo io.Writer, path string) error {
-	rep, err := parse(io.TeeReader(in, echo))
+func run(in io.Reader, echo io.Writer, path string, procs int) error {
+	rep, err := parse(io.TeeReader(in, echo), procs)
 	if err != nil {
 		return err
 	}
@@ -53,9 +55,10 @@ func run(in io.Reader, echo io.Writer, path string) error {
 	return nil
 }
 
-// parse reads `go test -bench` output into a report whose GoMaxProcs
-// comes from the benchmarks' -N name suffix (none means 1).
-func parse(in io.Reader) (*benchreport.Report, error) {
+// parse reads `go test -bench` output from benchmarks run at GOMAXPROCS
+// procs. go test names each benchmark with a -procs suffix, or with none
+// when procs is 1.
+func parse(in io.Reader, procs int) (*benchreport.Report, error) {
 	type bench struct {
 		label   string
 		runs    int
@@ -68,7 +71,6 @@ func parse(in io.Reader) (*benchreport.Report, error) {
 	}
 	var pkgs []*pkg
 	var cur *pkg
-	procs := 0
 	failed := ""
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
@@ -83,14 +85,14 @@ func parse(in io.Reader) (*benchreport.Report, error) {
 			pkgs = append(pkgs, cur)
 			continue
 		}
-		label, n, values, ok := parseResult(line)
+		name, values, ok := parseResult(line)
 		if !ok {
 			continue
 		}
-		if procs != 0 && n != procs {
-			return nil, fmt.Errorf("benchmarks ran at GOMAXPROCS %d and %d; pass one -cpu value", procs, n)
+		label, err := trimProcs(name, procs)
+		if err != nil {
+			return nil, err
 		}
-		procs = n
 		if cur == nil {
 			cur = &pkg{byLabel: map[string]*bench{}}
 			pkgs = append(pkgs, cur)
@@ -146,31 +148,38 @@ type measurement struct {
 //
 //	BenchmarkName/sub-8   1000   1234 ns/op   16 B/op   1 allocs/op
 //
-// returning the name without its -GOMAXPROCS suffix, that GOMAXPROCS
-// (1 when the suffix is absent), and the (value, unit) pairs after the
+// returning the name as printed and the (value, unit) pairs after the
 // iteration count.
-func parseResult(line string) (label string, procs int, values []measurement, ok bool) {
+func parseResult(line string) (name string, values []measurement, ok bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
-		return "", 0, nil, false
+		return "", nil, false
 	}
 	if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
-		return "", 0, nil, false
+		return "", nil, false
 	}
 	for i := 2; i < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
-			return "", 0, nil, false
+			return "", nil, false
 		}
 		values = append(values, measurement{v, f[i+1]})
 	}
-	label, procs = f[0], 1
-	if i := strings.LastIndexByte(label, '-'); i >= 0 {
-		if n, err := strconv.Atoi(label[i+1:]); err == nil && n > 0 {
-			label, procs = label[:i], n
-		}
+	return f[0], values, true
+}
+
+// trimProcs strips the -procs suffix go test appends to a benchmark
+// name at GOMAXPROCS procs. At procs 1 it appends none, so the name is
+// kept whole: a trailing -N there is part of a sub-benchmark name. A
+// name without the suffix at procs > 1 ran at another GOMAXPROCS.
+func trimProcs(name string, procs int) (string, error) {
+	if procs == 1 {
+		return name, nil
 	}
-	return label, procs, values, true
+	if label, ok := strings.CutSuffix(name, "-"+strconv.Itoa(procs)); ok {
+		return label, nil
+	}
+	return "", fmt.Errorf("%s: not run at GOMAXPROCS %d; pass no -cpu flag", name, procs)
 }
 
 // median of sorted xs; the mean of the middle two for an even count.

@@ -45,7 +45,7 @@ ok  	e2efair	3.2s
 `
 
 func TestParseCannedOutput(t *testing.T) {
-	rep, err := parse(strings.NewReader(canned))
+	rep, err := parse(strings.NewReader(canned), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestParseCannedOutput(t *testing.T) {
 }
 
 func TestParseNoSuffixIsOneProc(t *testing.T) {
-	rep, err := parse(strings.NewReader("pkg: p\nBenchmarkX 	 10	 5 ns/op\n"))
+	rep, err := parse(strings.NewReader("pkg: p\nBenchmarkX 	 10	 5 ns/op\n"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,41 @@ func TestParseNoSuffixIsOneProc(t *testing.T) {
 	}
 }
 
+// TestParseOneProcKeepsNumericSubName feeds the output of a GOMAXPROCS=1
+// run, where go test appends no -N suffix: a sub-benchmark name ending
+// in -64 is part of the label, not a GOMAXPROCS, so the -64 and -1 runs
+// stay two entries of one report.
+func TestParseOneProcKeepsNumericSubName(t *testing.T) {
+	in := "pkg: p\n" +
+		"BenchmarkX/batch-64 	 10	 5 ns/op\n" +
+		"BenchmarkX/batch-1 	 10	 9 ns/op\n"
+	rep, err := parse(strings.NewReader(in), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents := rep.Sections[0].Entries
+	if rep.GoMaxProcs != 1 || len(ents) != 2 || ents[0].Label != "BenchmarkX/batch-64" || ents[1].Label != "BenchmarkX/batch-1" {
+		t.Errorf("gomaxprocs %d, entries %+v", rep.GoMaxProcs, ents)
+	}
+}
+
+// TestParseOtherProcsFails feeds a line run at GOMAXPROCS 1 (no suffix)
+// and one run at 4 to a parser at 2: neither carries the -2 suffix, so
+// both are rejected instead of being filed under a wrong label.
+func TestParseOtherProcsFails(t *testing.T) {
+	for _, line := range []string{"BenchmarkX 	 10	 5 ns/op", "BenchmarkX-4 	 10	 5 ns/op"} {
+		if _, err := parse(strings.NewReader("pkg: p\n"+line+"\n"), 2); err == nil {
+			t.Errorf("%q parsed at GOMAXPROCS 2", line)
+		}
+	}
+}
+
 // TestRunWritesReport checks the file run writes: the shared schema
 // with runs, median, min and max, and the echoed input.
 func TestRunWritesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_x.json")
 	var echo strings.Builder
-	if err := run(strings.NewReader(canned), &echo, path); err != nil {
+	if err := run(strings.NewReader(canned), &echo, path, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(echo.String(), "BenchmarkLPSolve/fig6-2") {
@@ -136,7 +165,7 @@ func TestRunFailureKeepsExistingFile(t *testing.T) {
 			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(strings.NewReader(in), io.Discard, path); err == nil {
+			if err := run(strings.NewReader(in), io.Discard, path, 2); err == nil {
 				t.Fatal("run succeeded")
 			}
 			buf, err := os.ReadFile(path)

@@ -21,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -45,7 +44,7 @@ import (
 func main() {
 	duration := flag.Float64("duration", 200, "simulated seconds for Tables II/III (paper: 1000)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	only := flag.String("only", "", "run one section: fig1, fig2, fig4, fig5, fig6, tableI, tableII, tableIII, ideal, transport, random, mobility, mac, resilience, sim, twin, serve")
+	only := flag.String("only", "", "run one section: fig1, fig2, fig4, fig5, fig6, tableI, tableII, tableIII, ideal, transport, random, mobility, resilience")
 	jsonPath := flag.String("json", "", "write machine-readable metrics and wall-clock timings to this file")
 	flag.Parse()
 	if err := run(*duration, *seed, *only, *jsonPath); err != nil {
@@ -62,8 +61,7 @@ func run(durationSec float64, seed int64, only, jsonPath string) error {
 		{"fig1", fig1}, {"fig2", fig2}, {"fig4", fig4}, {"fig5", fig5},
 		{"fig6", fig6}, {"tableI", tableI}, {"tableII", tableII}, {"tableIII", tableIII},
 		{"ideal", ideal}, {"transport", reliableTransport}, {"random", randomSweep},
-		{"mobility", mobilitySection}, {"mac", macSection}, {"resilience", resilienceSection},
-		{"sim", simSection}, {"twin", twinSection}, {"serve", serveSection},
+		{"mobility", mobilitySection}, {"resilience", resilienceSection},
 	}
 	report := &benchreport.Report{
 		DurationSec: durationSec, Seed: seed,
@@ -514,255 +512,6 @@ func tableIII(durationSec float64, seed int64, sec *benchreport.Section) error {
 			"2PA-C flow throughputs ∝ (1/3, 1/3, 2/3, 1/8, 3/4)", sec)
 }
 
-// nsPerOp times f with iteration-count calibration (≥100ms of
-// samples), mirroring the testing package's methodology. Functions
-// slower than ~2ms are timed by their first 64-iteration batch. The
-// calibrated batch is re-run and the best of three kept, so one noisy
-// scheduler quantum can't skew a reported comparison.
-func nsPerOp(f func() error) (float64, error) {
-	for iters := 64; ; iters *= 4 {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		el := time.Since(start)
-		if el < 100*time.Millisecond && iters < 1<<22 {
-			continue
-		}
-		best := el
-		for rep := 0; rep < 2; rep++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := f(); err != nil {
-					return 0, err
-				}
-			}
-			if el := time.Since(start); el < best {
-				best = el
-			}
-		}
-		return float64(best.Nanoseconds()) / float64(iters), nil
-	}
-}
-
-// allocClusteredWorkload builds the sharded engine's benchmark shape:
-// `clusters` spatially separated contention components (2 km apart,
-// far beyond the 250 m range), each carrying four coupled flows with
-// rng-drawn weights. The serve section runs on it.
-func allocClusteredWorkload(clusters int, seed int64) (*topology.Topology, []*flow.Flow, error) {
-	rng := rand.New(rand.NewSource(seed))
-	b := topology.NewBuilder(topology.DefaultRange, 0)
-	type pathSpec struct {
-		id     string
-		weight float64
-		path   []string
-	}
-	var specs []pathSpec
-	for c := 0; c < clusters; c++ {
-		n := func(s string) string { return fmt.Sprintf("c%d%s", c, s) }
-		x0 := float64(c) * 2000
-		chain := []string{n("n0"), n("n1"), n("n2"), n("n3"), n("n4")}
-		for i, name := range chain {
-			b.Add(name, x0+float64(i)*200, 0)
-		}
-		b.Add(n("ta"), x0+300, 150)
-		b.Add(n("tb"), x0+500, 150)
-		b.Add(n("ba"), x0+100, -150)
-		b.Add(n("bb"), x0+300, -150)
-		b.Add(n("bc"), x0+500, -150)
-		b.Add(n("bd"), x0+700, -150)
-		w := func() float64 { return float64(1 + rng.Intn(3)) }
-		specs = append(specs,
-			pathSpec{n("F-chain"), w(), chain},
-			pathSpec{n("F-top"), w(), []string{n("ta"), n("tb")}},
-			pathSpec{n("F-bot1"), w(), []string{n("ba"), n("bb")}},
-			pathSpec{n("F-bot2"), w(), []string{n("bc"), n("bd")}},
-		)
-	}
-	topo, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	all := make([]*flow.Flow, 0, len(specs))
-	for _, sp := range specs {
-		path := make([]topology.NodeID, len(sp.path))
-		for i, name := range sp.path {
-			id, err := topo.Lookup(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			path[i] = id
-		}
-		f, err := flow.New(flow.ID(sp.id), sp.weight, path)
-		if err != nil {
-			return nil, nil, err
-		}
-		all = append(all, f)
-	}
-	return topo, all, nil
-}
-
-// macSection measures the MAC/PHY packet-datapath fast path: the
-// wall-clock simulation rate of full protocol stacks on the paper's
-// scenarios, channel accounting, and the steady-state heap allocations
-// per delivered packet — which the bitset/free-list datapath keeps at
-// zero. Emitted to BENCH_mac.json by `make bench-mac`.
-func macSection(_ float64, seed int64, sec *benchreport.Section) error {
-	fmt.Println("== MAC/PHY datapath fast path ==")
-	timedRun := func(sc *scenario.Scenario, p netsim.Protocol, dur sim.Time) (*netsim.Result, float64, error) {
-		start := time.Now()
-		r, err := netsim.Run(sc.Inst, netsim.Config{Protocol: p, Duration: dur, Seed: seed})
-		return r, time.Since(start).Seconds(), err
-	}
-
-	const rateDur = 30 * sim.Second
-	for _, c := range []struct {
-		name  string
-		build func() (*scenario.Scenario, error)
-		p     netsim.Protocol
-	}{
-		{"fig1-802.11", scenario.Figure1, netsim.Protocol80211},
-		{"fig6-2pa-c", scenario.Figure6, netsim.Protocol2PAC},
-	} {
-		sc, err := c.build()
-		if err != nil {
-			return err
-		}
-		// Warm once so the timed run sees steady-state code paths.
-		if _, _, err := timedRun(sc, c.p, sim.Second); err != nil {
-			return err
-		}
-		r, wall, err := timedRun(sc, c.p, rateDur)
-		if err != nil {
-			return err
-		}
-		rate := rateDur.Seconds() / wall
-		fmt.Printf("%-12s %8.0f simSec/s  util=%.3f collisionOverhead=%.3f\n",
-			c.name, rate, r.Airtime.Utilization(), r.Airtime.CollisionOverhead())
-		sec.Add(c.name, map[string]float64{
-			"simSecPerS":        rate,
-			"utilization":       r.Airtime.Utilization(),
-			"collisionOverhead": r.Airtime.CollisionOverhead(),
-		})
-	}
-
-	// Steady-state allocations per delivered packet: a short and a long
-	// run differ only in simulated traffic, so the identical per-run
-	// stack construction cancels out of the malloc-count difference.
-	sc, err := scenario.Figure6()
-	if err != nil {
-		return err
-	}
-	measure := func(dur sim.Time) (mallocs, delivered float64, err error) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		r, err := netsim.Run(sc.Inst, netsim.Config{Protocol: netsim.Protocol2PAC, Duration: dur, Seed: seed})
-		if err != nil {
-			return 0, 0, err
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs - before.Mallocs), float64(r.Stats.TotalEndToEnd()), nil
-	}
-	mShort, pShort, err := measure(5 * sim.Second)
-	if err != nil {
-		return err
-	}
-	mLong, pLong, err := measure(25 * sim.Second)
-	if err != nil {
-		return err
-	}
-	perPkt := (mLong - mShort) / (pLong - pShort)
-	fmt.Printf("steady-state allocations:        %10.3f allocs/delivered pkt (fig6 2PA-C)\n", perPkt)
-	sec.Add("allocs", map[string]float64{"perDeliveredPkt": perPkt})
-	return nil
-}
-
-// simSection measures the component-sharded packet simulator on the
-// eight-tile Figure 6 workload: wall-clock simulation rate (best of
-// three runs) and steady-state allocations per delivered packet for
-// the single-engine baseline and 1/4/8-worker sharded pools. All four
-// configurations produce byte-identical results; on a single-core host
-// the worker pools serialize, so the sharded rows then measure the
-// partitioning overhead plus the smaller-heap win rather than parallel
-// speedup. Emitted to BENCH_sim.json by `make bench-sim`.
-func simSection(_ float64, seed int64, sec *benchreport.Section) error {
-	fmt.Println("== Component-sharded packet simulation (8 disjoint Fig. 6 tiles) ==")
-	base, err := scenario.Figure6()
-	if err != nil {
-		return err
-	}
-	sc, err := scenario.Tiled(base, 8)
-	if err != nil {
-		return err
-	}
-	const rateDur = 10 * sim.Second
-	for _, workers := range []int{0, 1, 4, 8} {
-		label := "single-engine"
-		if workers > 0 {
-			label = fmt.Sprintf("sharded-%dw", workers)
-		}
-		sh := netsim.NewSharder()
-		cfg := func(dur sim.Time) netsim.Config {
-			return netsim.Config{
-				Protocol: netsim.Protocol2PAC, Duration: dur, Seed: seed,
-				ShardSim: workers > 0, ShardWorkers: workers, Sharder: sh,
-			}
-		}
-		// Warm the sharder cache and code paths off the clock.
-		if _, err := netsim.Run(sc.Inst, cfg(sim.Second)); err != nil {
-			return err
-		}
-		best := math.Inf(1)
-		var delivered int64
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			r, err := netsim.Run(sc.Inst, cfg(rateDur))
-			if err != nil {
-				return err
-			}
-			if wall := time.Since(start).Seconds(); wall < best {
-				best = wall
-			}
-			delivered = r.Stats.TotalEndToEnd()
-		}
-		rate := rateDur.Seconds() / best
-		// Steady-state allocations per delivered packet, short/long
-		// difference so per-run construction cancels out.
-		measure := func(dur sim.Time) (mallocs, pkts float64, err error) {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			r, err := netsim.Run(sc.Inst, cfg(dur))
-			if err != nil {
-				return 0, 0, err
-			}
-			runtime.ReadMemStats(&after)
-			return float64(after.Mallocs - before.Mallocs), float64(r.Stats.TotalEndToEnd()), nil
-		}
-		mShort, pShort, err := measure(5 * sim.Second)
-		if err != nil {
-			return err
-		}
-		mLong, pLong, err := measure(25 * sim.Second)
-		if err != nil {
-			return err
-		}
-		perPkt := (mLong - mShort) / (pLong - pShort)
-		fmt.Printf("%-14s %8.1f simSec/s   %8.3f allocs/delivered pkt   (%d pkt/run)\n",
-			label, rate, perPkt, delivered)
-		sec.Add(label, map[string]float64{
-			"workers":            float64(workers),
-			"simSecPerS":         rate,
-			"allocsPerDelivered": perPkt,
-			"deliveredPkt":       float64(delivered),
-		})
-	}
-	return nil
-}
-
 // resilienceSection exercises the fault-injection layer end to end: a
 // lossy-channel sweep over the Fig. 6 scenario under 2PA-C, then a
 // mid-run link cut on a diamond detour topology showing RERR-style
@@ -854,150 +603,5 @@ func resilienceSection(durationSec float64, seed int64, sec *benchreport.Section
 		"mttrUs":         rep.MeanTimeToRepair().Seconds() * 1e6,
 		"violations":     float64(len(rep.Violations)),
 	})
-	return nil
-}
-
-// twinSection measures the analytical-twin fast path: closed-form
-// prediction error against the packet simulator on the golden Fig. 6
-// stacks, the cost of a single estimate, and the epochs/s speedup of a
-// twin-screened near-static mobility sweep over the unscreened
-// baseline (the screened epochs skip the event loop entirely; the
-// drift-control cadence still forces real simulations). Emitted to
-// BENCH_twin.json by `make bench-twin`.
-func twinSection(durationSec float64, seed int64, sec *benchreport.Section) error {
-	fmt.Println("== Analytical twin: closed-form predictions vs packet simulation ==")
-	sc, err := scenario.Figure6()
-	if err != nil {
-		return err
-	}
-	dur := sim.Time(durationSec * float64(sim.Second))
-	fmt.Printf("%-9s%12s%12s%10s%12s\n", "protocol", "twinPkt", "simPkt", "relErr", "confidence")
-	for _, p := range []netsim.Protocol{
-		netsim.Protocol80211, netsim.ProtocolTwoTier, netsim.Protocol2PAC,
-		netsim.Protocol2PAD, netsim.ProtocolDFS,
-	} {
-		cfg := netsim.Config{Protocol: p, Duration: dur, Seed: seed}
-		r, err := netsim.Run(sc.Inst, cfg)
-		if err != nil {
-			return err
-		}
-		est, err := netsim.TwinEstimate(sc.Inst, cfg, r.Shares)
-		if err != nil {
-			return err
-		}
-		simPkt := float64(r.Stats.TotalEndToEnd())
-		relErr := math.Abs(est.TotalPkt-simPkt) / simPkt
-		confident := 0.0
-		if est.Confident {
-			confident = 1
-		}
-		fmt.Printf("%-9s%12.0f%12.0f%10.3f%12.2f\n", p, est.TotalPkt, simPkt, relErr, est.Confidence)
-		sec.Add("crosscheck-fig6-"+p.String(), map[string]float64{
-			"twinTotalPkt":  est.TotalPkt,
-			"simTotalPkt":   simPkt,
-			"relErr":        relErr,
-			"twinLossRatio": est.LossRatio,
-			"simLossRatio":  r.Stats.LossRatio(),
-			"confidence":    est.Confidence,
-			"confident":     confident,
-		})
-	}
-
-	// The price of one closed-form estimate: O(cliques + hops), no event
-	// loop — this is what replaces a full epoch simulation when screening.
-	cfg2pac := netsim.Config{Protocol: netsim.Protocol2PAC, Duration: dur, Seed: seed}
-	run2pac, err := netsim.Run(sc.Inst, netsim.Config{Protocol: netsim.Protocol2PAC, Duration: sim.Second, Seed: seed})
-	if err != nil {
-		return err
-	}
-	estNs, err := nsPerOp(func() error {
-		_, err := netsim.TwinEstimate(sc.Inst, cfg2pac, run2pac.Shares)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("one estimate (fig6 2PA-C):       %10.0f ns/op\n", estNs)
-	sec.Add("estimateCost", map[string]float64{"nsPerOp": estNs})
-
-	// Screened vs unscreened near-static mobility sweep: six crawling
-	// nodes, two short flows, spare channel capacity — the regime the
-	// twin short-circuits. The unscreened run simulates every epoch; the
-	// screened run simulates only the drift-control epochs, and its
-	// simulated epochs are byte-identical to the unscreened run's (pinned
-	// by internal/mobility's twin tests). Best of three runs each.
-	sweep := func(twinCfg *netsim.TwinConfig) mobility.Config {
-		return mobility.Config{
-			Nodes: 6,
-			Waypoint: mobility.WaypointConfig{
-				Width: 400, Height: 100, MinSpeed: 0.05, MaxSpeed: 0.2,
-			},
-			Flows: []mobility.FlowSpec{
-				{ID: "FA", Src: 0, Dst: 1},
-				{ID: "FB", Src: 2, Dst: 3},
-			},
-			Protocol: netsim.Protocol2PAC,
-			Epoch:    2 * sim.Second,
-			Duration: sim.Time(durationSec * float64(sim.Second)),
-			Seed:     seed,
-			// 60 pkt/s keeps the shared clique around 0.56 utilization —
-			// confidently below the twin's saturation gate.
-			Net: netsim.Config{Twin: twinCfg, PacketsPerS: 60},
-		}
-	}
-	timedSweep := func(cfg mobility.Config) (*mobility.Result, float64, error) {
-		if _, err := mobility.Run(cfg); err != nil { // warm off the clock
-			return nil, 0, err
-		}
-		best := math.Inf(1)
-		var res *mobility.Result
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			r, err := mobility.Run(cfg)
-			if err != nil {
-				return nil, 0, err
-			}
-			if wall := time.Since(start).Seconds(); wall < best {
-				best = wall
-				res = r
-			}
-		}
-		return res, best, nil
-	}
-
-	plainRes, plainWall, err := timedSweep(sweep(nil))
-	if err != nil {
-		return err
-	}
-	epochs := float64(len(plainRes.Epochs))
-	plainRate := epochs / plainWall
-	fmt.Printf("sweep unscreened:                %10.0f epochs/s  (%d epochs, all simulated)\n",
-		plainRate, len(plainRes.Epochs))
-	sec.Add("sweep-unscreened", map[string]float64{
-		"epochs": epochs, "epochsPerS": plainRate, "delivered": float64(plainRes.TotalDelivered),
-	})
-
-	for _, tc := range []struct {
-		label string
-		every int
-	}{{"default-cadence", 0}, {"cadence-32", 32}} {
-		scrRes, scrWall, err := timedSweep(sweep(&netsim.TwinConfig{Every: tc.every}))
-		if err != nil {
-			return err
-		}
-		scrRate := epochs / scrWall
-		speedup := scrRate / plainRate
-		fmt.Printf("sweep screened (%-15s  %10.0f epochs/s  (%d screened / %d simulated)  speedup %5.1fx\n",
-			tc.label+"):", scrRate, scrRes.EpochsScreened, scrRes.EpochsSimulated, speedup)
-		sec.Add("sweep-screened-"+tc.label, map[string]float64{
-			"epochs":            epochs,
-			"epochsPerS":        scrRate,
-			"epochsScreened":    float64(scrRes.EpochsScreened),
-			"epochsSimulated":   float64(scrRes.EpochsSimulated),
-			"speedup":           speedup,
-			"twinMinConfidence": scrRes.TwinMinConfidence,
-			"delivered":         float64(scrRes.TotalDelivered),
-		})
-	}
 	return nil
 }

@@ -66,8 +66,9 @@ func TestSimulationSectionsShort(t *testing.T) {
 }
 
 func TestUnknownSection(t *testing.T) {
-	// lp, alloc and topo are Go benchmarks now (make bench-lp etc.).
-	for _, section := range []string{"nope", "lp", "alloc", "topo"} {
+	// The timing sections are Go benchmarks now (make bench-lp etc.),
+	// and the analytical twin is gone.
+	for _, section := range []string{"nope", "lp", "alloc", "topo", "mac", "sim", "twin", "serve"} {
 		if err := run(1, 1, section, ""); err == nil {
 			t.Errorf("unknown section %q should fail", section)
 		}

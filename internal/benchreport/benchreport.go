@@ -1,7 +1,8 @@
 // Package benchreport is the schema of the repository's BENCH_*.json
-// files, shared by the programs that write them: cmd/benchtables, which
-// times the paper tables and the simulation and serving sections
-// itself, and cmd/benchjson, which summarizes `go test -bench` output.
+// files, shared by the programs that write them: cmd/benchjson, which
+// summarizes `go test -bench` output into every committed BENCH file,
+// and cmd/benchtables, whose -json flag writes the paper tables'
+// metrics and wall-clock timings.
 package benchreport
 
 import (

@@ -29,8 +29,7 @@ func RunRebuild(cfg Config) (*Result, error) {
 // constructs a fresh instance and allocator, then packet-simulates the
 // epoch. It is the oracle the incremental pipeline is cross-checked
 // and benchmarked against. Unlike Run it never keeps a still-valid
-// route (it always switches to a current shortest path) and never
-// screens an epoch with the twin.
+// route (it always switches to a current shortest path).
 func runRebuild(cfg Config, wp *Waypoint) (*Result, error) {
 	res := &Result{PerFlow: make(map[flow.ID]int64, len(cfg.Flows))}
 	prevRoutes := make(map[flow.ID][]topology.NodeID, len(cfg.Flows))
@@ -75,7 +74,6 @@ func runRebuild(cfg Config, wp *Waypoint) (*Result, error) {
 				return nil, err
 			}
 			accountEpoch(res, &ep, set, run)
-			res.EpochsSimulated++
 		}
 		res.Epochs = append(res.Epochs, ep)
 		wp.Advance(cfg.Epoch)

@@ -2,7 +2,6 @@ package mobility
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"e2efair/internal/core"
@@ -12,7 +11,6 @@ import (
 	"e2efair/internal/routing"
 	"e2efair/internal/sim"
 	"e2efair/internal/topology"
-	"e2efair/internal/twin"
 )
 
 // FlowSpec declares one mobile flow by endpoint node indices.
@@ -57,11 +55,6 @@ type EpochStat struct {
 	Lost      int64
 	// Allocation is the per-flow share vector used this epoch.
 	Allocation core.FlowAllocation
-	// Screened marks an epoch priced by the analytical twin
-	// (netsim.Config.Twin) instead of the packet simulator;
-	// TwinConfidence is the twin's self-reported confidence then.
-	Screened       bool
-	TwinConfidence float64
 }
 
 // Result aggregates a mobile run.
@@ -76,13 +69,6 @@ type Result struct {
 	RouteBreaks int
 	// Unreachable counts flow-epochs without any route.
 	Unreachable int
-	// EpochsScreened and EpochsSimulated split the epochs that carried
-	// traffic between twin-priced and packet-simulated ones.
-	EpochsScreened  int
-	EpochsSimulated int
-	// TwinMinConfidence is the lowest twin confidence across screened
-	// epochs; 0 when no epoch was screened.
-	TwinMinConfidence float64
 }
 
 // Run executes the epochal mobile simulation.
@@ -311,82 +297,19 @@ func runIncremental(cfg Config, wp *Waypoint) (*Result, error) {
 			// repeated (adjacency, routes) state replays its cached
 			// allocation instead of re-running the solver.
 			netCfg.Shares = shareCache[key]
-			screened := false
-			if twinEpoch(cfg, len(res.Epochs)) {
-				shares := netCfg.Shares
-				if shares == nil {
-					// Solve through the shared allocator exactly as RunWith
-					// would, so allocator and share-cache state — and with
-					// them the epochs that do simulate — evolve identically
-					// to an unscreened run.
-					shares, err = netsim.SolveShares(allocator, inst, cfg.Protocol)
-					if err != nil {
-						return nil, err
-					}
-					if shares != nil {
-						shareCache[key] = shares
-					}
-				}
-				if est, terr := netsim.TwinEstimate(inst, netCfg, shares); terr == nil && est.Confident {
-					accountTwinEpoch(res, &ep, set, est, shares)
-					screened = true
-				}
+			run, err := netsim.RunWith(allocator, inst, netCfg)
+			if err != nil {
+				return nil, err
 			}
-			if !screened {
-				run, err := netsim.RunWith(allocator, inst, netCfg)
-				if err != nil {
-					return nil, err
-				}
-				if run.Shares != nil {
-					shareCache[key] = run.Shares
-				}
-				accountEpoch(res, &ep, set, run)
-				res.EpochsSimulated++
+			if run.Shares != nil {
+				shareCache[key] = run.Shares
 			}
+			accountEpoch(res, &ep, set, run)
 		}
 		res.Epochs = append(res.Epochs, ep)
 		wp.Advance(cfg.Epoch)
 	}
 	return res, nil
-}
-
-// twinEpoch reports whether this epoch may be priced by the analytical
-// twin: screening must be enabled, the config must carry no feature
-// the twin cannot model (traces, sampling, fault plans), and the epoch
-// must be off the drift-control cadence — every Cadence()-th epoch
-// (including epoch 0) simulates regardless, anchoring the twin.
-func twinEpoch(cfg Config, epoch int) bool {
-	n := cfg.Net
-	if n.Twin == nil || n.Tracer != nil || n.SampleEvery > 0 || n.Fault != nil {
-		return false
-	}
-	return epoch%n.Twin.Cadence() != 0
-}
-
-// accountTwinEpoch folds a twin estimate into the epoch stat and run
-// totals, mirroring accountEpoch's shape for simulated runs.
-func accountTwinEpoch(res *Result, ep *EpochStat, set *flow.Set, est *twin.Estimate, shares core.SubflowAllocation) {
-	ep.Screened = true
-	ep.TwinConfidence = est.Confidence
-	ep.Delivered = int64(math.Round(est.TotalPkt))
-	ep.Lost = int64(math.Round(est.LossPkt))
-	res.TotalDelivered += ep.Delivered
-	res.TotalLost += ep.Lost
-	for _, fe := range est.Flows {
-		res.PerFlow[fe.ID] += int64(math.Round(fe.Packets))
-	}
-	if shares != nil {
-		ep.Allocation = make(core.FlowAllocation, set.Len())
-		for _, f := range set.Flows() {
-			if s, ok := shares[flow.SubflowID{Flow: f.ID(), Hop: 0}]; ok {
-				ep.Allocation[f.ID()] = s
-			}
-		}
-	}
-	res.EpochsScreened++
-	if res.TwinMinConfidence == 0 || est.Confidence < res.TwinMinConfidence {
-		res.TwinMinConfidence = est.Confidence
-	}
 }
 
 // epochNetConfig derives one epoch's packet-level config: the run's

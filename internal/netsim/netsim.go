@@ -117,13 +117,6 @@ type Config struct {
 	// component rebuilds that shard only. Nil builds ephemeral shards
 	// per run.
 	Sharder *Sharder
-	// Twin enables analytical-twin screening of mobility epochs:
-	// mobility.Run prices an epoch with the closed-form internal/twin
-	// estimator and only falls back to full packet simulation when the
-	// twin's confidence is low or the drift-control cadence (Every)
-	// forces a real run. Nil disables screening. Run and RunDynamic
-	// always simulate and ignore it.
-	Twin *TwinConfig
 
 	// eng, when non-nil, is an engine recycled via Reset instead of
 	// allocating a fresh one — set by the worker pool.

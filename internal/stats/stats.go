@@ -43,29 +43,6 @@ func (c *Collector) HopDelivered(id flow.SubflowID, final bool) {
 	}
 }
 
-// AddSubflowDelivered adds n delivered packets to a subflow's count
-// without touching end-to-end totals. Analytical-twin screening uses
-// it to synthesize a Collector from closed-form per-hop rates.
-func (c *Collector) AddSubflowDelivered(id flow.SubflowID, n int64) {
-	if n != 0 {
-		c.perSubflow[id] += n
-	}
-}
-
-// AddEndToEnd adds n end-to-end deliveries for a flow (twin seam; see
-// AddSubflowDelivered). A zero n still registers the flow so it
-// appears in FlowIDs.
-func (c *Collector) AddEndToEnd(id flow.ID, n int64) {
-	c.e2e[id] += n
-}
-
-// AddLost adds bulk in-flight losses to the queue-overflow and
-// retry-limit counters (twin seam; see AddSubflowDelivered).
-func (c *Collector) AddLost(queue, retry int64) {
-	c.lostQueue += queue
-	c.lostRetry += retry
-}
-
 // QueueDrop records a packet dropped at a full queue. inFlight marks
 // packets that had already crossed at least one hop: only those count
 // as lost bandwidth in the paper's sense (delivered upstream, dropped

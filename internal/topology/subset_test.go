@@ -3,7 +3,7 @@ package topology
 // Edge cases of Subset and RadioComponentSet beyond the table/oracle
 // suite in components_test.go: single-node components, an all-isolated
 // field, and subset-of-subset round-trips — the shapes the sharded
-// simulator and the twin screening lean on when components degenerate.
+// simulator leans on when components degenerate.
 
 import (
 	"fmt"
