@@ -512,14 +512,13 @@ const benchSimShardDur = 10 * sim.Second
 
 func benchSimulatorSharded(b *testing.B, workers int) {
 	sc := mustTiled(b, benchShardTiles)
-	sh := netsim.NewSharder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var delivered int64
 	for i := 0; i < b.N; i++ {
 		r, err := netsim.Run(sc.Inst, netsim.Config{
 			Protocol: netsim.Protocol2PAC, Duration: benchSimShardDur, Seed: 1,
-			ShardSim: workers > 0, ShardWorkers: workers, Sharder: sh,
+			ShardSim: workers > 0, ShardWorkers: workers,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -3,11 +3,13 @@ package e2efair_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"e2efair"
+	"e2efair/internal/flow"
 )
 
 // fig1Spec is the paper's Fig. 1 network expressed via the public API.
@@ -37,6 +39,13 @@ func TestNewNetworkValidation(t *testing.T) {
 	spec.Flows[0].Path = []string{"A", "C"} // not a link
 	if _, err := e2efair.NewNetwork(spec); err == nil {
 		t.Error("non-link hop should fail")
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		spec = fig1Spec()
+		spec.Flows[0].Weight = w
+		if _, err := e2efair.NewNetwork(spec); !errors.Is(err, flow.ErrBadWeight) {
+			t.Errorf("weight %g: err = %v, want ErrBadWeight", w, err)
+		}
 	}
 }
 
@@ -235,12 +244,15 @@ func TestAllocationString(t *testing.T) {
 }
 
 func TestBuiltinSpecs(t *testing.T) {
+	// groups is the number of contending flow groups: in the parking
+	// lot every cross flow contends with the long flow, so it is one.
 	cases := []struct {
-		name  string
-		flows int
+		name   string
+		flows  int
+		groups int
 	}{
-		{"figure1", 2}, {"figure6", 5}, {"pentagon", 5},
-		{"chain:4", 1}, {"grid:3x4", 4}, {"parkinglot:6", 3},
+		{"figure1", 2, 1}, {"figure6", 5, 1}, {"pentagon", 5, 1},
+		{"chain:4", 1, 1}, {"grid:3x4", 4, 1}, {"parkinglot:6", 3, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -254,6 +266,9 @@ func TestBuiltinSpecs(t *testing.T) {
 			net, err := e2efair.NewNetwork(spec)
 			if err != nil {
 				t.Fatalf("builtin %s unusable: %v", c.name, err)
+			}
+			if groups := net.Contention().FlowGroups; len(groups) != c.groups {
+				t.Errorf("flow groups = %v, want %d", groups, c.groups)
 			}
 			if _, err := net.Allocate(e2efair.StrategyCentralized); err != nil {
 				t.Errorf("allocate: %v", err)

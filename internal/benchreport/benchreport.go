@@ -50,14 +50,31 @@ func (s *Section) Add(label string, values map[string]float64) {
 	s.Entries = append(s.Entries, Entry{Label: label, Values: values})
 }
 
-// GitSHA is the short commit of the working directory's checkout;
-// empty (and omitted from the JSON) outside a git checkout.
-func GitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+// GitSHA is the short commit of the working directory's checkout,
+// suffixed "-dirty" when a tracked file other than a BENCH_*.json
+// differs from that commit; empty (and omitted from the JSON) outside
+// a git checkout. BENCH files are exempt because the run being stamped
+// rewrites them, so a clean tree stays clean while it is measured.
+func GitSHA() string { return gitSHA("") }
+
+// gitSHA is GitSHA for the checkout containing dir ("" is the working
+// directory).
+func gitSHA(dir string) string {
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	sha, err := git("rev-parse", "--short", "HEAD")
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	changed, err := git("diff", "--name-only", "HEAD", "--", ":/", ":(top,exclude,glob)**/BENCH_*.json")
+	if err != nil || changed != "" {
+		return sha + "-dirty"
+	}
+	return sha
 }
 
 // Write stores r as indented JSON at path. It writes a temporary file

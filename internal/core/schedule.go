@@ -8,10 +8,6 @@ import (
 	"e2efair/internal/lp"
 )
 
-// ErrNotSchedulable is returned by RequireSchedulable when no feasible
-// schedule achieves the requested rates.
-var ErrNotSchedulable = errors.New("core: rate vector is not schedulable")
-
 // scheduleTol is the tolerance on total schedule length.
 const scheduleTol = 1e-7
 
@@ -93,19 +89,6 @@ func CheckSchedulable(g *contention.Graph, rates []float64) (*Schedulability, er
 		}
 	}
 	return res, nil
-}
-
-// RequireSchedulable is CheckSchedulable returning ErrNotSchedulable
-// on infeasible rate vectors.
-func RequireSchedulable(g *contention.Graph, rates []float64) (*Schedulability, error) {
-	s, err := CheckSchedulable(g, rates)
-	if err != nil {
-		return nil, err
-	}
-	if !s.Feasible {
-		return s, fmt.Errorf("%w (load %.4f)", ErrNotSchedulable, s.Load)
-	}
-	return s, nil
 }
 
 // MaxSchedulableFairRate returns the largest t such that giving every

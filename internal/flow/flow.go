@@ -10,6 +10,7 @@ package flow
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"e2efair/internal/topology"
@@ -19,8 +20,9 @@ import (
 const MaxVirtualLength = 3
 
 var (
-	// ErrBadWeight is returned for non-positive flow weights.
-	ErrBadWeight = errors.New("flow: weight must be positive")
+	// ErrBadWeight is returned for flow weights that are not positive
+	// and finite.
+	ErrBadWeight = errors.New("flow: weight must be positive and finite")
 	// ErrBadPath is returned for paths with fewer than two nodes.
 	ErrBadPath = errors.New("flow: path must have at least one hop")
 	// ErrDuplicateFlow is returned when two flows share an ID.
@@ -65,7 +67,7 @@ type Flow struct {
 // path includes both endpoints, so a path of n nodes yields n-1
 // subflows.
 func New(id ID, weight float64, path []topology.NodeID) (*Flow, error) {
-	if weight <= 0 {
+	if !(weight > 0) || math.IsInf(weight, 1) {
 		return nil, fmt.Errorf("%w: flow %s has weight %g", ErrBadWeight, id, weight)
 	}
 	if len(path) < 2 {

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,12 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New("F", -1, path(0, 1)); !errors.Is(err, ErrBadWeight) {
 		t.Errorf("negative weight: %v", err)
+	}
+	if _, err := New("F", math.NaN(), path(0, 1)); !errors.Is(err, ErrBadWeight) {
+		t.Errorf("NaN weight: %v", err)
+	}
+	if _, err := New("F", math.Inf(1), path(0, 1)); !errors.Is(err, ErrBadWeight) {
+		t.Errorf("+Inf weight: %v", err)
 	}
 	if _, err := New("F", 1, path(0)); !errors.Is(err, ErrBadPath) {
 		t.Errorf("one-node path: %v", err)

@@ -80,9 +80,6 @@ func (p *Problem) Reset(numVars int) {
 	p.version++
 }
 
-// NumVars returns the number of decision variables.
-func (p *Problem) NumVars() int { return p.n }
-
 // NumConstraints returns the number of constraint rows.
 func (p *Problem) NumConstraints() int { return len(p.constraints) }
 

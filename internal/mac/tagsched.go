@@ -1,11 +1,13 @@
 package mac
 
 import (
+	"cmp"
 	"e2efair/internal/flow"
 	"e2efair/internal/sim"
 	"e2efair/internal/topology"
 	"e2efair/internal/xrand"
 	"fmt"
+	"slices"
 )
 
 // DefaultAlpha is the paper's short-term fairness strictness
@@ -69,14 +71,19 @@ type TagScheduler struct {
 
 	vclock   float64
 	lastSend sim.Time
-	table    map[topology.NodeID]tagEntry // neighbor start tags
+	table    []tagEntry // neighbor start tags, ascending by node
 	maxAge   sim.Time
 	advice   float64   // last R received via ACK
 	current  *tagQueue // sticky head selection
 }
 
-// tagEntry is one neighbor's last overheard start tag.
+// tagEntry is one neighbor's last overheard start tag. The table is a
+// node-sorted slice rather than a map so that the floating-point sums
+// in DrawBackoff and Advise always add in node order: in a map's
+// random iteration order their rounding, and so the truncated
+// contention window, could differ between two runs of one seed.
 type tagEntry struct {
+	node topology.NodeID
 	tag  float64
 	seen sim.Time
 }
@@ -109,7 +116,6 @@ func NewTagScheduler(cfg TagSchedulerConfig) (*TagScheduler, error) {
 		queueCap:  cfg.QueueCap,
 		maxAge:    maxAge,
 		bySubflow: make(map[flow.SubflowID]*tagQueue),
-		table:     make(map[topology.NodeID]tagEntry),
 	}, nil
 }
 
@@ -333,20 +339,33 @@ func (s *TagScheduler) Observe(from topology.NodeID, startTag float64, now sim.T
 	if from == s.node {
 		return
 	}
-	s.table[from] = tagEntry{tag: startTag, seen: now}
+	i, ok := s.entry(from)
+	if !ok {
+		s.table = slices.Insert(s.table, i, tagEntry{node: from})
+	}
+	s.table[i].tag, s.table[i].seen = startTag, now
+}
+
+// entry returns the table index of node's entry, or where to insert
+// it.
+func (s *TagScheduler) entry(node topology.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(s.table, node, func(e tagEntry, n topology.NodeID) int {
+		return cmp.Compare(e.node, n)
+	})
 }
 
 // Advise implements Scheduler: the receiver-side estimate
 // R = α·Σ_{m≠sender} (r_sender − r_m) from this node's table,
 // piggybacked on the ACK back to the sender.
 func (s *TagScheduler) Advise(sender topology.NodeID, now sim.Time) float64 {
-	se, ok := s.table[sender]
-	if !ok || now-se.seen > s.maxAge {
+	i, ok := s.entry(sender)
+	if !ok || now-s.table[i].seen > s.maxAge {
 		return 0
 	}
+	se := s.table[i]
 	var r float64
-	for m, e := range s.table {
-		if m == sender || now-e.seen > s.maxAge {
+	for _, e := range s.table {
+		if e.node == sender || now-e.seen > s.maxAge {
 			continue
 		}
 		r += (se.tag - e.tag) * s.alpha

@@ -197,6 +197,35 @@ func TestAdvise(t *testing.T) {
 	}
 }
 
+// TestAdviseSumsInNodeOrder pins the neighbor-table sum to one order:
+// the tags are chosen so that floating-point addition of the terms is
+// not associative, and every insertion order (each tried repeatedly,
+// so a randomly ordered table would show) must give the same bits.
+func TestAdviseSumsInNodeOrder(t *testing.T) {
+	tags := map[topology.NodeID]float64{2: -1e4, 3: -1e20, 4: 1e20, 5: 3e4}
+	orders := [][]topology.NodeID{{2, 3, 4, 5}, {5, 4, 3, 2}, {3, 5, 2, 4}, {4, 2, 5, 3}}
+	var want float64
+	for k, order := range orders {
+		for rep := 0; rep < 20; rep++ {
+			s := newTagSched(t)
+			s.Observe(1, 0, 0)
+			for _, n := range order {
+				s.Observe(n, tags[n], 0)
+			}
+			s.Observe(3, tags[3], 0) // an update keeps one entry per node
+			if len(s.table) != 5 {
+				t.Fatalf("table has %d entries, want 5", len(s.table))
+			}
+			got := s.Advise(1, 0)
+			if k == 0 && rep == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("insertion order %v: Advise = %g, want %g", order, got, want)
+			}
+		}
+	}
+}
+
 func TestObserveIgnoresSelf(t *testing.T) {
 	s := newTagSched(t)
 	s.Observe(0, 5000, 0) // own node ID

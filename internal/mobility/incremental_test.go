@@ -86,22 +86,32 @@ func TestIncrementalMatchesRebuildInvariants(t *testing.T) {
 
 // TestIncrementalNearStaticMatchesRebuild: when nodes barely move the
 // adjacency never changes, every route survives, and the two pipelines
-// must produce identical results end to end — the strongest statement
-// that topology/instance reuse does not alter behavior.
+// must produce identical results end to end for every stack — the
+// strongest statement that reusing the previous epoch's instance and
+// shares does not alter behavior. 2PA-D and two-tier bypass the
+// allocator's group cache, so for them the reused shares are the only
+// cross-epoch reuse.
 func TestIncrementalNearStaticMatchesRebuild(t *testing.T) {
-	base := mobileCfg()
-	base.Waypoint.MinSpeed, base.Waypoint.MaxSpeed = 0.001, 0.002
-	base.Waypoint.MaxPause = 0
-	inc, err := mobility.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reb, err := mobility.RunRebuild(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(inc, reb) {
-		t.Fatalf("near-static incremental run differs from rebuild:\nincremental %+v\nrebuild %+v", inc, reb)
+	for _, p := range []netsim.Protocol{
+		netsim.Protocol80211, netsim.ProtocolTwoTier, netsim.Protocol2PAC, netsim.Protocol2PAD, netsim.ProtocolDFS,
+	} {
+		t.Run(p.String(), func(t *testing.T) {
+			base := mobileCfg()
+			base.Protocol = p
+			base.Waypoint.MinSpeed, base.Waypoint.MaxSpeed = 0.001, 0.002
+			base.Waypoint.MaxPause = 0
+			inc, err := mobility.Run(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reb, err := mobility.RunRebuild(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(inc, reb) {
+				t.Fatalf("near-static incremental run differs from rebuild:\nincremental %+v\nrebuild %+v", inc, reb)
+			}
+		})
 	}
 }
 

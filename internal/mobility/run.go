@@ -105,29 +105,19 @@ func prepare(cfg Config) (Config, *Waypoint, error) {
 	if err != nil {
 		return cfg, nil, err
 	}
-	if cfg.Net.ShardSim && cfg.Net.Sharder == nil {
-		// One sharder spans the whole run: epochs that leave a radio
-		// component's adjacency untouched reuse its cached sub-topology
-		// instead of re-deriving it, so mobility re-shards incrementally.
-		cfg.Net.Sharder = netsim.NewSharder()
-	}
 	return cfg, wp, nil
 }
-
-// maxCachedInstances bounds the incremental loop's instance cache; on
-// overflow the cache is cleared rather than evicted piecemeal, since a
-// mobile run that cycles through this many distinct (adjacency, route
-// set) states gets little from reuse anyway.
-const maxCachedInstances = 64
 
 // runIncremental is the epoch loop with work reuse across epochs: one
 // topology Snapshotter (grid, arenas, change detection), DSR-style
 // route maintenance that keeps still-valid routes and batches repairs
-// by source through one BFS tree, flow/set/instance reuse whenever the
-// (adjacency, routes) state repeats, and one allocator whose solver
-// scratch and group share cache span the whole run — an epoch that
-// perturbs some contention components re-solves only those components'
-// group LPs and copies cached shares for the rest.
+// by source through one BFS tree, and two kinds of first-phase reuse.
+// While the adjacency is unchanged no route can change, so the epoch
+// replays the previous epoch's instance and shares outright. Otherwise
+// it builds a fresh instance and solves it on one allocator whose
+// solver scratch and group share cache span the whole run, so an
+// epoch that perturbs some contention components re-solves only those
+// components' group LPs and copies cached shares for the rest.
 func runIncremental(cfg Config, wp *Waypoint) (*Result, error) {
 	res := &Result{PerFlow: make(map[flow.ID]int64, len(cfg.Flows))}
 	names := make([]string, cfg.Nodes)
@@ -140,20 +130,14 @@ func runIncremental(cfg Config, wp *Waypoint) (*Result, error) {
 	}
 	allocator := core.NewAllocator()
 	var (
-		pos       []geom.Point
-		bt        routing.BFSTree
-		pending   []int // spec indices needing a fresh route
-		srcOrder  []topology.NodeID
-		keyBuf    []byte
-		curFlows  []*flow.Flow
-		prevFlows []*flow.Flow
-		prevSet   *flow.Set
+		pos      []geom.Point
+		bt       routing.BFSTree
+		pending  []int // spec indices needing a fresh route
+		srcOrder []topology.NodeID
+		inst     *core.Instance         // nil while no flow is routed
+		shares   core.SubflowAllocation // inst's shares once solved
 	)
 	prevRoutes := make(map[flow.ID][]topology.NodeID, len(cfg.Flows))
-	flowCache := make(map[flow.ID]*flow.Flow, len(cfg.Flows))
-	flowPaths := make(map[flow.ID][]topology.NodeID, len(cfg.Flows))
-	instCache := make(map[string]*core.Instance)
-	shareCache := make(map[string]core.SubflowAllocation)
 	bySrc := make(map[topology.NodeID][]int)
 
 	for start := sim.Time(0); start < cfg.Duration; start += cfg.Epoch {
@@ -164,7 +148,6 @@ func runIncremental(cfg Config, wp *Waypoint) (*Result, error) {
 		}
 		ep := EpochStat{Start: start}
 
-		routes := prevRoutes
 		if changed || len(res.Epochs) == 0 {
 			// Breakage scan, identical to the rebuild baseline. When the
 			// adjacency is unchanged no link can have broken (tx range ==
@@ -182,7 +165,7 @@ func runIncremental(cfg Config, wp *Waypoint) (*Result, error) {
 			// remains a valid shortcut-free path; the rest are repaired in
 			// batches — one BFS per distinct source node answers every
 			// flow originating there.
-			routes = make(map[flow.ID][]topology.NodeID, len(cfg.Flows))
+			routes := make(map[flow.ID][]topology.NodeID, len(cfg.Flows))
 			pending = pending[:0]
 			for si, fs := range cfg.Flows {
 				if prev, ok := prevRoutes[fs.ID]; ok && routing.PathStillValid(topo, prev) {
@@ -222,89 +205,48 @@ func runIncremental(cfg Config, wp *Waypoint) (*Result, error) {
 					ep.Rerouted++
 				}
 			}
-		}
-		res.Unreachable += len(cfg.Flows) - len(routes)
-		ep.Routed = len(routes)
-		prevRoutes = routes
+			prevRoutes = routes
 
-		// Assemble the epoch's flow set in spec order, reusing flow
-		// objects whose route is unchanged, and building the instance
-		// cache key (adjacency fingerprint + flow IDs + routes) as we go.
-		fp := topo.AdjacencyFingerprint()
-		keyBuf = keyBuf[:0]
-		for shift := 0; shift < 64; shift += 8 {
-			keyBuf = append(keyBuf, byte(fp>>shift))
-		}
-		curFlows = curFlows[:0]
-		for _, fs := range cfg.Flows {
-			route, ok := routes[fs.ID]
-			if !ok {
-				continue
-			}
-			f := flowCache[fs.ID]
-			if f == nil || !samePath(flowPaths[fs.ID], route) {
+			// The epoch's flow set, in spec order, and its instance.
+			flows := make([]*flow.Flow, 0, len(routes))
+			for _, fs := range cfg.Flows {
+				route, ok := routes[fs.ID]
+				if !ok {
+					continue
+				}
 				weight := fs.Weight
 				if weight == 0 {
 					weight = 1
 				}
-				f, err = flow.New(fs.ID, weight, route)
+				f, err := flow.New(fs.ID, weight, route)
 				if err != nil {
 					return nil, err
 				}
-				flowCache[fs.ID] = f
-				flowPaths[fs.ID] = route
+				flows = append(flows, f)
 			}
-			curFlows = append(curFlows, f)
-			keyBuf = append(keyBuf, fs.ID...)
-			keyBuf = append(keyBuf, 0)
-			for _, n := range route {
-				v := uint32(n)
-				keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-			}
-			keyBuf = append(keyBuf, 0xFF)
-		}
-		set := prevSet
-		if set == nil || !sameFlowObjects(prevFlows, curFlows) {
-			set, err = flow.NewSet(curFlows...)
+			set, err := flow.NewSet(flows...)
 			if err != nil {
 				return nil, err
 			}
-		}
-		prevFlows = append(prevFlows[:0], curFlows...)
-		prevSet = set
-
-		if set.Len() > 0 {
-			key := string(keyBuf)
-			inst, hit := instCache[key]
-			// A fingerprint collision could alias two adjacencies to one
-			// key; verify exactly before trusting a hit.
-			if hit && !inst.Topo.EqualAdjacency(topo) {
-				hit = false
-			}
-			if !hit {
-				inst, err = core.NewInstance(topo, set)
-				if err != nil {
+			inst, shares = nil, nil
+			if set.Len() > 0 {
+				if inst, err = core.NewInstance(topo, set); err != nil {
 					return nil, err
 				}
-				if len(instCache) >= maxCachedInstances {
-					clear(instCache)
-					clear(shareCache)
-				}
-				instCache[key] = inst
 			}
+		}
+		res.Unreachable += len(cfg.Flows) - len(prevRoutes)
+		ep.Routed = len(prevRoutes)
+
+		if inst != nil {
 			netCfg := epochNetConfig(cfg, start)
-			// The first-phase solve is deterministic per instance, so a
-			// repeated (adjacency, routes) state replays its cached
-			// allocation instead of re-running the solver.
-			netCfg.Shares = shareCache[key]
+			netCfg.Shares = shares
 			run, err := netsim.RunWith(allocator, inst, netCfg)
 			if err != nil {
 				return nil, err
 			}
-			if run.Shares != nil {
-				shareCache[key] = run.Shares
-			}
-			accountEpoch(res, &ep, set, run)
+			shares = run.Shares
+			accountEpoch(res, &ep, inst.Flows, run)
 		}
 		res.Epochs = append(res.Epochs, ep)
 		wp.Advance(cfg.Epoch)
@@ -344,21 +286,6 @@ func accountEpoch(res *Result, ep *EpochStat, set *flow.Set, run *netsim.Result)
 
 // samePath reports whether two routes are identical.
 func samePath(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameFlowObjects reports whether two flow lists hold the identical
-// objects in the same order, which (with the flow cache) means the
-// epoch's set composition is unchanged.
-func sameFlowObjects(a, b []*flow.Flow) bool {
 	if len(a) != len(b) {
 		return false
 	}

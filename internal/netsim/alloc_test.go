@@ -38,7 +38,7 @@ func TestSteadyStateAllocsPerDelivered(t *testing.T) {
 		cfg  netsim.Config
 	}{
 		{"fig6-single", fig6, netsim.Config{}},
-		{"fig6x8-sharded-4w", tiled, netsim.Config{ShardSim: true, ShardWorkers: 4, Sharder: netsim.NewSharder()}},
+		{"fig6x8-sharded-4w", tiled, netsim.Config{ShardSim: true, ShardWorkers: 4}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			measure := func(dur sim.Time) (mallocs, delivered float64) {

@@ -112,11 +112,6 @@ type Config struct {
 	// GOMAXPROCS. Results are merged in component order, so the worker
 	// count never changes the outcome.
 	ShardWorkers int
-	// Sharder, when set, caches induced sub-topologies across runs
-	// keyed by component fingerprint: a mobility epoch that moves one
-	// component rebuilds that shard only. Nil builds ephemeral shards
-	// per run.
-	Sharder *Sharder
 
 	// eng, when non-nil, is an engine recycled via Reset instead of
 	// allocating a fresh one — set by the worker pool.

@@ -191,7 +191,7 @@ func runComponent(a *core.Allocator, c *component) (*DynamicResult, error) {
 		r.routes[i] = f.Path()
 		r.flowShare[i] = cfg.Shares[flow.SubflowID{Flow: f.ID(), Hop: 0}]
 	}
-	stack, err := NewStackWith(nil, inst, cfg, mac.Hooks{
+	stack, err := NewStack(inst, cfg, mac.Hooks{
 		OnDelivered: r.onDelivered,
 		OnRetryDrop: r.onRetryDrop,
 		OnCollision: func(_ topology.NodeID, _ sim.Time) { r.col.Collision() },

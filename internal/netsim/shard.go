@@ -19,50 +19,6 @@ import (
 // the single-engine path is kept exactly as-is.
 const shardMinComponents = 2
 
-// Sharder partitions a topology into interference-disjoint radio
-// components and caches the induced sub-topology of each component
-// keyed by its fingerprint. Reusing one Sharder across runs — the
-// mobility epoch loop — re-shards incrementally: an epoch that moved
-// only one component rebuilds that component's sub-topology and serves
-// every other shard from the cache. A Sharder is not safe for
-// concurrent use; each run sequence owns its own.
-type Sharder struct {
-	comps topology.RadioComponentSet
-	cache map[uint64]*shardEntry
-}
-
-// shardEntry is one cached shard: the member list the fingerprint was
-// confirmed against, plus the induced sub-topology.
-type shardEntry struct {
-	members []topology.NodeID
-	topo    *topology.Topology
-}
-
-// NewSharder returns an empty sharder.
-func NewSharder() *Sharder {
-	return &Sharder{cache: make(map[uint64]*shardEntry)}
-}
-
-// subTopo returns the induced sub-topology for a component, from cache
-// when the fingerprint and member list both match. The fingerprint
-// covers members and their radio adjacency, so a confirmed hit is
-// behaviorally interchangeable even when positions drifted without
-// changing any range predicate.
-func (s *Sharder) subTopo(t *topology.Topology, members []topology.NodeID, fp uint64) (*topology.Topology, error) {
-	if e, ok := s.cache[fp]; ok && slices.Equal(e.members, members) {
-		return e.topo, nil
-	}
-	sub, err := t.Subset(members)
-	if err != nil {
-		return nil, err
-	}
-	s.cache[fp] = &shardEntry{
-		members: append([]topology.NodeID(nil), members...),
-		topo:    sub,
-	}
-	return sub, nil
-}
-
 // component is one engine's share of a run: the whole instance with
 // identity maps, or one radio component's induced sub-instance with
 // the config slice (t=0 shares, fault plan) and churn events of its
@@ -168,19 +124,16 @@ func partition(inst *core.Instance, cfg Config, events []FlowEvent, dynamic bool
 	if !cfg.ShardSim || cfg.Tracer != nil {
 		return nil, nil
 	}
-	sh := cfg.Sharder
-	if sh == nil {
-		sh = NewSharder()
-	}
-	inst.Topo.AppendRadioComponents(&sh.comps)
-	ncomp := sh.comps.Len()
+	var cs topology.RadioComponentSet
+	inst.Topo.AppendRadioComponents(&cs)
+	ncomp := cs.Len()
 	if ncomp < shardMinComponents {
 		return nil, nil
 	}
 	n := inst.Topo.NumNodes()
 	compOf := make([]int32, n)
 	for c := 0; c < ncomp; c++ {
-		for _, id := range sh.comps.Component(c) {
+		for _, id := range cs.Component(c) {
 			compOf[id] = int32(c)
 		}
 	}
@@ -202,8 +155,8 @@ func partition(inst *core.Instance, cfg Config, events []FlowEvent, dynamic bool
 		if len(flowsOf[c]) == 0 {
 			continue
 		}
-		members := sh.comps.Component(c)
-		subTopo, err := sh.subTopo(inst.Topo, members, sh.comps.Fingerprint(c))
+		members := cs.Component(c)
+		subTopo, err := inst.Topo.Subset(members)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +188,6 @@ func partition(inst *core.Instance, cfg Config, events []FlowEvent, dynamic bool
 
 		scfg := cfg
 		scfg.ShardSim = false
-		scfg.Sharder = nil
 		scfg.ShardWorkers = 0
 		scfg.eng = nil
 		scfg.nodeIDs = nodeIDs

@@ -160,12 +160,10 @@ func TestShardedManyWorkersRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderDeep(s, single)
-	sh := netsim.NewSharder()
 	for round := 0; round < 3; round++ {
 		scfg := cfg
 		scfg.ShardSim = true
 		scfg.ShardWorkers = 8
-		scfg.Sharder = sh // exercise the cached sub-topology path too
 		r, err := netsim.Run(s.Inst, scfg)
 		if err != nil {
 			t.Fatal(err)
@@ -428,8 +426,8 @@ func TestShardedDynamicEquivalence(t *testing.T) {
 
 // TestShardedMobilityEquivalence composes sharding with the mobility
 // epoch loop: the same mobile scenario with Net.ShardSim on and off
-// must produce identical epoch and total accounting, with one Sharder
-// re-sharding incrementally across epochs.
+// must produce identical epoch and total accounting, with every epoch
+// partitioned into its radio components afresh.
 func TestShardedMobilityEquivalence(t *testing.T) {
 	base := func(shard bool) mobility.Config {
 		return mobility.Config{

@@ -22,15 +22,6 @@ type Stack struct {
 // NewStack builds engine, channel, medium and per-node schedulers for
 // the instance under the given config, with the caller's MAC hooks.
 func NewStack(inst *core.Instance, cfg Config, hooks mac.Hooks) (*Stack, error) {
-	return NewStackWith(nil, inst, cfg, hooks)
-}
-
-// NewStackWith is NewStack with a caller-held core.Allocator computing
-// the first-phase shares: repeated stack builds — the mobility epoch
-// loop — reuse LP solver scratch and copy cached shares for group LPs
-// already solved under an earlier instance. A nil allocator behaves
-// exactly like NewStack.
-func NewStackWith(a *core.Allocator, inst *core.Instance, cfg Config, hooks mac.Hooks) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	if inst.Topo == nil {
 		return nil, ErrNeedTopology
@@ -38,7 +29,7 @@ func NewStackWith(a *core.Allocator, inst *core.Instance, cfg Config, hooks mac.
 	shares := cfg.Shares
 	if shares == nil {
 		var err error
-		shares, _, _, err = solveShares(a, inst, cfg.Protocol)
+		shares, _, _, err = solveShares(nil, inst, cfg.Protocol)
 		if err != nil {
 			return nil, err
 		}

@@ -162,64 +162,3 @@ func TestRandomScenario(t *testing.T) {
 		}
 	}
 }
-
-func TestGridScenario(t *testing.T) {
-	sc, err := Grid(3, 4, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Flows.Len() != 4 {
-		t.Fatalf("flows = %d", sc.Flows.Len())
-	}
-	for _, f := range sc.Flows.Flows() {
-		if err := routing.ValidatePath(sc.Topo, f.Path()); err != nil {
-			t.Errorf("flow %s: %v", f.ID(), err)
-		}
-	}
-	// Horizontal flows have cols-1 hops, vertical rows-1.
-	h, err := sc.Flows.Get("H1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Length() != 3 {
-		t.Errorf("H1 hops = %d", h.Length())
-	}
-	if _, err := Grid(1, 4, 1, 1); err == nil {
-		t.Error("1-row grid should fail")
-	}
-	if _, err := Grid(3, 3, 4, 0); err == nil {
-		t.Error("too many row flows should fail")
-	}
-}
-
-func TestParkingLotScenario(t *testing.T) {
-	sc, err := ParkingLot(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Flows.Len() != 4 {
-		t.Fatalf("flows = %d", sc.Flows.Len())
-	}
-	long, err := sc.Flows.Get("L")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if long.Length() != 6 {
-		t.Errorf("long flow hops = %d", long.Length())
-	}
-	for _, f := range sc.Flows.Flows() {
-		if err := routing.ValidatePath(sc.Topo, f.Path()); err != nil {
-			t.Errorf("flow %s: %v", f.ID(), err)
-		}
-	}
-	// All flows contend transitively through the chain: one group.
-	if groups := sc.Inst.Graph.FlowGroups(); len(groups) != 1 {
-		t.Errorf("groups = %v", groups)
-	}
-	if _, err := ParkingLot(1, 0); err == nil {
-		t.Error("short chain should fail")
-	}
-	if _, err := ParkingLot(4, 4); err == nil {
-		t.Error("too many cross flows should fail")
-	}
-}

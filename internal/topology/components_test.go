@@ -267,44 +267,6 @@ func TestRadioComponentsOracle(t *testing.T) {
 	}
 }
 
-// TestRadioComponentsFingerprint checks the cache-invalidation
-// semantics: identical adjacency fingerprints equal, a moved node's
-// component fingerprint changes.
-func TestRadioComponentsFingerprint(t *testing.T) {
-	build := func(shift float64) *Topology {
-		b := NewBuilder(250, 250)
-		b.Add("a0", 0, 0)
-		b.Add("a1", 200+shift, 0)
-		b.Add("b0", 1200, 0)
-		b.Add("b1", 1400, 0)
-		topo, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return topo
-	}
-	var cs1, cs2, cs3 RadioComponentSet
-	build(0).AppendRadioComponents(&cs1)
-	build(0).AppendRadioComponents(&cs2)
-	if cs1.Fingerprint(0) != cs2.Fingerprint(0) || cs1.Fingerprint(1) != cs2.Fingerprint(1) {
-		t.Error("identical topologies produced different fingerprints")
-	}
-	// Moving a1 out of a0's range changes component structure; the
-	// untouched {b0, b1} component keeps its membership but its node
-	// IDs' rows are unchanged, so only the affected fingerprints move.
-	build(100).AppendRadioComponents(&cs3)
-	if cs3.Len() != 3 {
-		t.Fatalf("after split: %d components, want 3", cs3.Len())
-	}
-	if cs1.Fingerprint(0) == cs3.Fingerprint(0) {
-		t.Error("split component kept its fingerprint")
-	}
-	// {b0, b1} is component 1 before and component 2 after the split.
-	if cs1.Fingerprint(1) != cs3.Fingerprint(2) {
-		t.Error("untouched component's fingerprint changed")
-	}
-}
-
 // TestAppendRadioComponentsAllocs pins the zero-allocation contract of
 // the steady-state rebuild, for both the same-range fast path and the
 // grid-probing extended-range path.

@@ -12,8 +12,7 @@ import (
 
 // TestSingleNodeComponents pins the degenerate sharding shape: nodes
 // out of interference range of everyone form one component each, in
-// node-ID order, with pairwise-distinct fingerprints, and each is a
-// valid one-node Subset.
+// node-ID order, and each is a valid one-node Subset.
 func TestSingleNodeComponents(t *testing.T) {
 	topo := buildLine(t, 4, 10_000, 250, 500) // 10 km spacing: all isolated
 	var cs RadioComponentSet
@@ -21,14 +20,11 @@ func TestSingleNodeComponents(t *testing.T) {
 	if cs.Len() != 4 {
 		t.Fatalf("got %d components, want 4 singletons", cs.Len())
 	}
-	fps := map[uint64]int{}
 	for c := 0; c < cs.Len(); c++ {
 		members := cs.Component(c)
 		if len(members) != 1 || members[0] != NodeID(c) {
 			t.Errorf("component %d = %v, want [%d]", c, members, c)
 		}
-		fps[cs.Fingerprint(c)]++
-
 		sub, err := topo.Subset(members)
 		if err != nil {
 			t.Fatalf("singleton subset %d: %v", c, err)
@@ -40,18 +36,11 @@ func TestSingleNodeComponents(t *testing.T) {
 			t.Errorf("singleton subset %d lost identity: %q at %v", c, sub.Name(0), sub.Position(0))
 		}
 	}
-	for fp, n := range fps {
-		if n > 1 {
-			t.Errorf("fingerprint %#x shared by %d singleton components", fp, n)
-		}
-	}
 }
 
 // TestComponentOfIdleNodes covers a component whose nodes carry no
 // flows (every member parked as far as traffic is concerned): it still
-// enumerates, subsets, and keeps its fingerprint stable across
-// re-enumeration — the sharded simulator relies on this to skip idle
-// shards without rebuilding them.
+// enumerates and subsets like any other component.
 func TestComponentOfIdleNodes(t *testing.T) {
 	b := NewBuilder(250, 500)
 	// Active cluster: 3 nodes in range.
@@ -80,12 +69,6 @@ func TestComponentOfIdleNodes(t *testing.T) {
 	}
 	if !sub.InTxRange(0, 1) {
 		t.Error("idle pair lost its link in the subset")
-	}
-	fp := cs.Fingerprint(1)
-	var again RadioComponentSet
-	topo.AppendRadioComponents(&again)
-	if again.Fingerprint(1) != fp {
-		t.Errorf("idle component fingerprint unstable: %#x then %#x", fp, again.Fingerprint(1))
 	}
 }
 
