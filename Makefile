@@ -21,21 +21,26 @@ bench:
 # Every BENCH_*.json comes from Go benchmarks: five runs each,
 # summarized by cmd/benchjson into the median (values) and min/max of
 # every reported unit. benchjson fails and keeps the old file when a
-# benchmark fails or none ran.
+# benchmark fails or none ran. bench-lp and bench-alloc also gate with
+# -compare against the committed file: a median of allocs/op or of a
+# work count (LP solves, pivots, solves per event) outside the file's
+# [min, max] fails the target and keeps the file. To record a
+# deliberate change of those counts, pipe the same go test command into
+# `go run ./cmd/benchjson BENCH_x.json`, without -compare.
 
 # LP-solver perf trajectory: cold solves on the reusable Solver vs the
 # seed reference (ns/op, allocs/op), one refined group solve on the
-# dense arrival shape (with its LP solves per refine) and the
-# distributed first phase, sequential vs parallel.
+# dense arrival shape (with its LP solves and pivots per refine) and
+# the distributed first phase, sequential vs parallel.
 bench-lp: build
-	$(GO) test -run '^$$' -bench '^Benchmark(LPSolve|LPSolveReference|RefineDenseArrivals|DistributedAllocate)$$' -benchmem -count 5 ./internal/lp ./internal/core . | $(GO) run ./cmd/benchjson BENCH_lp.json
+	$(GO) test -run '^$$' -bench '^Benchmark(LPSolve|LPSolveReference|RefineDenseArrivals|DistributedAllocate)$$' -benchmem -count 5 ./internal/lp ./internal/core . | $(GO) run ./cmd/benchjson -compare BENCH_lp.json BENCH_lp.json
 
 # Sharded allocation-engine perf trajectory: sequential oracle walk vs
 # 8-worker sharded fan-out on a 32-component instance, and the
 # churn-delta re-solve (solves per churn event must stay ≪ group
 # count).
 bench-alloc: build
-	$(GO) test -run '^$$' -bench '^Benchmark(CentralizedShardedSeq|CentralizedShardedPar|ChurnDelta)$$' -benchmem -count 5 ./internal/core | $(GO) run ./cmd/benchjson BENCH_alloc.json
+	$(GO) test -run '^$$' -bench '^Benchmark(CentralizedShardedSeq|CentralizedShardedPar|ChurnDelta)$$' -benchmem -count 5 ./internal/core | $(GO) run ./cmd/benchjson -compare BENCH_alloc.json BENCH_alloc.json
 
 # MAC/PHY datapath perf trajectory: the unicast contention and
 # broadcast fan-out hot paths on a dense 30-node medium (must stay at

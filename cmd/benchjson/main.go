@@ -6,18 +6,31 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench <regexp> -benchmem -count 5 <packages> | benchjson BENCH_x.json
+//	go test -run '^$' -bench <regexp> -benchmem -count 5 <packages> | benchjson [-compare OLD.json] BENCH_x.json
 //
 // The input is echoed to stdout as it is read. benchjson exits non-zero
 // and leaves the output file untouched when the input holds a FAIL line
 // or no benchmark result. It reads the benchmarks' GOMAXPROCS from its
 // own environment, which it shares with `go test` through the pipe, so
 // pass no -cpu flag.
+//
+// With -compare, benchjson first reads OLD.json (usually the committed
+// file the run is about to replace) and checks the new medians against
+// its [min, max] envelopes. allocs/op and the work counts benchmarks
+// report (lpsolves/refine, pivots/refine, solves/event, groups/event)
+// do not depend on the machine, so a median outside its envelope fails
+// the run and leaves the output file untouched. Timing units are
+// printed beside their envelopes but not gated: the machine that wrote
+// OLD.json is rarely the one comparing. Entries and units OLD.json
+// lacks are reported as new. To accept a deliberate change of a gated
+// value, run without -compare.
 package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -30,21 +43,45 @@ import (
 )
 
 func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: go test -bench ... | benchjson BENCH_x.json")
+	compare := flag.String("compare", "", "gate allocs/op and work counts against this BENCH file's [min, max] envelopes")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: go test -bench ... | benchjson [-compare OLD.json] BENCH_x.json")
+		flag.PrintDefaults()
+	}
+	flag.Parse()
+	if flag.NArg() != 1 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(os.Stdin, os.Stdout, os.Args[1], runtime.GOMAXPROCS(0)); err != nil {
+	if err := run(os.Stdin, os.Stdout, flag.Arg(0), *compare, runtime.GOMAXPROCS(0)); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
 // run parses in, echoing it to echo, and writes the summary to path.
-func run(in io.Reader, echo io.Writer, path string, procs int) error {
+// With a non-empty compare it gates the summary against that BENCH
+// file first (see gate), writing nothing when the gate fails.
+func run(in io.Reader, echo io.Writer, path, compare string, procs int) error {
+	var old *benchreport.Report
+	if compare != "" {
+		buf, err := os.ReadFile(compare)
+		if err != nil {
+			return err
+		}
+		old = new(benchreport.Report)
+		if err := json.Unmarshal(buf, old); err != nil {
+			return fmt.Errorf("%s: %w", compare, err)
+		}
+	}
 	rep, err := parse(io.TeeReader(in, echo), procs)
 	if err != nil {
 		return err
+	}
+	if old != nil {
+		if err := gate(echo, old, rep); err != nil {
+			return err
+		}
 	}
 	rep.NumCPU = runtime.NumCPU()
 	rep.GitSHA = benchreport.GitSHA()
@@ -53,6 +90,80 @@ func run(in io.Reader, echo io.Writer, path string, procs int) error {
 	}
 	fmt.Fprintf(echo, "wrote %s (%d sections)\n", path, len(rep.Sections))
 	return nil
+}
+
+// gatedUnits are the units -compare gates: allocations and the work
+// counts benchmarks report, which a faster or slower machine does not
+// change.
+var gatedUnits = map[string]bool{
+	"allocs/op":       true,
+	"lpsolves/refine": true,
+	"pivots/refine":   true,
+	"solves/event":    true,
+	"groups/event":    true,
+}
+
+// gate prints every unit of cur beside old's envelope for it and
+// returns an error naming each gated unit whose median left its
+// envelope. An entry recorded as a single sample has the envelope
+// [value, value].
+func gate(w io.Writer, old, cur *benchreport.Report) error {
+	type key struct{ section, label string }
+	prev := map[key]benchreport.Entry{}
+	for _, sec := range old.Sections {
+		for _, e := range sec.Entries {
+			prev[key{sec.Name, e.Label}] = e
+		}
+	}
+	var outside []string
+	for _, sec := range cur.Sections {
+		for _, e := range sec.Entries {
+			o, ok := prev[key{sec.Name, e.Label}]
+			if !ok {
+				fmt.Fprintf(w, "compare %s: new entry\n", e.Label)
+				continue
+			}
+			units := make([]string, 0, len(e.Values))
+			for u := range e.Values {
+				units = append(units, u)
+			}
+			sort.Strings(units)
+			for _, u := range units {
+				v := e.Values[u]
+				if _, ok := o.Values[u]; !ok {
+					fmt.Fprintf(w, "compare %s %s: %g, new unit\n", e.Label, u, v)
+					continue
+				}
+				lo, hi := envelope(o, u)
+				verdict := "not gated"
+				if gatedUnits[u] {
+					verdict = "ok"
+					if v < lo || v > hi {
+						verdict = "OUTSIDE"
+						outside = append(outside, fmt.Sprintf("%s %s %g not in [%g, %g]", e.Label, u, v, lo, hi))
+					}
+				}
+				fmt.Fprintf(w, "compare %s %s: %g in [%g, %g]? %s\n", e.Label, u, v, lo, hi, verdict)
+			}
+		}
+	}
+	if len(outside) > 0 {
+		return fmt.Errorf("%d gated medians left the committed envelope: %s", len(outside), strings.Join(outside, "; "))
+	}
+	return nil
+}
+
+// envelope is entry e's [min, max] for unit u, or [value, value] when
+// e records no spread for it.
+func envelope(e benchreport.Entry, u string) (lo, hi float64) {
+	lo, hi = e.Values[u], e.Values[u]
+	if v, ok := e.Min[u]; ok {
+		lo = v
+	}
+	if v, ok := e.Max[u]; ok {
+		hi = v
+	}
+	return lo, hi
 }
 
 // parse reads `go test -bench` output from benchmarks run at GOMAXPROCS

@@ -125,7 +125,7 @@ func TestParseOtherProcsFails(t *testing.T) {
 func TestRunWritesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_x.json")
 	var echo strings.Builder
-	if err := run(strings.NewReader(canned), &echo, path, 2); err != nil {
+	if err := run(strings.NewReader(canned), &echo, path, "", 2); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(echo.String(), "BenchmarkLPSolve/fig6-2") {
@@ -165,7 +165,7 @@ func TestRunFailureKeepsExistingFile(t *testing.T) {
 			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(strings.NewReader(in), io.Discard, path, 2); err == nil {
+			if err := run(strings.NewReader(in), io.Discard, path, "", 2); err == nil {
 				t.Fatal("run succeeded")
 			}
 			buf, err := os.ReadFile(path)
@@ -176,5 +176,92 @@ func TestRunFailureKeepsExistingFile(t *testing.T) {
 				t.Errorf("left %d files behind", len(ents))
 			}
 		})
+	}
+}
+
+// writeOld writes canned's own summary, edited by tweak, as the
+// committed file -compare reads, and returns its path and bytes.
+func writeOld(t *testing.T, tweak func(*benchreport.Report)) (string, []byte) {
+	t.Helper()
+	rep, err := parse(strings.NewReader(canned), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tweak(rep)
+	path := filepath.Join(t.TempDir(), "BENCH_x.json")
+	if err := benchreport.Write(path, rep); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, buf
+}
+
+// TestCompareGatesCounts runs canned against committed files that
+// differ from it in one unit each. A gated unit (allocs/op, a work
+// count) whose median leaves the committed [min, max] fails the run
+// and leaves the committed file as it was; timing units, and entries
+// or units the committed file lacks, are printed but never fail it.
+func TestCompareGatesCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tweak func(*benchreport.Report)
+		fail  bool
+	}{
+		{"same", func(*benchreport.Report) {}, false},
+		{"slower-machine", func(r *benchreport.Report) {
+			e := r.Sections[0].Entries[0]
+			e.Values["ns/op"], e.Min["ns/op"], e.Max["ns/op"] = 10, 9, 11
+		}, false},
+		{"allocs-grew", func(r *benchreport.Report) {
+			e := r.Sections[0].Entries[1]
+			e.Values["allocs/op"], e.Min["allocs/op"], e.Max["allocs/op"] = 99, 99, 99
+		}, true},
+		{"count-moved", func(r *benchreport.Report) {
+			e := r.Sections[0].Entries[1]
+			e.Min["lpsolves/refine"], e.Max["lpsolves/refine"] = 3.5, 8
+		}, true},
+		{"single-sample", func(r *benchreport.Report) {
+			e := &r.Sections[0].Entries[1]
+			e.Min, e.Max = nil, nil
+		}, false},
+		{"new-entry-and-unit", func(r *benchreport.Report) {
+			r.Sections[1].Entries = nil
+			delete(r.Sections[0].Entries[1].Values, "lpsolves/refine")
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old, committed := writeOld(t, tc.tweak)
+			var echo strings.Builder
+			err := run(strings.NewReader(canned), &echo, old, old, 2)
+			if (err != nil) != tc.fail {
+				t.Fatalf("err = %v, want failure %v\n%s", err, tc.fail, echo.String())
+			}
+			if !strings.Contains(echo.String(), "BenchmarkLPSolve/fig6 ns/op: 2500") {
+				t.Errorf("timing unit not printed:\n%s", echo.String())
+			}
+			buf, _ := os.ReadFile(old)
+			if tc.fail && string(buf) != string(committed) {
+				t.Error("a failed gate rewrote the committed file")
+			}
+			if !tc.fail && string(buf) == string(committed) {
+				t.Error("a passing run kept the committed file")
+			}
+		})
+	}
+}
+
+// TestCompareMissingFile: a -compare file that cannot be read fails
+// the run before anything is written.
+func TestCompareMissingFile(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "BENCH_x.json")
+	if err := run(strings.NewReader(canned), io.Discard, out, filepath.Join(dir, "missing.json"), 2); err == nil {
+		t.Fatal("run succeeded without its baseline")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("output written: %v", err)
 	}
 }

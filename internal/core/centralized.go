@@ -38,6 +38,8 @@ type Delta struct {
 	// group's optimal total plus, under Refine, the refinement's floor,
 	// re-derivation and probe LPs.
 	LPSolves int
+	// Pivots counts the simplex pivots those LP solves took.
+	Pivots int
 }
 
 // CentralizedAllocate solves the paper's linear program (Sec. III-B,
@@ -100,12 +102,13 @@ func (a *Allocator) centralized(inst *Instance, opts CentralizedOptions) (FlowAl
 		}
 		a.pending = append(a.pending, gi)
 	}
-	lpBefore := a.lpSolves()
+	solvesBefore, pivotsBefore := a.lpWork()
 	if err := a.solveGroups(groups, a.pending, shares, opts.Refine); err != nil {
 		return nil, Delta{}, err
 	}
 	delta.Solved = len(a.pending)
-	delta.LPSolves = a.lpSolves() - lpBefore
+	solves, pivots := a.lpWork()
+	delta.LPSolves, delta.Pivots = solves-solvesBefore, pivots-pivotsBefore
 	for _, gi := range a.pending {
 		delta.Evicted += a.cache.put(groupCacheKey{groups[gi].key, opts.Refine}, shares[gi])
 	}
@@ -119,14 +122,15 @@ func (a *Allocator) centralized(inst *Instance, opts CentralizedOptions) (FlowAl
 	return out, delta, nil
 }
 
-// lpSolves sums the LP solves run on the Allocator's sessions.
-func (a *Allocator) lpSolves() int {
-	var n int
+// lpWork sums the LP solves and pivots run on the Allocator's
+// sessions.
+func (a *Allocator) lpWork() (solves, pivots int) {
 	for _, s := range a.sessions {
-		solves, _ := s.solver.Work()
-		n += solves
+		n, p := s.solver.Work()
+		solves += n
+		pivots += p
 	}
-	return n
+	return solves, pivots
 }
 
 // shardMinGroups is the work-size cutoff below which the sharded path

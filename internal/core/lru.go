@@ -69,6 +69,12 @@ func (c *groupLRU) put(k groupCacheKey, x []float64) int {
 		return 0
 	}
 	c.entries[k] = c.order.PushFront(&lruEntry{key: k, x: x})
+	return c.evict()
+}
+
+// evict drops cold entries until the cache is within its cap and
+// returns how many it dropped.
+func (c *groupLRU) evict() int {
 	evicted := 0
 	for len(c.entries) > c.cap {
 		back := c.order.Back()
@@ -94,20 +100,13 @@ func (c *groupLRU) setCap(cap int) int {
 		cap = DefaultGroupCacheCap
 	}
 	c.cap = cap
-	evicted := 0
-	for len(c.entries) > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.entries, back.Value.(*lruEntry).key)
-		c.evictions++
-		evicted++
-	}
-	return evicted
+	return c.evict()
 }
 
 // CacheStats is the cumulative hit/miss/evict trajectory of one
-// Allocator's group-share cache, for observability in the serving
-// layer's stats endpoints and the benchtables serve section.
+// Allocator's group-share cache, read straight off the cache. (The
+// serving layer's shard stats count the same events per batch from
+// each call's Delta instead.)
 type CacheStats struct {
 	Hits      uint64 // group solves satisfied by cached share vectors
 	Misses    uint64 // group solves that had to run the LP

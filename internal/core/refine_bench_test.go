@@ -48,12 +48,25 @@ func denseArrivals(tb testing.TB, paths int) []*core.Instance {
 // BenchmarkRefineDenseArrivals times one refined group solve on the
 // dense arrival shape, the share cache reset before every solve so
 // each one misses as a fresh arrival does. It reports µs per group
-// solve and the LP solves one refined group solve takes.
+// solve, and the LP solves and simplex pivots one refined group solve
+// takes. The counts come from one untimed pass over every instance, so
+// they are exact whatever b.N is.
 func BenchmarkRefineDenseArrivals(b *testing.B) {
 	insts := denseArrivals(b, 8)
 	alloc := core.NewAllocatorWorkers(1)
 	opts := core.CentralizedOptions{Refine: true}
-	var groups, lps int
+	var refines, lps, pivots int
+	for _, inst := range insts {
+		alloc.ResetCache()
+		_, d, err := alloc.CentralizedDelta(inst, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refines += d.Solved
+		lps += d.LPSolves
+		pivots += d.Pivots
+	}
+	var groups int
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
@@ -64,8 +77,8 @@ func BenchmarkRefineDenseArrivals(b *testing.B) {
 			b.Fatal(err)
 		}
 		groups += d.Solved
-		lps += d.LPSolves
 	}
 	b.ReportMetric(float64(time.Since(start).Microseconds())/float64(groups), "us/solve")
-	b.ReportMetric(float64(lps)/float64(groups), "lpsolves/refine")
+	b.ReportMetric(float64(lps)/float64(refines), "lpsolves/refine")
+	b.ReportMetric(float64(pivots)/float64(refines), "pivots/refine")
 }

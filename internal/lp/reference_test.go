@@ -1,7 +1,7 @@
 package lp
 
 // The seed's allocate-per-call, Bland-only Solve is retained as the
-// reference implementation; the reusable flat-tableau Solver must
+// reference implementation; the reusable compact-tableau Solver must
 // classify every program identically (optimal / infeasible /
 // unbounded), match optimal objectives everywhere, and match the
 // optimal vertex where it is unique. The randomized cross-checks below

@@ -149,26 +149,6 @@ func (p *Problem) SetObjectiveCoeff(j int, v float64) error {
 	return nil
 }
 
-// LowerBound appends x_i ≥ v.
-func (p *Problem) LowerBound(i int, v float64) error {
-	if i < 0 || i >= p.n {
-		return fmt.Errorf("%w: variable %d of %d", ErrShape, i, p.n)
-	}
-	row := make([]float64, p.n)
-	row[i] = 1
-	return p.AddGE(row, v)
-}
-
-// UpperBound appends x_i ≤ v.
-func (p *Problem) UpperBound(i int, v float64) error {
-	if i < 0 || i >= p.n {
-		return fmt.Errorf("%w: variable %d of %d", ErrShape, i, p.n)
-	}
-	row := make([]float64, p.n)
-	row[i] = 1
-	return p.AddLE(row, v)
-}
-
 // Solution is an optimal point of a Problem.
 type Solution struct {
 	X         []float64

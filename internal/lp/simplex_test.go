@@ -2,12 +2,33 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 const tolT = 1e-6
+
+// LowerBound appends x_i ≥ v: a test shorthand for a one-variable row.
+func (p *Problem) LowerBound(i int, v float64) error {
+	if i < 0 || i >= p.n {
+		return fmt.Errorf("%w: variable %d of %d", ErrShape, i, p.n)
+	}
+	row := make([]float64, p.n)
+	row[i] = 1
+	return p.AddGE(row, v)
+}
+
+// UpperBound appends x_i ≤ v.
+func (p *Problem) UpperBound(i int, v float64) error {
+	if i < 0 || i >= p.n {
+		return fmt.Errorf("%w: variable %d of %d", ErrShape, i, p.n)
+	}
+	row := make([]float64, p.n)
+	row[i] = 1
+	return p.AddLE(row, v)
+}
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()

@@ -10,6 +10,17 @@ import (
 // basis, cost and reduced-cost rows) across solves, so the
 // steady-state re-solve loop allocates nothing.
 //
+// The tableau is compact: it stores only the nonbasic columns. A basic
+// variable's column is a unit vector, so storing it buys nothing, and
+// on the allocation's clique-capacity programs, where every ≤ row
+// brings a basic slack, the basic columns are most of a full tableau's
+// width. A pivot moves the leaving variable into the entering
+// variable's column slot. Ties in pricing and in choosing a phase-1
+// drive-out column go to the smallest variable index, not the smallest
+// slot, so the compact tableau takes exactly the pivots a full tableau
+// would and computes the same values on every column it keeps; only
+// the sign of a zero can differ (pinned by fulltableau_test.go).
+//
 // Pricing is Dantzig's rule (most negative reduced cost), which on the
 // clique-capacity programs of phase 1 reaches the optimum in far fewer
 // pivots than Bland's rule. Degenerate programs can cycle under
@@ -25,27 +36,34 @@ import (
 // A Solver is not safe for concurrent use; give each goroutine its
 // own.
 type Solver struct {
-	// Flat tableau: m rows × stride columns, row-major. Columns
-	// 0..n-1 hold decision variables, n..n+nSlack-1 slack/surplus
-	// columns, n+nSlack..width-1 artificials; column width is the RHS.
+	// Variables are numbered 0..n-1 for the decision variables,
+	// n..n+nSlack-1 for slacks and surpluses and n+nSlack..width-1 for
+	// artificials. The flat tableau has m rows × stride entries,
+	// row-major: slot k < cols holds the column of variable
+	// nonbasic[k], and slot cols holds the RHS.
 	tab    []float64
 	stride int
+	cols   int
 	m      int
 	n      int
 	width  int
 	nSlack int
 	nArt   int
 
-	basis []int
-	z     []float64 // reduced-cost row, len stride
-	cost  []float64 // dense cost vector, len width
+	basis    []int     // basis[i] is row i's basic variable
+	nonbasic []int     // nonbasic[k] is the variable in slot k
+	where    []int     // where[v] is v's slot, or -1 while v is basic
+	z        []float64 // reduced-cost row over the slots, len stride
+	cost     []float64 // cost of each variable, len width
+	nz       []int     // pivot-row scratch: slots with a nonzero entry
 
-	// dualCol[i] is the column whose final reduced cost prices
+	// dualVar[i] is the variable whose final reduced cost prices
 	// constraint i — its slack, surplus or artificial — and
 	// dualSign[i] maps that reduced cost to ∂objective/∂b_i, undoing
-	// the surplus column's −1 and the negative-RHS row flip. Phase 1
-	// compacts rows but never moves columns, so the map stays valid.
-	dualCol  []int
+	// the surplus column's −1 and the negative-RHS row flip.
+	// Artificials keep their slots after phase 1, masked from pricing,
+	// so an equality row's dual can still be read.
+	dualVar  []int
 	dualSign []float64
 	ncons    int // constraint count of the loaded problem
 
@@ -138,7 +156,11 @@ func (s *Solver) Dual(i int) float64 {
 	if s.last == nil || i < 0 || i >= s.ncons {
 		return 0
 	}
-	return s.dualSign[i] * s.z[s.dualCol[i]]
+	k := s.where[s.dualVar[i]]
+	if k < 0 {
+		return 0 // a basic variable's reduced cost is zero
+	}
+	return s.dualSign[i] * s.z[k]
 }
 
 // Work reports the solver's cumulative effort since NewSolver: LP
@@ -147,13 +169,16 @@ func (s *Solver) Work() (solves, pivots int) { return s.solves, s.pivots }
 
 func (s *Solver) row(i int) []float64 { return s.tab[i*s.stride : (i+1)*s.stride] }
 
-// load normalizes p into the flat tableau exactly as the seed's
-// reference Solve (reference_test.go) does: every row an equality with RHS ≥ 0, LE rows gaining a
-// slack, GE rows a surplus and an artificial, EQ rows an artificial.
+// load normalizes p into the tableau exactly as the seed's reference
+// Solve (reference_test.go) does: every row an equality with RHS ≥ 0,
+// LE rows gaining a slack, GE rows a surplus and an artificial, EQ
+// rows an artificial. The slacks and artificials form the starting
+// basis, so the only columns stored are the decision variables' and
+// the surpluses'.
 func (s *Solver) load(p *Problem) {
 	m := len(p.constraints)
 	n := p.n
-	nSlack, nArt := 0, 0
+	nSlack, nArt, nGE := 0, 0, 0
 	for _, c := range p.constraints {
 		switch normSense(c) {
 		case LE:
@@ -161,22 +186,31 @@ func (s *Solver) load(p *Problem) {
 		case GE:
 			nSlack++
 			nArt++
+			nGE++
 		default:
 			nArt++
 		}
 	}
 	width := n + nSlack + nArt
-	stride := width + 1
-	s.m, s.n, s.width, s.stride, s.nSlack, s.nArt = m, n, width, stride, nSlack, nArt
+	cols := n + nGE
+	stride := cols + 1
+	s.m, s.n, s.width, s.cols, s.stride, s.nSlack, s.nArt = m, n, width, cols, stride, nSlack, nArt
 	s.tab = growFloat(s.tab, m*stride)
-	for i := range s.tab {
-		s.tab[i] = 0
-	}
+	clear(s.tab)
 	s.basis = growInt(s.basis, m)
+	s.nonbasic = growInt(s.nonbasic, cols)
+	s.nz = growInt(s.nz, cols)[:0]
+	s.where = growInt(s.where, width)
+	for v := range s.where {
+		s.where[v] = -1
+	}
+	for j := 0; j < n; j++ {
+		s.nonbasic[j], s.where[j] = j, j
+	}
 	s.ncons = m
-	s.dualCol = growInt(s.dualCol, m)
+	s.dualVar = growInt(s.dualVar, m)
 	s.dualSign = growFloat(s.dualSign, m)
-	slackAt, artAt := n, n+nSlack
+	slackAt, artAt, surplusAt := n, n+nSlack, n
 	for i, c := range p.constraints {
 		row := s.row(i)
 		b := c.RHS
@@ -190,24 +224,23 @@ func (s *Solver) load(p *Problem) {
 		} else {
 			copy(row, c.Coeffs)
 		}
-		row[width] = b
+		row[cols] = b
 		switch normSense(c) {
 		case LE:
-			row[slackAt] = 1
 			s.basis[i] = slackAt
-			s.dualCol[i], s.dualSign[i] = slackAt, sign
+			s.dualVar[i], s.dualSign[i] = slackAt, sign
 			slackAt++
 		case GE:
-			row[slackAt] = -1
-			s.dualCol[i], s.dualSign[i] = slackAt, -sign
+			row[surplusAt] = -1
+			s.nonbasic[surplusAt], s.where[slackAt] = slackAt, surplusAt
+			surplusAt++
+			s.dualVar[i], s.dualSign[i] = slackAt, -sign
 			slackAt++
-			row[artAt] = 1
 			s.basis[i] = artAt
 			artAt++
 		default:
-			row[artAt] = 1
 			s.basis[i] = artAt
-			s.dualCol[i], s.dualSign[i] = artAt, sign
+			s.dualVar[i], s.dualSign[i] = artAt, sign
 			artAt++
 		}
 	}
@@ -248,22 +281,26 @@ func (s *Solver) phase1() error {
 	if obj < -1e-7 {
 		return ErrInfeasible
 	}
-	// Drive any artificial still in the basis (at value 0) out; a row
-	// whose artificial cannot be exchanged for a structural column is
-	// redundant and is marked (basis -1) for removal.
+	// Drive any artificial still in the basis (at value 0) out through
+	// the lowest-numbered non-artificial variable it can be exchanged
+	// for; a row with none is redundant and is marked (basis -1) for
+	// removal.
 	for i := 0; i < s.m; i++ {
 		if s.basis[i] < artStart {
 			continue
 		}
 		row := s.row(i)
-		s.basis[i] = -1
-		for j := 0; j < artStart; j++ {
-			if math.Abs(row[j]) > tol {
-				s.pivot(i, j)
-				s.basis[i] = j
-				break
+		col, v := -1, artStart
+		for k, j := range s.nonbasic[:s.cols] {
+			if j < v && math.Abs(row[k]) > tol {
+				col, v = k, j
 			}
 		}
+		if col < 0 {
+			s.basis[i] = -1
+			continue
+		}
+		s.pivot(i, col)
 	}
 	// Remove redundant rows in one compaction pass — O(m) row moves
 	// where the reference's repeated middle deletion is O(m²).
@@ -288,22 +325,23 @@ func (s *Solver) phase2(p *Problem) (float64, error) {
 	for j := s.n; j < s.width; j++ {
 		s.cost[j] = 0
 	}
-	// Artificial columns sit beyond the pricing limit, so they can
+	// Artificial variables sit beyond the pricing limit, so they can
 	// never re-enter the basis.
 	return s.simplex(s.n + s.nSlack)
 }
 
 // simplex optimizes maximize costᵀx over the tableau in place,
-// considering columns below enterLimit as entering candidates, and
+// considering variables below enterLimit as entering candidates, and
 // returns the optimal objective value.
 func (s *Solver) simplex(enterLimit int) (float64, error) {
-	width := s.width
+	cols := s.cols
 	s.z = growFloat(s.z, s.stride)
 	z := s.z
-	for j := 0; j < width; j++ {
-		z[j] = -s.cost[j]
+	nonbasic := s.nonbasic[:cols]
+	for k, j := range nonbasic {
+		z[k] = -s.cost[j]
 	}
-	z[width] = 0
+	z[cols] = 0
 	if s.m == 0 {
 		return 0, nil
 	}
@@ -313,52 +351,52 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 			continue
 		}
 		row := s.row(i)
-		for j := 0; j <= width; j++ {
-			z[j] += cb * row[j]
+		for k := range z {
+			z[k] += cb * row[k]
 		}
 	}
+	tab, stride, basis := s.tab, s.stride, s.basis[:s.m]
 	limit := s.maxIter
 	if limit <= 0 {
-		limit = 10000 * (s.m + width + 1)
+		limit = 10000 * (s.m + s.width + 1)
 	}
 	stall := 0
 	for iter := 0; ; iter++ {
 		if iter > limit {
-			return 0, fmt.Errorf("%w (%d iterations over %d rows × %d columns)", ErrIterationLimit, iter, s.m, width)
+			return 0, fmt.Errorf("%w (%d iterations over %d rows × %d columns)", ErrIterationLimit, iter, s.m, s.width)
 		}
-		enter := -1
+		// enter is a slot; ties go to the lower-numbered variable.
+		enter, ev := -1, enterLimit
 		if stall < s.stallLimit {
 			// Dantzig: most negative reduced cost.
 			best := -tol
-			for j := 0; j < enterLimit; j++ {
-				if z[j] < best {
-					best = z[j]
-					enter = j
+			for k, j := range nonbasic {
+				if j < enterLimit && (z[k] < best || z[k] == best && enter >= 0 && j < ev) {
+					best, enter, ev = z[k], k, j
 				}
 			}
 		} else {
-			// Bland: smallest index with negative reduced cost.
-			for j := 0; j < enterLimit; j++ {
-				if z[j] < -tol {
-					enter = j
-					break
+			// Bland: smallest variable with negative reduced cost.
+			for k, j := range nonbasic {
+				if j < ev && z[k] < -tol {
+					enter, ev = k, j
 				}
 			}
 		}
 		if enter == -1 {
-			return z[width], nil
+			return z[cols], nil
 		}
 		// Leaving row: minimum ratio; ties to the smallest basis index
 		// (Bland), which with Bland pricing forbids cycling.
 		leave := -1
 		bestRatio := math.Inf(1)
-		for i := 0; i < s.m; i++ {
-			a := s.tab[i*s.stride+enter]
+		for i, b := range basis {
+			a := tab[i*stride+enter]
 			if a <= tol {
 				continue
 			}
-			ratio := s.tab[i*s.stride+width] / a
-			if ratio < bestRatio-tol || (ratio < bestRatio+tol && (leave == -1 || s.basis[i] < s.basis[leave])) {
+			ratio := tab[i*stride+cols] / a
+			if ratio < bestRatio-tol || (ratio < bestRatio+tol && (leave == -1 || b < basis[leave])) {
 				bestRatio = ratio
 				leave = i
 			}
@@ -366,16 +404,17 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 		if leave == -1 {
 			return 0, ErrUnbounded
 		}
-		prev := z[width]
+		prev := z[cols]
 		s.pivot(leave, enter)
-		s.basis[leave] = enter
 		if factor := z[enter]; factor != 0 {
+			z[enter] = 0
 			lrow := s.row(leave)
-			for j := 0; j <= width; j++ {
-				z[j] -= factor * lrow[j]
+			for _, k := range s.nz {
+				z[k] -= factor * lrow[k]
 			}
+			z[cols] -= factor * lrow[cols]
 		}
-		if z[width] > prev+tol {
+		if z[cols] > prev+tol {
 			stall = 0 // progress: back to Dantzig pricing
 		} else {
 			stall++
@@ -383,14 +422,31 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 	}
 }
 
-// pivot performs a Gauss-Jordan pivot on tableau entry (row, col).
+// pivot performs a Gauss-Jordan pivot on tableau entry (row, col): the
+// variable in slot col enters the basis at row, and row's basic
+// variable leaves into slot col. Before the update, slot col holds
+// what the leaving variable's unit column holds in a full tableau — 1
+// in the pivot row, 0 elsewhere — so the arithmetic on every stored
+// entry is the full tableau's. The row updates run over the pivot
+// row's nonzero slots only (recorded in s.nz for the caller's
+// reduced-cost update) and the RHS: subtracting f·0 changes no value,
+// at most the sign of a zero.
 func (s *Solver) pivot(row, col int) {
 	s.pivots++
+	cols := s.cols
 	pr := s.row(row)
 	pv := pr[col]
-	for j := range pr {
-		pr[j] /= pv
+	pr[col] = 1
+	nz := s.nz[:0]
+	for j, v := range pr[:cols] {
+		if v != 0 {
+			pr[j] = v / pv
+			nz = append(nz, j)
+		}
 	}
+	pr[cols] /= pv
+	s.nz = nz
+	rhs := pr[cols]
 	for i := 0; i < s.m; i++ {
 		if i == row {
 			continue
@@ -400,11 +456,15 @@ func (s *Solver) pivot(row, col int) {
 		if f == 0 {
 			continue
 		}
-		for j := range r {
+		r[col] = 0
+		for _, j := range nz {
 			r[j] -= f * pr[j]
 		}
-		r[col] = 0
+		r[cols] -= f * rhs
 	}
+	enter, leave := s.nonbasic[col], s.basis[row]
+	s.basis[row], s.where[enter] = enter, -1
+	s.nonbasic[col], s.where[leave] = leave, col
 }
 
 func (s *Solver) extract(sol *Solution, obj float64) {
@@ -418,7 +478,7 @@ func (s *Solver) extract(sol *Solution, obj float64) {
 	}
 	for i := 0; i < s.m; i++ {
 		if b := s.basis[i]; b < n {
-			sol.X[b] = s.tab[i*s.stride+s.width]
+			sol.X[b] = s.tab[i*s.stride+s.cols]
 		}
 	}
 	// Clamp tiny negatives produced by roundoff.
