@@ -31,7 +31,7 @@ bench:
 # LP-solver perf trajectory: cold solves on the reusable Solver vs the
 # seed reference (ns/op, allocs/op), one refined group solve on the
 # dense arrival shape (with its LP solves and pivots per refine) and
-# the distributed first phase, sequential vs parallel.
+# the distributed first phase on Fig. 6 and a 30-node random network.
 bench-lp: build
 	$(GO) test -run '^$$' -bench '^Benchmark(LPSolve|LPSolveReference|RefineDenseArrivals|DistributedAllocate)$$' -benchmem -count 5 ./internal/lp ./internal/core . | $(GO) run ./cmd/benchjson -compare BENCH_lp.json BENCH_lp.json
 

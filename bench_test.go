@@ -276,11 +276,8 @@ func BenchmarkAblationDistributedGap(b *testing.B) {
 }
 
 // BenchmarkDistributedAllocate measures the distributed first phase —
-// the per-source-node LP fan-out — on the paper's Fig. 6 topology and
-// on a 30-node random network, comparing a single-worker Allocator
-// against the machine-sized worker pool. The two paths are
-// bit-identical by construction (see TestDistributedParallelBitIdentical);
-// only the wall clock differs.
+// one local LP per source node — on the paper's Fig. 6 topology and on
+// a 30-node random network, each on one reused Allocator.
 func BenchmarkDistributedAllocate(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	random30 := mustScenario(b, func() (*scenario.Scenario, error) {
@@ -295,26 +292,19 @@ func BenchmarkDistributedAllocate(b *testing.B) {
 		{"fig6", mustScenario(b, scenario.Figure6)},
 		{"random30", random30},
 	} {
-		for _, workers := range []int{1, 0} { // 0 = machine-sized pool
-			name := bc.name + "/sequential"
-			a := core.NewAllocatorWorkers(1)
-			if workers == 0 {
-				name = bc.name + "/parallel"
-				a = core.NewAllocator()
-			}
-			b.Run(name, func(b *testing.B) {
-				var total float64
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := a.Distributed(bc.sc.Inst)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total = res.Shares.TotalEffectiveThroughput()
+		a := core.NewAllocatorWorkers(1)
+		b.Run(bc.name, func(b *testing.B) {
+			var total float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := a.Distributed(bc.sc.Inst)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(total, "totalB")
-			})
-		}
+				total = res.Shares.TotalEffectiveThroughput()
+			}
+			b.ReportMetric(total, "totalB")
+		})
 	}
 }
 
@@ -415,22 +405,6 @@ func benchCliques(b *testing.B, n int, p float64) {
 func BenchmarkCliques64(b *testing.B)  { benchCliques(b, 64, 0.15) }
 func BenchmarkCliques128(b *testing.B) { benchCliques(b, 128, 0.15) }
 func BenchmarkCliques256(b *testing.B) { benchCliques(b, 256, 0.10) }
-
-// BenchmarkCliquesVisit128 measures the zero-copy visitor entry point:
-// the enumeration inner loop with no per-clique result allocation —
-// this is the ~0 allocs/op path.
-func BenchmarkCliquesVisit128(b *testing.B) {
-	g := randomContentionGraph(b, 128, 0.15, 9)
-	g.VisitMaximalCliques(func([]int) {}) // warm the scratch pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	cliques := 0
-	for i := 0; i < b.N; i++ {
-		cliques = 0
-		g.VisitMaximalCliques(func([]int) { cliques++ })
-	}
-	b.ReportMetric(float64(cliques), "cliques")
-}
 
 // BenchmarkCliquesContaining128 measures the distributed first phase's
 // per-vertex local enumeration.

@@ -190,7 +190,7 @@ func fig5(_ float64, _ int64, sec *benchreport.Section) error {
 	if err != nil {
 		return err
 	}
-	omega, _ := sc.Inst.Graph.WeightedCliqueNumber()
+	omega := core.WeightedCliqueNumber(sc.Inst)
 	fmt.Printf("ω_Ω = %.0f, Prop. 1 upper bound = %.2f·B total (paper: 5B/2)\n", omega, core.UpperBoundTotal(sc.Inst))
 	rates := make([]float64, sc.Inst.Graph.NumVertices())
 	for i := range rates {

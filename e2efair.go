@@ -265,7 +265,9 @@ func (n *Network) Allocate(s Strategy) (*Allocation, error) {
 	}
 	for id, r := range perFlow {
 		out.PerFlow[string(id)] = r
-		out.Total += r
+	}
+	for _, f := range n.set.Flows() {
+		out.Total += perFlow[f.ID()]
 	}
 	for id, r := range perSub {
 		out.PerSubflow[id.String()] = r
@@ -311,15 +313,14 @@ func (n *Network) Contention() *ContentionReport {
 		}
 		rep.Cliques = append(rep.Cliques, names)
 	}
-	for _, grp := range g.FlowGroups() {
+	for _, grp := range core.FlowGroups(n.inst) {
 		var names []string
 		for _, id := range grp {
 			names = append(names, string(id))
 		}
 		rep.FlowGroups = append(rep.FlowGroups, names)
 	}
-	omega, _ := g.WeightedCliqueNumber()
-	rep.WeightedCliqueNumber = omega
+	rep.WeightedCliqueNumber = core.WeightedCliqueNumber(n.inst)
 	colors, _ := g.GreedyColoring()
 	for i, c := range colors {
 		rep.Colors[rep.Subflows[i]] = c

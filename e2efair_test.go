@@ -69,6 +69,27 @@ func TestAllocateCentralizedMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestAllocateTotalRepeatable allocates the Fig. 6 network many times:
+// Total must not depend on map iteration order.
+func TestAllocateTotalRepeatable(t *testing.T) {
+	net, err := e2efair.NewNetwork(e2efair.Figure6Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for i := 0; i < 100; i++ {
+		alloc, err := net.Allocate(e2efair.StrategyCentralized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(alloc.Total); i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("call %d: Total bits %x, first call %x", i, got, want)
+		}
+	}
+}
+
 func TestAllocateAllStrategies(t *testing.T) {
 	net, err := e2efair.NewNetwork(fig1Spec())
 	if err != nil {

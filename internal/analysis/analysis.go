@@ -43,15 +43,14 @@ type Report struct {
 // Analyze builds the report.
 func Analyze(inst *core.Instance) (*Report, error) {
 	rep := &Report{
-		NumFlows:    inst.Flows.Len(),
-		NumSubflows: inst.Graph.NumVertices(),
-		NumCliques:  len(inst.Cliques),
-		FlowGroups:  inst.Graph.FlowGroups(),
-		Strategies:  make(map[string]core.FlowAllocation),
-		Totals:      make(map[string]float64),
+		NumFlows:      inst.Flows.Len(),
+		NumSubflows:   inst.Graph.NumVertices(),
+		NumCliques:    len(inst.Cliques),
+		FlowGroups:    core.FlowGroups(inst),
+		OmegaWeighted: core.WeightedCliqueNumber(inst),
+		Strategies:    make(map[string]core.FlowAllocation),
+		Totals:        make(map[string]float64),
 	}
-	omega, _ := inst.Graph.WeightedCliqueNumber()
-	rep.OmegaWeighted = omega
 
 	centralized, err := core.CentralizedAllocate(inst, core.CentralizedOptions{Refine: true})
 	if err != nil {

@@ -105,28 +105,6 @@ func TestNewGraphForcedIncidenceSmall(t *testing.T) {
 	}
 }
 
-func TestAppendNeighborsMatchesNeighbors(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	topo, subs := randomGeoInstance(t, rng, 30, 60, 900)
-	g := NewGraph(topo, subs)
-	buf := make([]int, 0, 64)
-	for v := 0; v < g.NumVertices(); v++ {
-		buf = g.AppendNeighbors(v, buf[:0])
-		want := g.Neighbors(v)
-		if !reflect.DeepEqual(append([]int{}, buf...), append([]int{}, want...)) {
-			t.Fatalf("vertex %d: AppendNeighbors %v != Neighbors %v", v, buf, want)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for v := 0; v < g.NumVertices(); v++ {
-			buf = g.AppendNeighbors(v, buf[:0])
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendNeighbors allocated %.1f times per sweep", allocs)
-	}
-}
-
 // benchScenario1k routes flows across a 1000-node random connected
 // topology, mirroring the large-scenario shape the allocation pipeline
 // sees: subflows are consecutive hops of shortest paths.

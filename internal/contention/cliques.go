@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-
-	"e2efair/internal/flow"
 )
 
 // Clique is a set of pairwise-contending subflow vertices, sorted
@@ -91,20 +89,6 @@ func (sc *bkScratch) carve(n int) {
 // vertex new, the same path a Live graph takes when subflows join.
 func (g *Graph) MaximalCliques() []Clique {
 	return g.extendCliques(nil, 0)
-}
-
-// VisitMaximalCliques calls visit once per maximal clique. The slice
-// passed to visit is reused between calls and is not sorted; callers
-// that retain cliques must copy them. Unlike MaximalCliques it
-// allocates nothing in steady state, and its enumeration order is
-// unspecified.
-func (g *Graph) VisitMaximalCliques(visit func(clique []int)) {
-	if len(g.subflows) == 0 {
-		return
-	}
-	sc := acquireScratch(len(g.subflows))
-	defer releaseScratch(sc)
-	g.visitFrom(sc, 0, visit)
 }
 
 // extendCliques turns cliques — the canonical maximal cliques of the
@@ -262,41 +246,6 @@ func (g *Graph) degeneracyOrder(sc *bkScratch, first int) {
 	}
 }
 
-// WeightedCliqueSize returns ω_{Ω_k}: the sum of subflow weights over
-// the clique's vertices.
-func (g *Graph) WeightedCliqueSize(c Clique) float64 {
-	var sum float64
-	for _, v := range c {
-		sum += g.subflows[v].Weight
-	}
-	return sum
-}
-
-// WeightedCliqueNumber returns ω_Ω = max_k ω_{Ω_k} over all maximal
-// cliques, and the clique attaining it. A graph with no vertices
-// yields (0, nil).
-func (g *Graph) WeightedCliqueNumber() (float64, Clique) {
-	var best float64
-	var arg Clique
-	for _, c := range g.MaximalCliques() {
-		if w := g.WeightedCliqueSize(c); w > best {
-			best = w
-			arg = c
-		}
-	}
-	return best, arg
-}
-
-// CliqueFlowCounts returns, for clique Ω_k, the per-flow subflow
-// multiplicities n_{i,k} used as LP coefficients (Eq. 3).
-func (g *Graph) CliqueFlowCounts(c Clique) map[flow.ID]int {
-	counts := make(map[flow.ID]int)
-	for _, v := range c {
-		counts[g.subflows[v].ID.Flow]++
-	}
-	return counts
-}
-
 // GreedyColoring colours the vertices so that adjacent vertices get
 // different colours, using the smallest-available-colour heuristic over
 // vertices in descending degree order. It returns the colour of each
@@ -346,17 +295,6 @@ func (g *Graph) GreedyColoring() ([]int, int) {
 		}
 	}
 	return colors, maxColor
-}
-
-// ColorClasses groups vertex indices by colour.
-func ColorClasses(colors []int, numColors int) [][]int {
-	classes := make([][]int, numColors)
-	for v, c := range colors {
-		if c >= 0 && c < numColors {
-			classes[c] = append(classes[c], v)
-		}
-	}
-	return classes
 }
 
 // CliquesContaining returns the maximal cliques of the graph that

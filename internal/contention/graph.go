@@ -2,25 +2,20 @@
 // (Sec. II-A of the paper): vertices are backlogged subflows, and two
 // subflows contend — are connected — when the source or destination of
 // one is within transmission range of the source or destination of the
-// other. The package provides contending-flow-group partitioning,
-// maximal-clique enumeration, the weighted clique number ω_Ω, and the
-// graph colouring used to justify the virtual length.
+// other. The package provides the graph, its connected components,
+// maximal-clique enumeration (whole-graph, incremental and local), and
+// the graph colouring used to justify the virtual length. Turning
+// cliques into LP rows, flow groups and ω_Ω is internal/core's job.
 package contention
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"e2efair/internal/flow"
 	"e2efair/internal/topology"
 )
-
-// ErrUnknownSubflow is returned when a query names a subflow that is
-// not a vertex of the graph.
-var ErrUnknownSubflow = errors.New("contention: unknown subflow")
 
 // Graph is a subflow contention graph. Vertices are indexed densely in
 // the order the subflows were supplied. Adjacency is stored as one
@@ -33,9 +28,6 @@ type Graph struct {
 	rows     []bitset // rows[i] holds the neighbors of vertex i
 	words    []uint64 // rows[i] = words[i*w : (i+1)*w], w = wordsFor(len(subflows))
 	degrees  []int
-
-	indexOnce sync.Once
-	index     map[flow.SubflowID]int // built on first VertexOf
 }
 
 // newGraphShell builds a graph with the given vertices and no edges.
@@ -324,21 +316,6 @@ func (g *Graph) Subflow(i int) flow.Subflow { return g.subflows[i] }
 // callers must not modify it.
 func (g *Graph) Subflows() []flow.Subflow { return g.subflows }
 
-// VertexOf returns the vertex index of a subflow ID.
-func (g *Graph) VertexOf(id flow.SubflowID) (int, error) {
-	g.indexOnce.Do(func() {
-		g.index = make(map[flow.SubflowID]int, len(g.subflows))
-		for i, s := range g.subflows {
-			g.index[s.ID] = i
-		}
-	})
-	i, ok := g.index[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownSubflow, id)
-	}
-	return i, nil
-}
-
 // Adjacent reports whether vertices i and j contend.
 func (g *Graph) Adjacent(i, j int) bool { return g.rows[i].has(j) }
 
@@ -354,18 +331,9 @@ func (g *Graph) NumEdges() int {
 	return sum / 2
 }
 
-// Neighbors returns the vertex indices adjacent to i, ascending. It
-// allocates a fresh slice per call; hot paths should use
-// AppendNeighbors.
+// Neighbors returns the vertex indices adjacent to i, ascending.
 func (g *Graph) Neighbors(i int) []int {
 	return g.rows[i].appendMembers(make([]int, 0, g.degrees[i]))
-}
-
-// AppendNeighbors appends the vertex indices adjacent to i to buf in
-// ascending order and returns the extended slice — the zero-allocation
-// form of Neighbors for reused buffers.
-func (g *Graph) AppendNeighbors(i int, buf []int) []int {
-	return g.rows[i].appendMembers(buf)
 }
 
 // Components partitions the vertices into connected components, each
@@ -400,66 +368,6 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// FlowGroups partitions flows into contending flow groups (Sec. II-A):
-// two flows are grouped when any of their subflows contend, closed
-// transitively. Groups are returned as sorted lists of flow IDs,
-// ordered by first member.
-func (g *Graph) FlowGroups() [][]flow.ID {
-	groupOf := make(map[flow.ID]int)
-	next := 0
-	parent := make([]int, 0)
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	idOf := func(f flow.ID) int {
-		if id, ok := groupOf[f]; ok {
-			return id
-		}
-		groupOf[f] = next
-		parent = append(parent, next)
-		next++
-		return groupOf[f]
-	}
-	// Subflows of the same flow always share a group even when the
-	// flow's own hops were filtered out of contention (single-hop
-	// flows trivially so).
-	for _, s := range g.subflows {
-		idOf(s.ID.Flow)
-	}
-	var scratch []int
-	for i := 0; i < len(g.subflows); i++ {
-		scratch = g.rows[i].appendMembers(scratch[:0])
-		for _, j := range scratch {
-			if j > i {
-				union(idOf(g.subflows[i].ID.Flow), idOf(g.subflows[j].ID.Flow))
-			}
-		}
-	}
-	byRoot := make(map[int][]flow.ID)
-	for f, id := range groupOf {
-		r := find(id)
-		byRoot[r] = append(byRoot[r], f)
-	}
-	var groups [][]flow.ID
-	for _, members := range byRoot {
-		sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-		groups = append(groups, members)
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
-	return groups
-}
-
 // InducedSubgraph returns the subgraph over the given vertex indices.
 // The returned graph re-indexes vertices densely in the order given.
 func (g *Graph) InducedSubgraph(vertices []int) *Graph {
@@ -476,30 +384,4 @@ func (g *Graph) InducedSubgraph(vertices []int) *Graph {
 		}
 	}
 	return sg
-}
-
-// IsIndependentSet reports whether no two of the given vertices are
-// adjacent.
-func (g *Graph) IsIndependentSet(vertices []int) bool {
-	for i := 0; i < len(vertices); i++ {
-		for j := i + 1; j < len(vertices); j++ {
-			if g.rows[vertices[i]].has(vertices[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsClique reports whether all the given vertices are pairwise
-// adjacent.
-func (g *Graph) IsClique(vertices []int) bool {
-	for i := 0; i < len(vertices); i++ {
-		for j := i + 1; j < len(vertices); j++ {
-			if !g.rows[vertices[i]].has(vertices[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -87,57 +87,6 @@ func TestNewGraphFromEdgesValidation(t *testing.T) {
 	}
 }
 
-func TestComponentsAndFlowGroups(t *testing.T) {
-	// Two disjoint chains form two components / two flow groups.
-	b := topology.NewBuilder(topology.DefaultRange, 0)
-	b.Add("A", 0, 0).Add("B", 200, 0).Add("C", 400, 0)
-	b.Add("X", 5000, 0).Add("Y", 5200, 0)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, _ := flow.New("F1", 1, []topology.NodeID{0, 1, 2})
-	f2, _ := flow.New("F2", 1, []topology.NodeID{3, 4})
-	set, _ := flow.NewSet(f1, f2)
-	g := BuildGraph(topo, set)
-	comps := g.Components()
-	if len(comps) != 2 {
-		t.Fatalf("components = %v", comps)
-	}
-	groups := g.FlowGroups()
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v", groups)
-	}
-	if groups[0][0] != "F1" || groups[1][0] != "F2" {
-		t.Errorf("groups = %v", groups)
-	}
-}
-
-func TestFlowGroupsTransitive(t *testing.T) {
-	// F1 contends F2, F2 contends F3, F1 far from F3: one group of
-	// three (the paper's transitivity example).
-	b := topology.NewBuilder(topology.DefaultRange, 0)
-	b.Add("A", 0, 0).Add("B", 200, 0)
-	b.Add("C", 400, 0).Add("D", 600, 0)
-	b.Add("E", 800, 0).Add("F", 1000, 0)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, _ := flow.New("F1", 1, []topology.NodeID{0, 1})
-	f2, _ := flow.New("F2", 1, []topology.NodeID{2, 3})
-	f3, _ := flow.New("F3", 1, []topology.NodeID{4, 5})
-	set, _ := flow.NewSet(f1, f2, f3)
-	g := BuildGraph(topo, set)
-	if g.Adjacent(0, 2) {
-		t.Fatal("F1 and F3 should not contend directly")
-	}
-	groups := g.FlowGroups()
-	if len(groups) != 1 || len(groups[0]) != 3 {
-		t.Fatalf("groups = %v, want one group of three", groups)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g, _ := chainGraph(t, 4)
 	sub := g.InducedSubgraph([]int{0, 2, 3})
@@ -284,27 +233,6 @@ func bruteMaximalCliques(g *Graph) [][]int {
 	return cliques
 }
 
-func TestWeightedCliqueNumber(t *testing.T) {
-	// Weighted triangle vs heavy pair.
-	f1, _ := flow.New("F1", 1, []topology.NodeID{0, 1})
-	f2, _ := flow.New("F2", 1, []topology.NodeID{2, 3})
-	f3, _ := flow.New("F3", 1, []topology.NodeID{4, 5})
-	f4, _ := flow.New("F4", 5, []topology.NodeID{6, 7})
-	subs := []flow.Subflow{f1.Subflows()[0], f2.Subflows()[0], f3.Subflows()[0], f4.Subflows()[0]}
-	// Triangle 0-1-2 (total weight 3) and edge 2-3 (weight 1+5=6).
-	g, err := NewGraphFromEdges(subs, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	omega, arg := g.WeightedCliqueNumber()
-	if omega != 6 {
-		t.Errorf("ω_Ω = %g, want 6", omega)
-	}
-	if len(arg) != 2 {
-		t.Errorf("argmax clique %v, want the heavy pair", arg)
-	}
-}
-
 func TestGreedyColoringValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -338,7 +266,10 @@ func TestGreedyColoringValid(t *testing.T) {
 				}
 			}
 		}
-		classes := ColorClasses(colors, num)
+		classes := make([][]int, num)
+		for v, c := range colors {
+			classes[c] = append(classes[c], v)
+		}
 		total := 0
 		for _, cl := range classes {
 			total += len(cl)
@@ -349,17 +280,6 @@ func TestGreedyColoringValid(t *testing.T) {
 		if total != n {
 			t.Fatalf("classes cover %d of %d vertices", total, n)
 		}
-	}
-}
-
-func TestVertexOf(t *testing.T) {
-	g, _ := chainGraph(t, 3)
-	v, err := g.VertexOf(flow.SubflowID{Flow: "F1", Hop: 1})
-	if err != nil || v != 1 {
-		t.Errorf("VertexOf = %d, %v", v, err)
-	}
-	if _, err := g.VertexOf(flow.SubflowID{Flow: "F9", Hop: 0}); err == nil {
-		t.Error("unknown subflow should fail")
 	}
 }
 
@@ -465,4 +385,30 @@ func TestCliquesContainingBadVertex(t *testing.T) {
 	if got := g.CliquesContaining(99); got != nil {
 		t.Errorf("out of range vertex: %v", got)
 	}
+}
+
+// IsIndependentSet reports whether no two of the given vertices are
+// adjacent.
+func (g *Graph) IsIndependentSet(vertices []int) bool {
+	for i := 0; i < len(vertices); i++ {
+		for j := i + 1; j < len(vertices); j++ {
+			if g.rows[vertices[i]].has(vertices[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// IsClique reports whether all the given vertices are pairwise
+// adjacent.
+func (g *Graph) IsClique(vertices []int) bool {
+	for i := 0; i < len(vertices); i++ {
+		for j := i + 1; j < len(vertices); j++ {
+			if !g.rows[vertices[i]].has(vertices[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

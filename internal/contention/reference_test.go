@@ -312,31 +312,6 @@ func BenchmarkBitsetCliques256(b *testing.B) {
 	}
 }
 
-// BenchmarkBitsetVisit* time the enumeration core alone — the
-// zero-allocation visitor path, without the result copies and the
-// deterministic sort that MaximalCliques layers on top.
-func BenchmarkBitsetVisit128(b *testing.B) {
-	g := benchGraph(b, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		g.VisitMaximalCliques(func(c []int) { total += len(c) })
-	}
-	_ = total
-}
-
-func BenchmarkBitsetVisit256(b *testing.B) {
-	g := benchGraph(b, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		g.VisitMaximalCliques(func(c []int) { total += len(c) })
-	}
-	_ = total
-}
-
 func lessIntSlice(a, b []int) bool {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {

@@ -260,3 +260,22 @@ func TestEndToEndConversion(t *testing.T) {
 		t.Errorf("Uniform = %v", uni)
 	}
 }
+
+// TestTotalEffectiveThroughputRepeatable sums one allocation many
+// times: the total must not depend on map iteration order.
+func TestTotalEffectiveThroughputRepeatable(t *testing.T) {
+	sc, err := scenario.Figure6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := core.CentralizedAllocate(sc.Inst, core.CentralizedOptions{Refine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Float64bits(alloc.TotalEffectiveThroughput())
+	for i := 0; i < 100; i++ {
+		if got := math.Float64bits(alloc.TotalEffectiveThroughput()); got != want {
+			t.Fatalf("call %d: total bits %x, first call %x", i, got, want)
+		}
+	}
+}

@@ -135,8 +135,7 @@ func (a *Allocator) lpWork() (solves, pivots int) {
 
 // shardMinGroups is the work-size cutoff below which the sharded path
 // stays sequential: fanning goroutines out for a handful of small LPs
-// costs more than the solves themselves (the same effect the
-// distributed path's per-worker node batching addresses).
+// costs more than the solves themselves.
 const shardMinGroups = 4
 
 // solveGroups solves the pending groups, writing each owned share
@@ -194,20 +193,23 @@ func (a *Allocator) solveGroups(groups []*group, pending []int, shares [][]float
 // bit-identical output — the property the sharded fan-out and the
 // share cache both rest on.
 func (s *session) solveGroup(g *group, refine bool) ([]float64, error) {
-	x, obj, err := s.maximizeTotal(g.lpRows(), g.basic)
+	obj, err := s.maximizeTotal(g.lpRows(), g.basic, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: centralized allocation: %w", err)
 	}
 	if refine {
-		x, err = s.refineMaxMin(g.lpRows(), g.basic, g.weights, obj)
+		x, err := s.refineMaxMin(g.lpRows(), g.basic, g.weights, obj)
 		if err != nil {
 			return nil, fmt.Errorf("core: max-min refinement: %w", err)
 		}
 		return x, nil
 	}
-	// maximizeTotal returns the session's solution scratch; copy out.
-	out := make([]float64, len(x))
-	copy(out, x)
+	// With nothing frozen, reduced column i is flow i shifted by its
+	// floor.
+	out := make([]float64, len(g.basic))
+	for i, b := range g.basic {
+		out[i] = s.sol.X[i] + b
+	}
 	return out, nil
 }
 
@@ -246,7 +248,7 @@ func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt f
 		// the first round nothing is frozen and the caller's opt is
 		// exactly this program's optimum, so the solve is skipped.
 		if !first {
-			optCur, err := s.maximizeTotalFrozen(rows, basic, frozen, value)
+			optCur, err := s.maximizeTotal(rows, basic, frozen, value)
 			if err != nil {
 				return nil, err
 			}
@@ -330,14 +332,14 @@ func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt f
 
 // reduce assigns a reduced column to every unfrozen variable (s.col[i]
 // is −1 for a frozen one) and shifts each variable by value_i when
-// frozen and floor_i otherwise. It returns the reduced column count
-// and Σ shift.
+// frozen and floor_i otherwise. A nil frozen freezes nothing. It
+// returns the reduced column count and Σ shift.
 func (s *session) reduce(frozen []bool, value, floor []float64) (k int, off float64) {
-	n := len(frozen)
+	n := len(floor)
 	s.col = slices.Grow(s.col[:0], n)[:n]
 	s.shift = slices.Grow(s.shift[:0], n)[:n]
-	for i, f := range frozen {
-		if f {
+	for i := range floor {
+		if frozen != nil && frozen[i] {
 			s.col[i], s.shift[i] = -1, value[i]
 		} else {
 			s.col[i], s.shift[i] = k, floor[i]
@@ -384,11 +386,16 @@ func (s *session) addTotalRow(k, width int, rhs float64) error {
 	return s.prob.AddGE(buf, rhs)
 }
 
-// maximizeTotalFrozen solves max Σx with frozen variables pinned,
-// yielding the optimality target for the current refinement round. In
-// reduced form the program is pure-LE over the clique rows: no
-// artificials at all.
-func (s *session) maximizeTotalFrozen(rows [][]float64, basic []float64, frozen []bool, value []float64) (float64, error) {
+// maximizeTotal solves max Σx subject to rows·x ≤ 1 and x ≥ basic,
+// with frozen variables pinned at value (a nil frozen pins none). It
+// yields a group's optimal total and each refinement round's
+// optimality target. When the floors fit every clique the reduced
+// program is pure-LE with nonnegative right-hand sides: the slack
+// basis is feasible and phase 1 has no artificials. Floors that do not
+// fit flip a row's normalized sense, and phase 1 reports
+// ErrInfeasible. The reduced optimum stays in s.sol until the next
+// solve on this session.
+func (s *session) maximizeTotal(rows [][]float64, basic []float64, frozen []bool, value []float64) (float64, error) {
 	k, off := s.reduce(frozen, value, basic)
 	s.prob.Reset(k)
 	for j := 0; j < k; j++ {

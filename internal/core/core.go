@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"e2efair/internal/contention"
@@ -89,11 +88,17 @@ type FlowAllocation map[flow.ID]float64
 type SubflowAllocation map[flow.SubflowID]float64
 
 // TotalEffectiveThroughput returns Σ_i u_i, the paper's objective
-// (Sec. II-B), for a per-flow allocation.
+// (Sec. II-B), for a per-flow allocation. It sums in ascending flow-ID
+// order, so equal allocations give equal bits.
 func (a FlowAllocation) TotalEffectiveThroughput() float64 {
+	ids := make([]flow.ID, 0, len(a))
+	for id := range a {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	var sum float64
-	for _, r := range a {
-		sum += r
+	for _, id := range ids {
+		sum += a[id]
 	}
 	return sum
 }
@@ -116,16 +121,6 @@ func (a SubflowAllocation) EndToEnd(flows *flow.Set) FlowAllocation {
 		out[f.ID()] = u
 	}
 	return out
-}
-
-// TotalSingleHop returns Σ over subflows of their shares, the
-// single-hop objective maximized by previous work.
-func (a SubflowAllocation) TotalSingleHop() float64 {
-	var sum float64
-	for _, r := range a {
-		sum += r
-	}
-	return sum
 }
 
 // Uniform expands a per-flow allocation into the per-subflow
@@ -485,6 +480,32 @@ func FairnessConstrained(inst *Instance) FlowAllocation {
 	return out
 }
 
+// FlowGroups returns the contending flow groups (Sec. II-A): two flows
+// share a group when any of their subflows contend, closed
+// transitively. Each group lists its flow IDs ascending, and groups are
+// ordered by their first ID.
+func FlowGroups(inst *Instance) [][]flow.ID {
+	var out [][]flow.ID
+	for _, g := range inst.groups() {
+		ids := slices.Clone(g.ids)
+		slices.Sort(ids)
+		out = append(out, ids)
+	}
+	return out
+}
+
+// WeightedCliqueNumber returns ω_Ω = max_k Σ_i n_{i,k}·w_i over every
+// maximal clique of the instance: the largest weighted clique number
+// of its groups, the ω FairnessConstrained and UpperBoundTotal divide
+// by. An instance without cliques yields 0.
+func WeightedCliqueNumber(inst *Instance) float64 {
+	var best float64
+	for _, g := range inst.groups() {
+		best = max(best, g.weightedCliqueNumber())
+	}
+	return best
+}
+
 // weightedCliqueNumber computes ω_Ω over the group's cliques using
 // flow weights: Σ_i n_{i,k}·w_i maximized over k. Row deduplication
 // only drops identical rows, so the maximum is unchanged.
@@ -518,10 +539,4 @@ func UpperBoundTotal(inst *Instance) float64 {
 		total += wsum / omega
 	}
 	return total
-}
-
-// sortIDs sorts flow IDs lexicographically; used for deterministic
-// map traversal in diagnostics.
-func sortIDs(ids []flow.ID) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"math/bits"
+	"slices"
 
 	"e2efair/internal/flow"
 	"e2efair/internal/lp"
@@ -59,132 +60,139 @@ type DistributedResult struct {
 // Σ w_j·v_j over the flows the node itself overhears — a subset of the
 // group, hence a (possibly) higher floor than the centralized form.
 // Flow i adopts the share computed at its source node.
-//
-// The per-node LPs are independent and solved on a worker pool sized
-// to the machine; the result is bit-identical to a single-worker run.
 func DistributedAllocate(inst *Instance) (*DistributedResult, error) {
-	return NewAllocator().Distributed(inst)
+	return NewAllocatorWorkers(1).Distributed(inst)
 }
 
-// Distributed is DistributedAllocate on this Allocator's worker pool.
-// Source nodes are assigned to workers round-robin in first-flow
-// order; each worker solves its nodes on its own session, results are
-// index-addressed, and on error the lowest-indexed failing node wins —
-// so the outcome (shares, locals, and error) does not depend on the
-// worker count or on scheduling.
+// Distributed is DistributedAllocate on this Allocator's solver
+// scratch. Source nodes solve their local LPs in first-flow order on
+// the Allocator's first session, and the first failing node's error is
+// returned.
+//
+// The instance's vertices and cliques are indexed by dense ordinals:
+// flows by their position in inst.Flows, nodes in the order they first
+// source a flow or transmit a subflow. A node's own cliques are those
+// through a subflow it transmits; a flow's propagated cliques are its
+// transmitters' own cliques that mention it; and a source's constraint
+// set is the union of the propagated cliques of every flow it
+// transmits.
 func (a *Allocator) Distributed(inst *Instance) (*DistributedResult, error) {
 	a.enterGuard()
 	defer a.exitGuard()
-	// cliquesOf[v] = indices into inst.Cliques containing vertex v.
-	cliquesOf := make([][]int, inst.Graph.NumVertices())
+	flows := inst.Flows.Flows()
+	vflow := inst.vertexFlows()
+	nk := len(inst.Cliques)
+
+	// Sources take ordinals [0, sources) in first-flow order.
+	var nodes []topology.NodeID
+	var nodeOrd []int32 // by NodeID; −1 = not seen
+	ordinal := func(u topology.NodeID) int32 {
+		for int(u) >= len(nodeOrd) {
+			nodeOrd = append(nodeOrd, -1)
+		}
+		if nodeOrd[u] < 0 {
+			nodeOrd[u] = int32(len(nodes))
+			nodes = append(nodes, u)
+		}
+		return nodeOrd[u]
+	}
+	srcOf := make([]int32, len(flows))
+	for k, f := range flows {
+		srcOf[k] = ordinal(f.Source())
+	}
+	sources := len(nodes)
+	vnode := make([]int32, len(vflow))
+	for v := range vnode {
+		vnode[v] = ordinal(inst.Graph.Subflow(v).Src)
+	}
+
+	own := newMasks(len(nodes), nk)           // node → cliques through its subflows
+	sends := newMasks(len(nodes), len(flows)) // node → flows it transmits
+	members := newMasks(nk, len(flows))       // clique → flows it mentions
+	mentions := newMasks(len(flows), nk)      // flow → cliques mentioning it
 	for ci, c := range inst.Cliques {
 		for _, v := range c {
-			cliquesOf[v] = append(cliquesOf[v], ci)
-		}
-	}
-	// Vertices transmitted by each node.
-	ownVerts := make(map[topology.NodeID][]int)
-	for v := 0; v < inst.Graph.NumVertices(); v++ {
-		s := inst.Graph.Subflow(v)
-		ownVerts[s.Src] = append(ownVerts[s.Src], v)
-	}
-	// constructed[node] = set of clique indices the node builds
-	// locally: cliques containing one of its own subflows.
-	constructed := make(map[topology.NodeID]map[int]bool)
-	for node, verts := range ownVerts {
-		set := make(map[int]bool)
-		for _, v := range verts {
-			for _, ci := range cliquesOf[v] {
-				set[ci] = true
+			own[vnode[v]].set(ci)
+			if k := vflow[v]; k >= 0 {
+				members[ci].set(int(k))
+				mentions[k].set(ci)
 			}
 		}
-		constructed[node] = set
 	}
-	// Intra-flow propagation: constraint set of flow i = union of
-	// constructed cliques over its transmitters.
-	flowCliques := make(map[flow.ID]map[int]bool)
-	for _, f := range inst.Flows.Flows() {
-		set := make(map[int]bool)
-		for _, s := range f.Subflows() {
-			for ci := range constructed[s.Src] {
-				// Keep only cliques that actually constrain this flow.
-				if cliqueMentions(inst, ci, f.ID()) {
-					set[ci] = true
-				}
-			}
+	// Intra-flow propagation: flow k's constraint set is the union of
+	// its transmitters' own cliques that mention it.
+	prop := newMasks(len(flows), nk)
+	for v, k := range vflow {
+		if k >= 0 {
+			prop[k].or(own[vnode[v]])
+			sends[vnode[v]].set(int(k))
 		}
-		flowCliques[f.ID()] = set
+	}
+	for k := range prop {
+		prop[k].and(mentions[k])
 	}
 
-	// Distinct source nodes in first-flow order: a deterministic work
-	// list whatever the worker count.
-	var nodes []topology.NodeID
-	nodeIdx := make(map[topology.NodeID]int)
-	for _, f := range inst.Flows.Flows() {
-		src := f.Source()
-		if _, ok := nodeIdx[src]; !ok {
-			nodeIdx[src] = len(nodes)
-			nodes = append(nodes, src)
-		}
-	}
-	locals := make([]*LocalProblem, len(nodes))
-	errs := make([]error, len(nodes))
-	// Work-size cutoff and per-worker batching: each worker must have at
-	// least distMinNodesPerWorker node LPs before another goroutine is
-	// worth its fan-out cost. Small instances (the paper's worked
-	// examples are a handful of nodes) therefore run sequentially, where
-	// the parallel path used to lose to goroutine overhead.
-	workers := a.workers
-	if max := (len(nodes) + distMinNodesPerWorker - 1) / distMinNodesPerWorker; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		sess := a.sessions[0]
-		for i, node := range nodes {
-			locals[i], errs[i] = solveLocal(inst, node, constructed[node], flowCliques, sess)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sess := a.sessions[w]
-				for i := w; i < len(nodes); i += workers {
-					node := nodes[i]
-					locals[i], errs[i] = solveLocal(inst, node, constructed[node], flowCliques, sess)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: distributed allocation at node %s: %w", inst.nodeName(nodes[i]), err)
-		}
-	}
+	res := &DistributedResult{Shares: make(FlowAllocation, len(flows))}
+	cons := newMasks(1, nk)[0] // the source's constraint cliques
+	flowSets := newMasks(2, len(flows))
+	mentioned, known := flowSets[0], flowSets[1] // flows in cons, and in its own cliques
+	pos := make([]int32, len(flows))
+	for u := 0; u < sources; u++ {
+		clear(cons)
+		sends[u].each(func(k int) { cons.or(prop[k]) })
+		clear(mentioned)
+		cons.each(func(ci int) { mentioned.or(members[ci]) })
+		clear(known)
+		own[u].each(func(ci int) { known.or(members[ci]) })
 
-	res := &DistributedResult{Shares: make(FlowAllocation, inst.Flows.Len())}
-	res.Locals = append(res.Locals, locals...)
-	for _, f := range inst.Flows.Flows() {
-		local := locals[nodeIdx[f.Source()]]
-		for i, id := range local.FlowIDs {
-			if id == f.ID() {
-				res.Shares[f.ID()] = local.Solution[i]
+		local := &LocalProblem{Node: nodes[u]}
+		var denom, denomAll float64
+		for k, f := range flows {
+			pos[k] = -1
+			if known.has(k) {
+				denom += f.Weight() * float64(f.VirtualLength())
+			}
+			if mentioned.has(k) {
+				denomAll += f.Weight() * float64(f.VirtualLength())
+				pos[k] = int32(len(local.FlowIDs))
+				local.FlowIDs = append(local.FlowIDs, f.ID())
+				local.Weights = append(local.Weights, f.Weight())
+			}
+		}
+		local.Basic = make([]float64, len(local.Weights))
+		if denom > 0 {
+			for i, w := range local.Weights {
+				local.Basic[i] = w / denom
+			}
+		}
+		// One row per constraint clique, in clique order; a row equal
+		// to an earlier one is the same constraint and is dropped.
+		cons.each(func(ci int) {
+			row := make([]float64, len(local.FlowIDs))
+			for _, v := range inst.Cliques[ci] {
+				if k := vflow[v]; k >= 0 {
+					row[pos[k]]++
+				}
+			}
+			for _, r := range local.Cliques {
+				if slices.Equal(r, row) {
+					return
+				}
+			}
+			local.Cliques = append(local.Cliques, row)
+		})
+		if err := a.sessions[0].solveLocal(local, denomAll); err != nil {
+			return nil, fmt.Errorf("core: distributed allocation at node %s: %w", inst.nodeName(nodes[u]), err)
+		}
+		res.Locals = append(res.Locals, local)
+		for k, f := range flows {
+			if srcOf[k] == int32(u) && pos[k] >= 0 {
+				res.Shares[f.ID()] = local.Solution[pos[k]]
 			}
 		}
 	}
-	sort.Slice(res.Locals, func(a, b int) bool { return res.Locals[a].Node < res.Locals[b].Node })
+	slices.SortFunc(res.Locals, func(a, b *LocalProblem) int { return cmp.Compare(a.Node, b.Node) })
 	return res, nil
-}
-
-// distMinNodesPerWorker is the minimum per-worker batch of node LPs
-// before the distributed solve adds another worker goroutine.
-const distMinNodesPerWorker = 8
-
-// rowKey serializes one LP coefficient row for duplicate detection.
-func rowKey(row []float64) string {
-	return string(appendFloats(make([]byte, 0, 8*len(row)), row))
 }
 
 func (inst *Instance) nodeName(id topology.NodeID) string {
@@ -194,128 +202,63 @@ func (inst *Instance) nodeName(id topology.NodeID) string {
 	return inst.Topo.Name(id)
 }
 
-func cliqueMentions(inst *Instance, ci int, id flow.ID) bool {
-	for _, v := range inst.Cliques[ci] {
-		if inst.Graph.Subflow(v).ID.Flow == id {
-			return true
+// solveLocal solves one node's local LP on the session and stores the
+// max-min refined optimum in local.Solution. The optimistic local
+// floor (denominator restricted to the flows the node overhears) can
+// clash with a propagated clique that outweighs it; the floors are
+// then widened to w_i/denomAll over every flow in the local LP. A
+// clique holds at most v_i subflows of flow i, so the widened floors
+// fit every clique and the retry is feasible.
+func (s *session) solveLocal(local *LocalProblem, denomAll float64) error {
+	obj, err := s.maximizeTotal(local.Cliques, local.Basic, nil, nil)
+	if errors.Is(err, lp.ErrInfeasible) && denomAll > 0 {
+		for i, w := range local.Weights {
+			local.Basic[i] = w / denomAll
 		}
+		obj, err = s.maximizeTotal(local.Cliques, local.Basic, nil, nil)
 	}
-	return false
+	if err != nil {
+		return err
+	}
+	local.Solution, err = s.refineMaxMin(local.Cliques, local.Basic, local.Weights, obj)
+	return err
 }
 
-// solveLocal builds and solves the local LP at one node on the given
-// session. The constraint set is the union, over flows the node
-// transmits, of the flows' propagated clique sets; the denominator of
-// the local basic share covers exactly the flows appearing in the
-// node's own locally-constructed cliques. The result is a pure
-// function of the node's LP — solveLocal never consults the session's
-// warm-start cache — so any session computes bit-identical output.
-func solveLocal(inst *Instance, node topology.NodeID, own map[int]bool, flowCliques map[flow.ID]map[int]bool, s *session) (*LocalProblem, error) {
-	// Constraint set: cliques propagated for each flow this node
-	// transmits.
-	cliqueSet := make(map[int]bool)
-	for v := 0; v < inst.Graph.NumVertices(); v++ {
-		sf := inst.Graph.Subflow(v)
-		if sf.Src != node {
-			continue
-		}
-		for ci := range flowCliques[sf.ID.Flow] {
-			cliqueSet[ci] = true
-		}
-	}
-	// Variables: flows mentioned by any constraint, in instance order.
-	mentioned := make(map[flow.ID]bool)
-	for ci := range cliqueSet {
-		for _, v := range inst.Cliques[ci] {
-			mentioned[inst.Graph.Subflow(v).ID.Flow] = true
-		}
-	}
-	var ids []flow.ID
-	weightsByID := make(map[flow.ID]float64)
-	for _, f := range inst.Flows.Flows() {
-		if mentioned[f.ID()] {
-			ids = append(ids, f.ID())
-			weightsByID[f.ID()] = f.Weight()
-		}
-	}
-	idx := make(map[flow.ID]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	// Local basic-share denominator: flows in the node's own cliques.
-	known := make(map[flow.ID]bool)
-	for ci := range own {
-		for _, v := range inst.Cliques[ci] {
-			known[inst.Graph.Subflow(v).ID.Flow] = true
-		}
-	}
-	var denom float64
-	for _, f := range inst.Flows.Flows() {
-		if known[f.ID()] {
-			denom += f.Weight() * float64(f.VirtualLength())
-		}
-	}
+// mask is a bitset over clique or flow ordinals.
+type mask []uint64
 
-	// Wider fallback denominator over every flow in the local LP.
-	// Because a clique holds at most v_i subflows of flow i, floors
-	// w_i/Σ_vars w_j·v_j always fit every clique, so the fallback LP
-	// is guaranteed feasible when the optimistic local floor is not.
-	var denomAll float64
-	for _, f := range inst.Flows.Flows() {
-		if mentioned[f.ID()] {
-			denomAll += f.Weight() * float64(f.VirtualLength())
-		}
+// newMasks carves n zeroed masks of width bits from one backing array.
+func newMasks(n, width int) []mask {
+	w := (width + 63) >> 6
+	backing := make([]uint64, n*w)
+	out := make([]mask, n)
+	for i := range out {
+		out[i] = backing[i*w : (i+1)*w : (i+1)*w]
 	}
-	local := &LocalProblem{
-		Node:    node,
-		FlowIDs: ids,
-		Basic:   make([]float64, len(ids)),
-		Weights: make([]float64, len(ids)),
-	}
-	for i, id := range ids {
-		if denom > 0 {
-			local.Basic[i] = weightsByID[id] / denom
-		}
-		local.Weights[i] = weightsByID[id]
-	}
-	// Deterministic row order: sort clique indices.
-	var cis []int
-	for ci := range cliqueSet {
-		cis = append(cis, ci)
-	}
-	sort.Ints(cis)
-	seen := make(map[string]bool)
-	for _, ci := range cis {
-		row := make([]float64, len(ids))
-		for id, cnt := range inst.Graph.CliqueFlowCounts(inst.Cliques[ci]) {
-			row[idx[id]] = float64(cnt)
-		}
-		key := rowKey(row)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		local.Cliques = append(local.Cliques, row)
-	}
+	return out
+}
 
-	_, obj, err := s.maximizeTotal(local.Cliques, local.Basic)
-	if errors.Is(err, lp.ErrInfeasible) && denomAll > 0 {
-		// The optimistic local floor (denominator restricted to the
-		// flows this node overhears) can clash with a propagated
-		// clique that outweighs it; widen the denominator to every
-		// flow in the local LP and retry.
-		for i, id := range ids {
-			local.Basic[i] = weightsByID[id] / denomAll
+func (m mask) set(i int)      { m[i>>6] |= 1 << (i & 63) }
+func (m mask) has(i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
+
+func (m mask) or(o mask) {
+	for i := range m {
+		m[i] |= o[i]
+	}
+}
+
+func (m mask) and(o mask) {
+	for i := range m {
+		m[i] &= o[i]
+	}
+}
+
+// each calls fn with every member, ascending.
+func (m mask) each(fn func(int)) {
+	for wi, w := range m {
+		for w != 0 {
+			fn(wi<<6 + bits.TrailingZeros64(w))
+			w &= w - 1
 		}
-		_, obj, err = s.maximizeTotal(local.Cliques, local.Basic)
 	}
-	if err != nil {
-		return nil, err
-	}
-	x, err := s.refineMaxMin(local.Cliques, local.Basic, local.Weights, obj)
-	if err != nil {
-		return nil, err
-	}
-	local.Solution = x
-	return local, nil
 }

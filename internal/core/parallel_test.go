@@ -9,49 +9,6 @@ import (
 	"e2efair/internal/scenario"
 )
 
-// TestDistributedParallelBitIdentical demands that the worker-pool
-// distributed allocation produce byte-for-byte the same result as a
-// single-worker run — every share, every local problem, every float —
-// across the paper topology and a batch of random ones. Run under
-// -race this also proves the pool race-clean.
-func TestDistributedParallelBitIdentical(t *testing.T) {
-	var scs []*scenario.Scenario
-	fig6, err := scenario.Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scs = append(scs, fig6)
-	rng := rand.New(rand.NewSource(11))
-	for len(scs) < 7 {
-		sc, err := scenario.Random(scenario.RandomConfig{
-			Nodes: 24, Width: 1000, Height: 1000, Flows: 6, MaxHops: 6,
-		}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scs = append(scs, sc)
-	}
-	for si, sc := range scs {
-		seq, err := core.NewAllocatorWorkers(1).Distributed(sc.Inst)
-		if err != nil {
-			t.Fatalf("scenario %d: sequential: %v", si, err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			par, err := core.NewAllocatorWorkers(workers).Distributed(sc.Inst)
-			if err != nil {
-				t.Fatalf("scenario %d: %d workers: %v", si, workers, err)
-			}
-			if !reflect.DeepEqual(seq.Shares, par.Shares) {
-				t.Fatalf("scenario %d: %d workers: shares differ\nseq: %v\npar: %v",
-					si, workers, seq.Shares, par.Shares)
-			}
-			if !reflect.DeepEqual(seq.Locals, par.Locals) {
-				t.Fatalf("scenario %d: %d workers: local problems differ", si, workers)
-			}
-		}
-	}
-}
-
 // TestAllocatorReuseAcrossInstances exercises the churn pattern: one
 // Allocator solving many different instances back to back, each result
 // checked against a fresh-state computation. The group share cache

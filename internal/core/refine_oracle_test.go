@@ -12,7 +12,7 @@ func CentralizedOracle(inst *Instance) (FlowAllocation, error) {
 	s := newSession()
 	out := make(FlowAllocation, inst.Flows.Len())
 	for _, g := range inst.groups() {
-		_, obj, err := s.maximizeTotal(g.lpRows(), g.basic)
+		obj, err := s.maximizeTotal(g.lpRows(), g.basic, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -36,7 +36,7 @@ func (s *session) refineMaxMinOracle(rows [][]float64, basic, weights []float64,
 	first := true
 	for remaining := n; remaining > 0; {
 		if !first {
-			optCur, err := s.maximizeTotalFrozen(rows, basic, frozen, value)
+			optCur, err := s.maximizeTotal(rows, basic, frozen, value)
 			if err != nil {
 				return nil, err
 			}

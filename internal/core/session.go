@@ -34,43 +34,6 @@ func newSession() *session {
 	return &session{solver: lp.NewSolver()}
 }
 
-// maximizeTotal solves max Σ x_i subject to rows·x ≤ 1 and x ≥ basic,
-// substituted as y_i = x_i − basic_i so the floors become the implicit
-// y ≥ 0 bounds: when the floors fit every clique the program is
-// pure-LE with nonnegative right-hand sides, the slack basis is
-// feasible, and phase 1 has no artificials to drive out. Floors that
-// do not fit flip a row's normalized sense, and phase 1 reports
-// ErrInfeasible exactly as the unshifted form would. The returned
-// slice aliases the session's solution scratch and is valid only until
-// the next solve on this session.
-func (s *session) maximizeTotal(rows [][]float64, basic []float64) ([]float64, float64, error) {
-	n := len(basic)
-	s.prob.Reset(n)
-	for i := 0; i < n; i++ {
-		if err := s.prob.SetObjectiveCoeff(i, 1); err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, row := range rows {
-		rhs := 1.0
-		for i, a := range row {
-			rhs -= a * basic[i]
-		}
-		if err := s.prob.AddLE(row, rhs); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
-		return nil, 0, err
-	}
-	var off float64
-	for i, b := range basic {
-		s.sol.X[i] += b
-		off += b
-	}
-	return s.sol.X, s.sol.Objective + off, nil
-}
-
 // Allocator owns the reusable solver state behind the phase-1
 // algorithms. One Allocator held across repeated allocations (churn
 // re-solves, sweeps) reuses tableau scratch between solves, shards
@@ -86,9 +49,9 @@ func (s *session) maximizeTotal(rows [][]float64, basic []float64) ([]float64, f
 // An Allocator is single-caller-at-a-time BY DESIGN: its sessions,
 // tableau scratch, pending list and share cache are reused across
 // calls without synchronization, so methods on one Allocator must
-// never run concurrently with each other. (Internally Centralized and
-// Distributed fan work out across the worker sessions; that fan-out is
-// the Allocator's own and does not change the external contract.)
+// never run concurrently with each other. (Internally Centralized fans
+// group LPs out across the worker sessions; that fan-out is the
+// Allocator's own and does not change the external contract.)
 //
 // The supported concurrent idiom is one-allocator-per-shard: give
 // every independent worker — a serve.Engine shard, a netsim sweep
@@ -159,8 +122,8 @@ func (a *Allocator) CacheStats() CacheStats {
 	}
 }
 
-// NewAllocator returns an Allocator sized to the machine: Distributed
-// solves per-node LPs on up to GOMAXPROCS workers.
+// NewAllocator returns an Allocator sized to the machine: Centralized
+// shards group LPs across up to GOMAXPROCS workers.
 func NewAllocator() *Allocator {
 	return NewAllocatorWorkers(runtime.GOMAXPROCS(0))
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"e2efair/internal/core"
 	"e2efair/internal/flow"
@@ -248,44 +247,4 @@ func TestCentralizedShardedRaceLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameBits(t, "1k-flow sharded", want, got)
-}
-
-// TestDistributedCutoffOrdering is the benchmark-derived regression
-// guard for the distributed work-size cutoff: on the paper's Fig. 6
-// instance (six source nodes — under one batch) a multi-worker
-// allocator must take the sequential path and therefore cost no more
-// than the explicit single-worker walk, within scheduling noise. The
-// bit-identity of the two results is pinned by
-// TestDistributedParallelBitIdentical; this test pins the ordering
-// fixed by the cutoff (parallel used to lose ~13% on small instances).
-func TestDistributedCutoffOrdering(t *testing.T) {
-	sc, err := scenario.Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqAlloc := core.NewAllocatorWorkers(1)
-	parAlloc := core.NewAllocatorWorkers(8)
-	measure := func(a *core.Allocator) time.Duration {
-		const iters = 300
-		best := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 5; rep++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if _, err := a.Distributed(sc.Inst); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if d := time.Since(start) / iters; d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	seq := measure(seqAlloc)
-	par := measure(parAlloc)
-	// Under the cutoff both run the identical sequential code path, so
-	// anything beyond generous scheduling noise means the cutoff broke.
-	if float64(par) > 1.5*float64(seq) {
-		t.Fatalf("distributed parallel path %v/op vs sequential %v/op; cutoff not engaged", par, seq)
-	}
 }

@@ -12,6 +12,7 @@ import (
 	"e2efair/internal/core"
 	"e2efair/internal/fault"
 	"e2efair/internal/flow"
+	"e2efair/internal/lp"
 	"e2efair/internal/mac"
 	"e2efair/internal/phy"
 	"e2efair/internal/sim"
@@ -201,33 +202,50 @@ func RunWith(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error
 // solver scratch and serve unchanged contention groups from the
 // allocator's share cache. A nil allocator solves on fresh state. A
 // degradable LP failure falls back to the closed-form basic shares
-// (reported as degraded) instead of failing. The delta counts the
-// group LPs solved versus copied from the cache; it is meaningful for
-// the centralized stacks (2PA-C, 2PA-DFS) and zero otherwise.
+// (reported as degraded) instead of failing; see degrade. The delta
+// counts the group LPs solved versus copied from the cache; it is
+// meaningful for the centralized stacks (2PA-C, 2PA-DFS) and zero
+// otherwise.
 func solveShares(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, core.Delta, bool, error) {
 	if a == nil {
 		a = core.NewAllocatorWorkers(1)
 	}
+	var alloc core.FlowAllocation
+	var delta core.Delta
+	var err error
 	switch p {
 	case Protocol80211:
 		return nil, core.Delta{}, false, nil
 	case ProtocolTwoTier:
 		return core.TwoTierAllocate(inst), core.Delta{}, false, nil
 	case Protocol2PAC, ProtocolDFS:
-		alloc, delta, degraded, err := a.GracefulCentralizedDelta(inst, core.CentralizedOptions{Refine: true})
-		if err != nil {
-			return nil, core.Delta{}, false, err
-		}
-		return alloc.Uniform(inst.Flows), delta, degraded, nil
+		alloc, delta, err = a.CentralizedDelta(inst, core.CentralizedOptions{Refine: true})
 	case Protocol2PAD:
-		alloc, degraded, err := a.GracefulDistributed(inst)
-		if err != nil {
-			return nil, core.Delta{}, false, err
+		var res *core.DistributedResult
+		if res, err = a.Distributed(inst); err == nil {
+			alloc = res.Shares
 		}
-		return alloc.Uniform(inst.Flows), core.Delta{}, degraded, nil
 	default:
 		return nil, core.Delta{}, false, fmt.Errorf("netsim: unknown protocol %d", int(p))
 	}
+	if err != nil {
+		shares, degraded, err := degrade(inst, err)
+		return shares, core.Delta{}, degraded, err
+	}
+	return alloc.Uniform(inst.Flows), delta, false, nil
+}
+
+// degrade absorbs an LP failure the stack can survive — the solver hit
+// its iteration limit, or declared the program infeasible or
+// unbounded — by falling back to the closed-form basic shares
+// r̂_i = w_i/Σ_j w_j·v_j per contending group (Sec. II-D): always
+// feasible, always fair, never aborting a run. Any other error
+// propagates.
+func degrade(inst *core.Instance, err error) (core.SubflowAllocation, bool, error) {
+	if errors.Is(err, lp.ErrIterationLimit) || errors.Is(err, lp.ErrInfeasible) || errors.Is(err, lp.ErrUnbounded) {
+		return core.BasicShares(inst).Uniform(inst.Flows), true, nil
+	}
+	return nil, false, err
 }
 
 // attachSchedulers installs a scheduler on every node: FIFO for

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"e2efair/internal/core"
 	"e2efair/internal/flow"
 	"e2efair/internal/routing"
 )
@@ -106,7 +107,7 @@ func TestFigure6SingleGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := sc.Inst.Graph.FlowGroups()
+	groups := core.FlowGroups(sc.Inst)
 	if len(groups) != 1 || len(groups[0]) != 5 {
 		t.Errorf("groups = %v, want one group of five", groups)
 	}
