@@ -96,11 +96,12 @@ func run(in io.Reader, echo io.Writer, path, compare string, procs int) error {
 // counts benchmarks report, which a faster or slower machine does not
 // change.
 var gatedUnits = map[string]bool{
-	"allocs/op":       true,
-	"lpsolves/refine": true,
-	"pivots/refine":   true,
-	"solves/event":    true,
-	"groups/event":    true,
+	"allocs/op":         true,
+	"lpsolves/refine":   true,
+	"coldsolves/refine": true,
+	"pivots/refine":     true,
+	"solves/event":      true,
+	"groups/event":      true,
 }
 
 // gate prints every unit of cur beside old's envelope for it and

@@ -38,6 +38,9 @@ type Delta struct {
 	// group's optimal total plus, under Refine, the refinement's floor,
 	// re-derivation and probe LPs.
 	LPSolves int
+	// ColdSolves counts the LP solves among LPSolves that started
+	// from a fresh tableau rather than re-optimizing a retained one.
+	ColdSolves int
 	// Pivots counts the simplex pivots those LP solves took.
 	Pivots int
 }
@@ -102,13 +105,13 @@ func (a *Allocator) centralized(inst *Instance, opts CentralizedOptions) (FlowAl
 		}
 		a.pending = append(a.pending, gi)
 	}
-	solvesBefore, pivotsBefore := a.lpWork()
+	solvesBefore, coldBefore, pivotsBefore := a.lpWork()
 	if err := a.solveGroups(groups, a.pending, shares, opts.Refine); err != nil {
 		return nil, Delta{}, err
 	}
 	delta.Solved = len(a.pending)
-	solves, pivots := a.lpWork()
-	delta.LPSolves, delta.Pivots = solves-solvesBefore, pivots-pivotsBefore
+	solves, cold, pivots := a.lpWork()
+	delta.LPSolves, delta.ColdSolves, delta.Pivots = solves-solvesBefore, cold-coldBefore, pivots-pivotsBefore
 	for _, gi := range a.pending {
 		delta.Evicted += a.cache.put(groupCacheKey{groups[gi].key, opts.Refine}, shares[gi])
 	}
@@ -122,15 +125,16 @@ func (a *Allocator) centralized(inst *Instance, opts CentralizedOptions) (FlowAl
 	return out, delta, nil
 }
 
-// lpWork sums the LP solves and pivots run on the Allocator's
-// sessions.
-func (a *Allocator) lpWork() (solves, pivots int) {
+// lpWork sums the LP solves, cold solves and pivots run on the
+// Allocator's sessions.
+func (a *Allocator) lpWork() (solves, cold, pivots int) {
 	for _, s := range a.sessions {
-		n, p := s.solver.Work()
+		n, c, p := s.solver.Work()
 		solves += n
+		cold += c
 		pivots += p
 	}
-	return solves, pivots
+	return solves, cold, pivots
 }
 
 // shardMinGroups is the work-size cutoff below which the sharded path
@@ -215,7 +219,7 @@ func (s *session) solveGroup(g *group, refine bool) ([]float64, error) {
 
 // refinement tolerances: optTol is the slack allowed on the optimal
 // total, freezeTol decides whether a flow can still grow, and dualTol
-// is the shadow price above which a floor row certifies its flow as
+// is the shadow price above which a flow's floor certifies the flow as
 // blocking.
 const (
 	optTol    = 1e-7
@@ -230,13 +234,22 @@ const (
 // exceed that level, in the style of progressive filling.
 //
 // A flow is frozen by one of two tests. Most are certified by the
-// floor LP's duals: a floor row with a positive shadow price binds at
-// every optimum of max t (complementary slackness), so its flow cannot
-// rise above w_i·t* without lowering t*. This is the dual test of
-// LP-based max-min fairness (Radunović & Le Boudec, IEEE/ACM ToN 2007).
-// A flow whose floor has a zero dual and that sits at the threshold is
+// floor LP: a floor with a positive shadow price binds at every
+// optimum of max t (complementary slackness), so its flow cannot rise
+// above w_i·t* without lowering t* (see maximizeFloor). A flow whose
+// floor has a zero shadow price and that sits at the threshold is
 // probed: one LP maximizes its share among the round's optima.
 func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
+	return s.refineWith((*session).maximizeFloor, rows, basic, weights, opt)
+}
+
+// floorLP solves one round's floor LP on the session; maximizeFloor is
+// the one production form.
+type floorLP func(s *session, rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error)
+
+// refineWith is refineMaxMin with each round's floor LP solved by
+// solveFloor.
+func (s *session) refineWith(solveFloor floorLP, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
 	n := len(basic)
 	frozen := make([]bool, n)
 	value := make([]float64, n)
@@ -255,7 +268,7 @@ func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt f
 			opt = optCur
 		}
 		first = false
-		t, err := s.maximizeFloor(rows, basic, weights, opt, frozen, value)
+		t, err := solveFloor(s, rows, basic, weights, opt, frozen, value)
 		if err != nil {
 			return nil, err
 		}
@@ -358,15 +371,19 @@ func (s *session) rowBuf(width int) []float64 {
 }
 
 // addCliqueRows appends each clique row rewritten over the k reduced
-// columns, Σ a_i·z_i ≤ 1 − Σ a_i·shift_i, with width − k trailing zero
-// columns.
-func (s *session) addCliqueRows(rows [][]float64, k, width int) error {
+// columns, Σ a_i·z_i ≤ 1 − Σ a_i·shift_i, with width − k trailing
+// columns. They are zero, except that a non-nil weights puts the floor
+// LP's u coefficient Σ a_i·w_i over the unfrozen flows in column k.
+func (s *session) addCliqueRows(rows [][]float64, k, width int, weights []float64) error {
 	for _, r := range rows {
 		buf := s.rowBuf(width)
 		rhs := 1.0
 		for i, a := range r {
 			if c := s.col[i]; c >= 0 {
 				buf[c] = a
+				if weights != nil {
+					buf[k] += a * weights[i]
+				}
 			}
 			rhs -= a * s.shift[i]
 		}
@@ -377,11 +394,18 @@ func (s *session) addCliqueRows(rows [][]float64, k, width int) error {
 	return nil
 }
 
-// addTotalRow appends Σ z ≥ rhs over the k reduced columns.
-func (s *session) addTotalRow(k, width int, rhs float64) error {
+// addTotalRow appends Σ z ≥ rhs over the k reduced columns. As in
+// addCliqueRows, a non-nil weights adds the floor LP's u term, with
+// coefficient Σ w_i over the unfrozen flows, in column k.
+func (s *session) addTotalRow(k, width int, weights []float64, rhs float64) error {
 	buf := s.rowBuf(width)
-	for j := 0; j < k; j++ {
-		buf[j] = 1
+	for i, c := range s.col {
+		if c >= 0 {
+			buf[c] = 1
+			if weights != nil {
+				buf[k] += weights[i]
+			}
+		}
 	}
 	return s.prob.AddGE(buf, rhs)
 }
@@ -403,7 +427,7 @@ func (s *session) maximizeTotal(rows [][]float64, basic []float64, frozen []bool
 			return 0, err
 		}
 	}
-	if err := s.addCliqueRows(rows, k, k); err != nil {
+	if err := s.addCliqueRows(rows, k, k, nil); err != nil {
 		return 0, err
 	}
 	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
@@ -412,55 +436,72 @@ func (s *session) maximizeTotal(rows [][]float64, basic []float64, frozen []bool
 	return s.sol.Objective + off, nil
 }
 
-// maximizeFloor solves: max t subject to rows·x ≤ 1, x ≥ basic,
-// Σ x ≥ opt − ε, x_i = value_i for frozen i, x_i ≥ w_i·t otherwise.
-// It returns t and leaves the solution's x vector — a consistent
-// optimal point used as the freeze target — in s.point, and in
-// s.blocking which unfrozen flows' floor rows have a shadow price
-// above dualTol. Reduced, the floor rows flip to
-// −z_i + w_i·t ≤ basic_i (nonnegative RHS), leaving the total row as
-// the only artificial.
+// maximizeFloor solves one round's floor LP: max t subject to
+// rows·x ≤ 1, x ≥ basic, Σ x ≥ opt − ε, x_i = value_i for frozen i and
+// x_i ≥ w_i·t otherwise. It returns t and leaves the solution's x
+// vector — a consistent optimal point used as the freeze target — in
+// s.point, and in s.blocking which unfrozen flows' floors are
+// certified to bind at every optimum.
+//
+// The floors are substituted out rather than written as rows. With
+// t0 = max basic_i/w_i over the unfrozen flows, t = t0 + u and each
+// unfrozen x_i = w_i·t + y_i, the program is max u over y, u ≥ 0
+// subject to the clique rows, where u's coefficient is Σ_i a_i·w_i,
+// and the total row Σ y + (Σ w)·u ≥ opt − ε − Σ shift, with no
+// per-flow row: y_i ≥ 0 is the floor x_i ≥ w_i·t, and it implies
+// x_i ≥ w_i·t0 ≥ basic_i. The substitution drops t < t0, so it needs
+// the round's optimum t* ≥ t0. Both callers set the floors
+// proportional to the weights (w_i/Σ w_j·v_j in 2PA-C, w_i/denom in
+// 2PA-D's local LPs), so basic_i = w_i·t0, and every feasible point of
+// the original program meets its floors at t = t0. TestFloorFormsAgree
+// checks t* ≥ t0 in every round of the row form it replaced.
+//
+// y_i is the slack of flow i's floor, so its reduced cost is the
+// floor's shadow price: a y_i with reduced cost above dualTol is 0 at
+// every optimum, and the flow cannot rise above w_i·t* without
+// lowering t*. This is the dual test of LP-based max-min fairness
+// (Radunović & Le Boudec, IEEE/ACM ToN 2007).
 func (s *session) maximizeFloor(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error) {
 	n := len(basic)
-	k, off := s.reduce(frozen, value, basic)
-	s.prob.Reset(k + 1) // reduced columns, then t
+	t0 := 0.0
+	for i := 0; i < n; i++ {
+		if !frozen[i] {
+			t0 = max(t0, basic[i]/weights[i])
+		}
+	}
+	s.floor = slices.Grow(s.floor[:0], n)[:n]
+	for i, w := range weights {
+		s.floor[i] = w * t0
+	}
+	k, off := s.reduce(frozen, value, s.floor)
+	s.prob.Reset(k + 1) // reduced columns y, then u
 	if err := s.prob.SetObjectiveCoeff(k, 1); err != nil {
 		return 0, err
 	}
-	if err := s.addCliqueRows(rows, k, k+1); err != nil {
+	if err := s.addCliqueRows(rows, k, k+1, weights); err != nil {
 		return 0, err
 	}
-	for i := 0; i < n; i++ {
-		if s.col[i] < 0 {
-			continue
-		}
-		buf := s.rowBuf(k + 1)
-		buf[s.col[i]] = -1
-		buf[k] = weights[i]
-		if err := s.prob.AddLE(buf, basic[i]); err != nil {
-			return 0, err
-		}
-	}
-	if err := s.addTotalRow(k, k+1, opt-optTol-off); err != nil {
+	if err := s.addTotalRow(k, k+1, weights, opt-optTol-off); err != nil {
 		return 0, err
 	}
 	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
 		return 0, err
 	}
-	// Copy the x-space point and the floor duals out of the solver's
-	// scratch: the probe solves that follow reuse both.
+	t := t0 + s.sol.X[k]
+	// Copy the x-space point and the certified floors out of the
+	// solver's scratch: the probe solves that follow reuse both.
 	s.point = s.point[:0]
 	s.blocking = s.blocking[:0]
 	for i := 0; i < n; i++ {
 		if c := s.col[i]; c >= 0 {
-			s.point = append(s.point, s.sol.X[c]+basic[i])
-			s.blocking = append(s.blocking, s.solver.Dual(len(rows)+c) > dualTol)
+			s.point = append(s.point, s.sol.X[c]+weights[i]*t)
+			s.blocking = append(s.blocking, s.solver.ReducedCost(c) > dualTol)
 		} else {
 			s.point = append(s.point, value[i])
 			s.blocking = append(s.blocking, false)
 		}
 	}
-	return s.sol.X[k], nil
+	return t, nil
 }
 
 // buildProbe rebuilds the session's program as one refinement round's
@@ -477,10 +518,10 @@ func (s *session) buildProbe(rows [][]float64, basic, weights []float64, opt flo
 	k, off := s.reduce(frozen, value, s.floor)
 	s.prob.Reset(k)
 	s.probed = -1
-	if err := s.addCliqueRows(rows, k, k); err != nil {
+	if err := s.addCliqueRows(rows, k, k, nil); err != nil {
 		return err
 	}
-	return s.addTotalRow(k, k, opt-optTol-off)
+	return s.addTotalRow(k, k, nil, opt-optTol-off)
 }
 
 // probe returns the largest x_i over the probe program. Each probe

@@ -48,14 +48,14 @@ func denseArrivals(tb testing.TB, paths int) []*core.Instance {
 // BenchmarkRefineDenseArrivals times one refined group solve on the
 // dense arrival shape, the share cache reset before every solve so
 // each one misses as a fresh arrival does. It reports µs per group
-// solve, and the LP solves and simplex pivots one refined group solve
-// takes. The counts come from one untimed pass over every instance, so
-// they are exact whatever b.N is.
+// solve, and the LP solves, cold LP solves and simplex pivots one
+// refined group solve takes. The counts come from one untimed pass
+// over every instance, so they are exact whatever b.N is.
 func BenchmarkRefineDenseArrivals(b *testing.B) {
 	insts := denseArrivals(b, 8)
 	alloc := core.NewAllocatorWorkers(1)
 	opts := core.CentralizedOptions{Refine: true}
-	var refines, lps, pivots int
+	var refines, lps, cold, pivots int
 	for _, inst := range insts {
 		alloc.ResetCache()
 		_, d, err := alloc.CentralizedDelta(inst, opts)
@@ -64,6 +64,7 @@ func BenchmarkRefineDenseArrivals(b *testing.B) {
 		}
 		refines += d.Solved
 		lps += d.LPSolves
+		cold += d.ColdSolves
 		pivots += d.Pivots
 	}
 	var groups int
@@ -80,5 +81,6 @@ func BenchmarkRefineDenseArrivals(b *testing.B) {
 	}
 	b.ReportMetric(float64(time.Since(start).Microseconds())/float64(groups), "us/solve")
 	b.ReportMetric(float64(lps)/float64(refines), "lpsolves/refine")
+	b.ReportMetric(float64(cold)/float64(refines), "coldsolves/refine")
 	b.ReportMetric(float64(pivots)/float64(refines), "pivots/refine")
 }

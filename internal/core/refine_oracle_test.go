@@ -9,6 +9,12 @@ package core
 // CentralizedOracle is CentralizedAllocate with Refine on, run with
 // the probe-only refinement.
 func CentralizedOracle(inst *Instance) (FlowAllocation, error) {
+	return centralizedRefinedWith(inst, (*session).refineMaxMinOracle)
+}
+
+// centralizedRefinedWith is CentralizedAllocate with Refine on, each
+// group's optimal total refined by refine on one fresh session.
+func centralizedRefinedWith(inst *Instance, refine func(s *session, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error)) (FlowAllocation, error) {
 	s := newSession()
 	out := make(FlowAllocation, inst.Flows.Len())
 	for _, g := range inst.groups() {
@@ -16,7 +22,7 @@ func CentralizedOracle(inst *Instance) (FlowAllocation, error) {
 		if err != nil {
 			return nil, err
 		}
-		x, err := s.refineMaxMinOracle(g.lpRows(), g.basic, g.weights, obj)
+		x, err := refine(s, g.lpRows(), g.basic, g.weights, obj)
 		if err != nil {
 			return nil, err
 		}

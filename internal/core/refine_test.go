@@ -130,13 +130,16 @@ func TestRefinementMatchesOracle(t *testing.T) {
 	t.Logf("%d of %d instances differ from the oracle in some bit", differ, total)
 }
 
+// paperScenarios builds the paper's worked examples.
+var paperScenarios = []func() (*scenario.Scenario, error){
+	scenario.Figure1, scenario.Figure2Single, scenario.Figure2Multi,
+	scenario.Figure4, scenario.Figure6, scenario.Pentagon,
+}
+
 // TestRefinementPaperInstancesMatchOracle: on every worked example of
 // the paper the refinement's shares are bit-identical to the oracle's.
 func TestRefinementPaperInstancesMatchOracle(t *testing.T) {
-	for _, build := range []func() (*scenario.Scenario, error){
-		scenario.Figure1, scenario.Figure2Single, scenario.Figure2Multi,
-		scenario.Figure4, scenario.Figure6, scenario.Pentagon,
-	} {
+	for _, build := range paperScenarios {
 		sc, err := build()
 		if err != nil {
 			t.Fatal(err)
@@ -155,4 +158,80 @@ func TestRefinementPaperInstancesMatchOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFloorFormsAgree checks the refinement's substituted floor LP
+// against the row form it replaced (refine_floorrows_test.go) on the
+// 400 instances of TestRefinementMatchesOracle and the paper's worked
+// examples. The substituted floor LP has one row more than the
+// group's clique rows, and in the first round its t* is within
+// levelTol of the row form's. Refined with each form, every flow's
+// share is within 1e-6 of the other's (the largest |Δ| is ~1.02e-7).
+// The row form also checks, in every round, that its t* is at least
+// t0 = max basic_i/w_i, the precondition of the substitution.
+//
+// levelTol is lp's pivot tolerance, not 1e-12: on 150 of the dense
+// groups the row form's t* ends up to 3.5e-10 above the substituted
+// form's. The row form is the inexact one. With lp's tolerance
+// lowered from 1e-9 to 1e-12, the row form's t* moves onto the
+// substituted form's, within 4e-17 on the six seeds tried, while the
+// substituted form's t* does not move.
+func TestFloorFormsAgree(t *testing.T) {
+	const (
+		levelTol = 1e-9
+		flowTol  = 1e-6
+	)
+	var worst, worstLevel float64
+	check := func(name string, inst *core.Instance) {
+		t.Helper()
+		rounds, err := core.FirstFloorRounds(inst)
+		if err != nil {
+			t.Fatalf("%s: first floor round: %v", name, err)
+		}
+		for gi, r := range rounds {
+			if r.Rows != r.Cliques+1 {
+				t.Errorf("%s: group %d: floor LP has %d rows, want %d clique rows + 1", name, gi, r.Rows, r.Cliques)
+			}
+			d := math.Abs(r.T - r.RowT)
+			worstLevel = max(worstLevel, d)
+			if d > levelTol {
+				t.Errorf("%s: group %d: first-round t* %.17g, row form %.17g (|Δ| = %g)", name, gi, r.T, r.RowT, d)
+			}
+		}
+		got, err := core.CentralizedAllocate(inst, core.CentralizedOptions{Refine: true})
+		if err != nil {
+			t.Fatalf("%s: refine: %v", name, err)
+		}
+		want, err := core.CentralizedRowFloor(inst)
+		if err != nil {
+			t.Fatalf("%s: row-form refine: %v", name, err)
+		}
+		for id, w := range want {
+			d := math.Abs(got[id] - w)
+			worst = max(worst, d)
+			if d > flowTol {
+				t.Errorf("%s: flow %s share %.12g, row form %.12g (|Δ| = %g)", name, id, got[id], w, d)
+			}
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		inst, err := denseSessionsInstance(seed)
+		if err != nil {
+			t.Fatalf("dense seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("dense seed %d", seed), inst)
+		abs, err := randomAbstractInstance(seed)
+		if err != nil {
+			t.Fatalf("abstract seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("abstract seed %d", seed), abs)
+	}
+	for _, build := range paperScenarios {
+		sc, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(sc.Name, sc.Inst)
+	}
+	t.Logf("largest |Δ| between the floor forms: %g in first-round t*, %g per flow", worstLevel, worst)
 }

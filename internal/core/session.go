@@ -22,7 +22,7 @@ type session struct {
 
 	col    []int     // reduced column per flow, −1 when frozen
 	shift  []float64 // per-flow shift of the reduced form
-	floor  []float64 // probe floors
+	floor  []float64 // floor LP and probe shifts
 	buf    []float64 // one constraint row
 	probed int       // flow the probe objective selects, or −1
 

@@ -84,6 +84,71 @@ func TestDualsCertifyOptimum(t *testing.T) {
 	}
 }
 
+// TestReducedCostsPinNonbasics solves 200 random feasible programs and
+// checks each decision variable's reduced cost: it equals
+// (Aᵀy)_j − c_j for the solver's duals y, it is ≥ 0, and a variable
+// whose reduced cost d_j is above 1e-9 is 0 at every optimum. The last
+// is checked by maximizing x_j over the optimal face relaxed to
+// cᵀx ≥ opt − ε, where any feasible x has d_j·x_j ≤ ε, so x_j can
+// reach at most ε/d_j.
+func TestReducedCostsPinNonbasics(t *testing.T) {
+	const eps = 1e-9
+	probs, _ := feasibleProblems(t, 47, 200)
+	s := NewSolver()
+	var sol Solution
+	pinned := 0
+	for trial, p := range probs {
+		if err := s.SolveInto(p, &sol); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		aty := make([]float64, p.n)
+		for i, c := range p.constraints {
+			for j, a := range c.Coeffs {
+				aty[j] += a * s.Dual(i)
+			}
+		}
+		d := make([]float64, p.n)
+		for j := range d {
+			d[j] = s.ReducedCost(j)
+			if d[j] < -eps {
+				t.Fatalf("trial %d: reduced cost %d = %g < 0 at a maximum", trial, j, d[j])
+			}
+			if want := aty[j] - p.objective[j]; math.Abs(d[j]-want) > eps {
+				t.Fatalf("trial %d: reduced cost %d = %.12g, (Aᵀy)_j − c_j = %.12g", trial, j, d[j], want)
+			}
+		}
+		relax := eps * (1 + math.Abs(sol.Objective))
+		for j, dj := range d {
+			if dj <= eps {
+				continue
+			}
+			pinned++
+			q := NewProblem(p.n)
+			for _, c := range p.constraints {
+				if err := q.AddConstraint(c.Coeffs, c.Sense, c.RHS); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := q.AddGE(p.objective, sol.Objective-relax); err != nil {
+				t.Fatal(err)
+			}
+			if err := q.SetObjectiveCoeff(j, 1); err != nil {
+				t.Fatal(err)
+			}
+			face, err := NewSolver().Solve(q)
+			if err != nil {
+				t.Fatalf("trial %d: maximizing x_%d over the optimal face: %v", trial, j, err)
+			}
+			if face.Objective > relax/dj+eps {
+				t.Fatalf("trial %d: x_%d reaches %g at an optimum though its reduced cost is %g", trial, j, face.Objective, dj)
+			}
+		}
+	}
+	if pinned < 100 {
+		t.Fatalf("only %d variables with a positive reduced cost over 200 programs", pinned)
+	}
+}
+
 // TestReoptimizeMatchesCold swaps the objective of each of 200 random
 // feasible programs three times and re-optimizes in place: every
 // result must match a cold solve of the same program, and its duals
@@ -130,13 +195,13 @@ func TestReoptimizeReusesTableau(t *testing.T) {
 	if err := s.SolveInto(p, &sol); err != nil {
 		t.Fatal(err)
 	}
-	solves, pivots := s.Work()
+	solves, cold, pivots := s.Work()
 	if err := s.ReoptimizeInto(p, &sol); err != nil {
 		t.Fatal(err)
 	}
-	gotSolves, gotPivots := s.Work()
-	if gotSolves != solves+1 || gotPivots != pivots {
-		t.Errorf("re-optimize took %d solves and %d pivots, want 1 and 0", gotSolves-solves, gotPivots-pivots)
+	gotSolves, gotCold, gotPivots := s.Work()
+	if gotSolves != solves+1 || gotCold != cold || gotPivots != pivots {
+		t.Errorf("re-optimize took %d solves, %d cold and %d pivots, want 1, 0 and 0", gotSolves-solves, gotCold-cold, gotPivots-pivots)
 	}
 	if math.Abs(sol.Objective-53.0/24) > 1e-9 {
 		t.Errorf("objective = %g, want %g", sol.Objective, 53.0/24)

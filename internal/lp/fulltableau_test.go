@@ -5,8 +5,8 @@ package lp
 // every column — decision variables, slacks, surpluses and
 // artificials, basic or not — in one flat row-major tableau and pivots
 // over all of them. The compact Solver follows exactly the same pivot
-// path on the columns it keeps, so every objective, point, dual, error
-// and pivot count must match this one bit for bit.
+// path on the columns it keeps, so every objective, point, dual,
+// reduced cost, error and work count must match this one bit for bit.
 
 import (
 	"errors"
@@ -51,7 +51,7 @@ type fullSolver struct {
 	last        *Problem
 	lastVersion uint64
 
-	solves, pivots int // cumulative work, see Work
+	solves, cold, pivots int // cumulative work, see Work
 
 	// stallLimit counts consecutive non-improving pivots tolerated
 	// under Dantzig pricing before the Bland fallback; maxIter, when
@@ -69,6 +69,7 @@ func newFullSolver() *fullSolver {
 func (s *fullSolver) SolveInto(p *Problem, sol *Solution) error {
 	s.last = nil
 	s.solves++
+	s.cold++
 	s.load(p)
 	if err := s.phase1(); err != nil {
 		return err
@@ -107,8 +108,17 @@ func (s *fullSolver) Dual(i int) float64 {
 	return s.dualSign[i] * s.z[s.dualCol[i]]
 }
 
+// ReducedCost is Solver.ReducedCost, read off the full reduced-cost
+// row, where a basic column's entry is zero.
+func (s *fullSolver) ReducedCost(j int) float64 {
+	if s.last == nil || j < 0 || j >= s.n {
+		return 0
+	}
+	return s.z[j]
+}
+
 // Work is Solver.Work.
-func (s *fullSolver) Work() (solves, pivots int) { return s.solves, s.pivots }
+func (s *fullSolver) Work() (solves, cold, pivots int) { return s.solves, s.cold, s.pivots }
 
 func (s *fullSolver) row(i int) []float64 { return s.tab[i*s.stride : (i+1)*s.stride] }
 
@@ -383,18 +393,19 @@ func (s *fullSolver) extract(sol *Solution, obj float64) {
 
 // sameOutcome fails t unless the compact Solver and the full-tableau
 // oracle agree exactly on one solve: the error text (which carries its
-// class and any iteration count), the cumulative solve and pivot
-// counts, and on success the objective, every X and every row's dual,
-// all compared bit for bit.
+// class and any iteration count), the cumulative solve, cold-solve and
+// pivot counts, and on success the objective, every X, every row's
+// dual and every decision variable's reduced cost, all compared bit
+// for bit.
 func sameOutcome(t *testing.T, what string, p *Problem, s *Solver, f *fullSolver, sol, ref *Solution, err, refErr error) {
 	t.Helper()
 	if fmt.Sprint(err) != fmt.Sprint(refErr) {
 		t.Fatalf("%s: error %v, full tableau %v", what, err, refErr)
 	}
-	solves, pivots := s.Work()
-	refSolves, refPivots := f.Work()
-	if solves != refSolves || pivots != refPivots {
-		t.Fatalf("%s: work %d solves/%d pivots, full tableau %d/%d", what, solves, pivots, refSolves, refPivots)
+	solves, cold, pivots := s.Work()
+	refSolves, refCold, refPivots := f.Work()
+	if solves != refSolves || cold != refCold || pivots != refPivots {
+		t.Fatalf("%s: work %d solves/%d cold/%d pivots, full tableau %d/%d/%d", what, solves, cold, pivots, refSolves, refCold, refPivots)
 	}
 	if err != nil {
 		return
@@ -411,6 +422,11 @@ func sameOutcome(t *testing.T, what string, p *Problem, s *Solver, f *fullSolver
 	for i := -1; i <= p.NumConstraints(); i++ {
 		if d, refD := s.Dual(i), f.Dual(i); !same(d, refD) && !(d == 0 && refD == 0) {
 			t.Fatalf("%s: dual %d = %v, full tableau %v", what, i, d, refD)
+		}
+	}
+	for j := -1; j <= p.n; j++ {
+		if d, refD := s.ReducedCost(j), f.ReducedCost(j); !same(d, refD) && !(d == 0 && refD == 0) {
+			t.Fatalf("%s: reduced cost %d = %v, full tableau %v", what, j, d, refD)
 		}
 	}
 }
@@ -515,11 +531,11 @@ func solvePair(t *testing.T, what string, p *Problem, s *Solver, f *fullSolver, 
 // stallLimit 0 (Bland's rule throughout), and an iteration cap of 3,
 // which compares the ErrIterationLimit path too.
 //
-// A zero dual is compared as a number, not as bits: the full tableau
-// reaches some zero reduced costs through arithmetic on the unit
-// columns the compact tableau never stores, so the two may disagree on
-// the sign of a zero. Every nonzero dual, and every objective and X,
-// must match to the bit.
+// A zero dual or reduced cost is compared as a number, not as bits:
+// the full tableau reaches some zero reduced costs through arithmetic
+// on the unit columns the compact tableau never stores, so the two may
+// disagree on the sign of a zero. Every nonzero dual and reduced cost,
+// and every objective and X, must match to the bit.
 func TestSolverMatchesFullTableau(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, cfg := range []struct{ stall, maxIter int }{{defaultStallLimit, 0}, {0, 0}, {defaultStallLimit, 3}} {

@@ -80,9 +80,6 @@ func (p *Problem) Reset(numVars int) {
 	p.version++
 }
 
-// NumConstraints returns the number of constraint rows.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
-
 // SetObjective sets the maximization objective coefficients.
 func (p *Problem) SetObjective(c []float64) error {
 	if len(c) != p.n {
@@ -120,11 +117,6 @@ func (p *Problem) AddLE(coeffs []float64, rhs float64) error {
 // AddGE appends Σ coeffsᵢ·xᵢ ≥ rhs.
 func (p *Problem) AddGE(coeffs []float64, rhs float64) error {
 	return p.AddConstraint(coeffs, GE, rhs)
-}
-
-// AddEQ appends Σ coeffsᵢ·xᵢ = rhs.
-func (p *Problem) AddEQ(coeffs []float64, rhs float64) error {
-	return p.AddConstraint(coeffs, EQ, rhs)
 }
 
 // SetRHS replaces constraint i's right-hand side in place, letting a

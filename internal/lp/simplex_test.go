@@ -10,6 +10,14 @@ import (
 
 const tolT = 1e-6
 
+// AddEQ appends Σ coeffsᵢ·xᵢ = rhs: a test shorthand for an EQ row.
+func (p *Problem) AddEQ(coeffs []float64, rhs float64) error {
+	return p.AddConstraint(coeffs, EQ, rhs)
+}
+
+// NumConstraints returns the number of constraint rows.
+func (p *Problem) NumConstraints() int { return len(p.constraints) }
+
 // LowerBound appends x_i ≥ v: a test shorthand for a one-variable row.
 func (p *Problem) LowerBound(i int, v float64) error {
 	if i < 0 || i >= p.n {

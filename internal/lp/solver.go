@@ -30,8 +30,9 @@ import (
 // improvement.
 //
 // After a successful solve the Solver retains the optimal tableau, so
-// Dual reads the constraints' shadow prices off it and ReoptimizeInto
-// re-prices it in place after an objective-only change.
+// Dual and ReducedCost read the constraints' shadow prices and the
+// variables' reduced costs off it and ReoptimizeInto re-prices it in
+// place after an objective-only change.
 //
 // A Solver is not safe for concurrent use; give each goroutine its
 // own.
@@ -74,7 +75,7 @@ type Solver struct {
 	last        *Problem
 	lastVersion uint64
 
-	solves, pivots int // cumulative work, see Work
+	solves, cold, pivots int // cumulative work, see Work
 
 	// stallLimit counts consecutive non-improving pivots tolerated
 	// under Dantzig pricing before the Bland fallback; maxIter, when
@@ -109,6 +110,7 @@ func (s *Solver) Solve(p *Problem) (*Solution, error) {
 func (s *Solver) SolveInto(p *Problem, sol *Solution) error {
 	s.last = nil
 	s.solves++
+	s.cold++
 	s.load(p)
 	if err := s.phase1(); err != nil {
 		return err
@@ -163,9 +165,29 @@ func (s *Solver) Dual(i int) float64 {
 	return s.dualSign[i] * s.z[k]
 }
 
+// ReducedCost returns decision variable j's reduced cost at the
+// optimum of the last successful solve: the rate at which the
+// objective falls as x_j rises from 0, read off the final
+// reduced-cost row. It is ≥ 0 at a maximum, and a variable whose
+// reduced cost is positive is 0 at every optimum (complementary
+// slackness). ReducedCost returns 0 for a basic variable, an
+// out-of-range j, or when the last solve failed.
+func (s *Solver) ReducedCost(j int) float64 {
+	if s.last == nil || j < 0 || j >= s.n {
+		return 0
+	}
+	k := s.where[j]
+	if k < 0 {
+		return 0
+	}
+	return s.z[k]
+}
+
 // Work reports the solver's cumulative effort since NewSolver: LP
-// solves of every kind (cold and re-optimized) and tableau pivots.
-func (s *Solver) Work() (solves, pivots int) { return s.solves, s.pivots }
+// solves of every kind (cold and re-optimized), the cold ones among
+// them (SolveInto, including ReoptimizeInto's fallback to it), and
+// tableau pivots.
+func (s *Solver) Work() (solves, cold, pivots int) { return s.solves, s.cold, s.pivots }
 
 func (s *Solver) row(i int) []float64 { return s.tab[i*s.stride : (i+1)*s.stride] }
 
