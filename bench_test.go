@@ -406,19 +406,6 @@ func BenchmarkCliques64(b *testing.B)  { benchCliques(b, 64, 0.15) }
 func BenchmarkCliques128(b *testing.B) { benchCliques(b, 128, 0.15) }
 func BenchmarkCliques256(b *testing.B) { benchCliques(b, 256, 0.10) }
 
-// BenchmarkCliquesContaining128 measures the distributed first phase's
-// per-vertex local enumeration.
-func BenchmarkCliquesContaining128(b *testing.B) {
-	g := randomContentionGraph(b, 128, 0.15, 9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total = len(g.CliquesContaining(i % 128))
-	}
-	b.ReportMetric(float64(total), "cliques")
-}
-
 // BenchmarkParallelSweep compares a (scenario × protocol × seed) sweep
 // run sequentially against the RunParallel worker pool. On a
 // multi-core host the parallel variant approaches linear scaling; the

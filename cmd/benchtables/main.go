@@ -37,7 +37,6 @@ import (
 	"e2efair/internal/sim"
 	"e2efair/internal/stats"
 	"e2efair/internal/tdma"
-	"e2efair/internal/topology"
 	"e2efair/internal/transport"
 )
 
@@ -554,21 +553,10 @@ func resilienceSection(durationSec float64, seed int64, sec *benchreport.Section
 	// route uses the cut link, so delivery depends on the full repair
 	// pipeline (link-dead detection, RERR back-propagation, reroute,
 	// salvage, reallocation).
-	topo, err := topology.NewBuilder(topology.DefaultRange, 0).
-		Add("A", 0, 0).Add("B", 200, 0).Add("C", 400, 0).Add("D", 200, 140).
-		Build()
-	if err != nil {
-		return err
-	}
-	f, err := flow.New("F1", 1, []topology.NodeID{0, 1, 2})
-	if err != nil {
-		return err
-	}
-	set, err := flow.NewSet(f)
-	if err != nil {
-		return err
-	}
-	inst, err := core.NewInstance(topo, set)
+	diamond, err := scenario.Build("diamond", scenario.NetworkSpec{
+		Nodes: []scenario.NodeSpec{{Name: "A", X: 0, Y: 0}, {Name: "B", X: 200, Y: 0}, {Name: "C", X: 400, Y: 0}, {Name: "D", X: 200, Y: 140}},
+		Flows: []scenario.FlowSpec{{ID: "F1", Path: []string{"A", "B", "C"}}},
+	})
 	if err != nil {
 		return err
 	}
@@ -578,7 +566,7 @@ func resilienceSection(durationSec float64, seed int64, sec *benchreport.Section
 		Seed:       seed,
 		LinkFaults: []fault.LinkFault{{A: 1, B: 2, Down: dur / 2}},
 	}
-	r, err := netsim.Run(inst, netsim.Config{
+	r, err := netsim.Run(diamond.Inst, netsim.Config{
 		Protocol: netsim.Protocol2PAC, Duration: dur, Seed: seed,
 		PacketsPerS: 100, Fault: plan, Watchdog: true,
 	})

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"e2efair"
 	"e2efair/internal/analysis"
@@ -50,7 +49,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	net, err := loadNetwork(*specPath, *scenarioName)
+	spec, err := e2efair.LoadSpec(*specPath, *scenarioName)
+	if err != nil {
+		return err
+	}
+	net, err := e2efair.NewNetwork(spec)
 	if err != nil {
 		return err
 	}
@@ -121,36 +124,4 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 	return nil
-}
-
-// loadNetwork builds the network from -spec or -scenario.
-func loadNetwork(specPath, scenarioName string) (*e2efair.Network, error) {
-	switch {
-	case specPath != "" && scenarioName != "":
-		return nil, fmt.Errorf("pass either -spec or -scenario, not both")
-	case specPath != "":
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			return nil, err
-		}
-		var spec e2efair.NetworkSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return nil, fmt.Errorf("parse %s: %w", specPath, err)
-		}
-		return e2efair.NewNetwork(spec)
-	case scenarioName != "":
-		spec, err := e2efair.BuiltinSpec(scenarioName)
-		if err != nil {
-			return nil, err
-		}
-		return e2efair.NewNetwork(spec)
-	default:
-		return nil, fmt.Errorf("pass -spec FILE or -scenario NAME (builtins: %v)", names())
-	}
-}
-
-func names() []string {
-	n := e2efair.BuiltinNames()
-	sort.Strings(n)
-	return n
 }

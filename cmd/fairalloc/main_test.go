@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"e2efair"
 )
@@ -104,5 +105,53 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-scenario", "figure1", "-spec", "x.json"}, &out); err == nil {
 		t.Error("both sources should fail")
+	}
+}
+
+// TestRunGolden pins `-json -contention` on every builtin, byte for
+// byte, against testdata/<builtin>.json (':' written as '-'). Refresh
+// a file only for a deliberate output change:
+//
+//	go run ./cmd/fairalloc -scenario chain:5 -json -contention > cmd/fairalloc/testdata/chain-5.json
+func TestRunGolden(t *testing.T) {
+	for _, name := range []string{"figure1", "figure6", "pentagon", "chain:5", "grid:3x3", "parkinglot:4"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", strings.ReplaceAll(name, ":", "-")+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := run([]string{"-scenario", name, "-json", "-contention"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("output differs from testdata:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// A valid spec file whose node span overflows float64 must not hang
+// the topology build.
+func TestRunSpecFileOverflowingSpan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.json")
+	spec := `{"nodes":[{"name":"A","x":-1e308},{"name":"B","x":-1e308,"y":200},{"name":"C","x":1e308},{"name":"D","x":1e308,"y":200}],` +
+		`"flows":[{"id":"F1","path":["A","B"]},{"id":"F2","path":["C","D"]}]}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	var out bytes.Buffer
+	go func() { done <- run([]string{"-spec", path, "-strategy", "2pa-c"}, &out) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fairalloc did not return within 5 s")
+	}
+	if !strings.Contains(out.String(), "1.0000") {
+		t.Errorf("two independent one-hop flows should each get the whole channel:\n%s", out.String())
 	}
 }

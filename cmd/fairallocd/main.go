@@ -48,6 +48,7 @@ import (
 	"e2efair"
 	"e2efair/internal/durable"
 	"e2efair/internal/flow"
+	"e2efair/internal/scenario"
 	"e2efair/internal/serve"
 	"e2efair/internal/topology"
 )
@@ -173,36 +174,11 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 // spec file or builtin scenario; any flows in the spec are ignored
 // (they arrive over HTTP).
 func loadTopology(specPath, scenarioName string) (*topology.Topology, error) {
-	var spec e2efair.NetworkSpec
-	switch {
-	case specPath != "" && scenarioName != "":
-		return nil, fmt.Errorf("pass either -spec or -scenario, not both")
-	case specPath != "":
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return nil, fmt.Errorf("parse %s: %w", specPath, err)
-		}
-	case scenarioName != "":
-		var err error
-		spec, err = e2efair.BuiltinSpec(scenarioName)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("pass -spec FILE or -scenario NAME (builtins: %v)", e2efair.BuiltinNames())
+	spec, err := e2efair.LoadSpec(specPath, scenarioName)
+	if err != nil {
+		return nil, err
 	}
-	txRange := spec.TxRange
-	if txRange == 0 {
-		txRange = e2efair.DefaultTxRange
-	}
-	b := topology.NewBuilder(txRange, spec.InterferenceRange)
-	for _, n := range spec.Nodes {
-		b.Add(n.Name, n.X, n.Y)
-	}
-	return b.Build()
+	return scenario.Topology(spec)
 }
 
 // daemon holds the HTTP layer's state: the engine (atomically set once

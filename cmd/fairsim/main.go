@@ -46,7 +46,11 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-trace requires -protocol")
 	}
 
-	net, err := loadNetwork(*specPath, *scenarioName)
+	spec, err := e2efair.LoadSpec(*specPath, *scenarioName)
+	if err != nil {
+		return err
+	}
+	net, err := e2efair.NewNetwork(spec)
 	if err != nil {
 		return err
 	}
@@ -131,30 +135,4 @@ func runReliable(net *e2efair.Network, protocols []e2efair.Protocol, duration fl
 		fmt.Fprintf(out, "%-9s%10d%10d%12.4f\n", res.Protocol, res.TotalGoodput, res.Retransmissions, res.RetransmissionOverhead)
 	}
 	return nil
-}
-
-// loadNetwork builds the network from -spec or -scenario.
-func loadNetwork(specPath, scenarioName string) (*e2efair.Network, error) {
-	switch {
-	case specPath != "" && scenarioName != "":
-		return nil, fmt.Errorf("pass either -spec or -scenario, not both")
-	case specPath != "":
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			return nil, err
-		}
-		var spec e2efair.NetworkSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return nil, fmt.Errorf("parse %s: %w", specPath, err)
-		}
-		return e2efair.NewNetwork(spec)
-	case scenarioName != "":
-		spec, err := e2efair.BuiltinSpec(scenarioName)
-		if err != nil {
-			return nil, err
-		}
-		return e2efair.NewNetwork(spec)
-	default:
-		return nil, fmt.Errorf("pass -spec FILE or -scenario NAME (builtins: %v)", e2efair.BuiltinNames())
-	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"e2efair/internal/dsr"
 	"e2efair/internal/netsim"
+	"e2efair/internal/scenario"
 	"e2efair/internal/sim"
 	"e2efair/internal/topology"
 	"e2efair/internal/transport"
@@ -33,15 +34,7 @@ func NewNetworkWithDiscovery(spec NetworkSpec, seed int64) (*Network, *Discovery
 	if len(spec.Nodes) == 0 || len(spec.Flows) == 0 {
 		return nil, nil, ErrEmptySpec
 	}
-	txRange := spec.TxRange
-	if txRange == 0 {
-		txRange = DefaultTxRange
-	}
-	b := topology.NewBuilder(txRange, spec.InterferenceRange)
-	for _, n := range spec.Nodes {
-		b.Add(n.Name, n.X, n.Y)
-	}
-	topo, err := b.Build()
+	topo, err := scenario.Topology(spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("e2efair: %w", err)
 	}
@@ -64,7 +57,7 @@ func NewNetworkWithDiscovery(spec NetworkSpec, seed int64) (*Network, *Discovery
 		pairFlow[pair] = fs.ID
 	}
 	if len(pairs) == 0 {
-		net, err := NewNetwork(spec)
+		net, err := networkOn(spec, topo)
 		return net, &DiscoveryResult{}, err
 	}
 	res, err := dsr.Discover(topo, pairs, dsr.Config{Seed: seed})
@@ -97,11 +90,21 @@ func NewNetworkWithDiscovery(spec NetworkSpec, seed int64) (*Network, *Discovery
 		disc.Routes[fs.ID] = names
 		disc.LatencySec[fs.ID] = res.Metrics.Latency[pair].Seconds()
 	}
-	net, err := NewNetwork(resolved)
+	net, err := networkOn(resolved, topo)
 	if err != nil {
 		return nil, nil, err
 	}
 	return net, disc, nil
+}
+
+// networkOn is NewNetwork on the already-built topology of the spec's
+// nodes.
+func networkOn(spec NetworkSpec, topo *topology.Topology) (*Network, error) {
+	sc, err := scenario.BuildOn("", spec, topo)
+	if err != nil {
+		return nil, fmt.Errorf("e2efair: %w", err)
+	}
+	return &Network{inst: sc.Inst}, nil
 }
 
 // ReliableConfig parameterizes SimulateReliable.

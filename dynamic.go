@@ -85,7 +85,7 @@ func (n *Network) SimulateDynamic(cfg SimConfig, events []ChurnEvent, sampleEver
 		},
 		Reallocations: res.Reallocations,
 	}
-	for _, f := range n.set.Flows() {
+	for _, f := range n.inst.Flows.Flows() {
 		out.PerFlowDelivered[string(f.ID())] = res.Stats.EndToEnd(f.ID())
 		for _, s := range f.Subflows() {
 			out.PerSubflowDelivered[s.ID.String()] = res.Stats.Subflow(s.ID)

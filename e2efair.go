@@ -31,7 +31,7 @@ import (
 	"e2efair/internal/contention"
 	"e2efair/internal/core"
 	"e2efair/internal/flow"
-	"e2efair/internal/routing"
+	"e2efair/internal/scenario"
 	"e2efair/internal/topology"
 )
 
@@ -39,38 +39,20 @@ import (
 const DefaultTxRange = topology.DefaultRange
 
 // NodeSpec places one named node on the plane (meters).
-type NodeSpec struct {
-	Name string  `json:"name"`
-	X    float64 `json:"x"`
-	Y    float64 `json:"y"`
-}
+type NodeSpec = scenario.NodeSpec
 
 // FlowSpec declares one end-to-end flow. Path lists node names from
 // source to destination; with AutoRoute only the endpoints are needed
 // and the shortest path is used. Weight defaults to 1.
-type FlowSpec struct {
-	ID        string   `json:"id"`
-	Path      []string `json:"path"`
-	Weight    float64  `json:"weight,omitempty"`
-	AutoRoute bool     `json:"autoRoute,omitempty"`
-}
+type FlowSpec = scenario.FlowSpec
 
-// NetworkSpec describes a network: nodes, flows and radio ranges.
-type NetworkSpec struct {
-	Nodes []NodeSpec `json:"nodes"`
-	Flows []FlowSpec `json:"flows"`
-	// TxRange is the transmission range in meters (default 250).
-	TxRange float64 `json:"txRange,omitempty"`
-	// InterferenceRange defaults to TxRange.
-	InterferenceRange float64 `json:"interferenceRange,omitempty"`
-}
+// NetworkSpec describes a network: nodes, flows and radio ranges
+// (TxRange defaults to 250 m, InterferenceRange to TxRange).
+type NetworkSpec = scenario.NetworkSpec
 
 // Network is a validated network instance ready for allocation and
 // simulation.
 type Network struct {
-	spec NetworkSpec
-	topo *topology.Topology
-	set  *flow.Set
 	inst *core.Instance
 }
 
@@ -83,69 +65,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 	if len(spec.Nodes) == 0 || len(spec.Flows) == 0 {
 		return nil, ErrEmptySpec
 	}
-	txRange := spec.TxRange
-	if txRange == 0 {
-		txRange = DefaultTxRange
-	}
-	b := topology.NewBuilder(txRange, spec.InterferenceRange)
-	for _, n := range spec.Nodes {
-		b.Add(n.Name, n.X, n.Y)
-	}
-	topo, err := b.Build()
+	topo, err := scenario.Topology(spec)
 	if err != nil {
 		return nil, fmt.Errorf("e2efair: %w", err)
 	}
-	var tbl *routing.Table
-	set, err := flow.NewSet()
-	if err != nil {
-		return nil, err
-	}
-	for _, fs := range spec.Flows {
-		weight := fs.Weight
-		if weight == 0 {
-			weight = 1
-		}
-		var path []topology.NodeID
-		switch {
-		case fs.AutoRoute && len(fs.Path) == 2:
-			if tbl == nil {
-				tbl = routing.BuildTable(topo)
-			}
-			src, err := topo.Lookup(fs.Path[0])
-			if err != nil {
-				return nil, fmt.Errorf("e2efair: flow %s: %w", fs.ID, err)
-			}
-			dst, err := topo.Lookup(fs.Path[1])
-			if err != nil {
-				return nil, fmt.Errorf("e2efair: flow %s: %w", fs.ID, err)
-			}
-			path, err = tbl.Route(src, dst)
-			if err != nil {
-				return nil, fmt.Errorf("e2efair: flow %s: %w", fs.ID, err)
-			}
-		default:
-			path = make([]topology.NodeID, len(fs.Path))
-			for i, name := range fs.Path {
-				id, err := topo.Lookup(name)
-				if err != nil {
-					return nil, fmt.Errorf("e2efair: flow %s: %w", fs.ID, err)
-				}
-				path[i] = id
-			}
-		}
-		f, err := flow.New(flow.ID(fs.ID), weight, path)
-		if err != nil {
-			return nil, fmt.Errorf("e2efair: %w", err)
-		}
-		if err := set.Add(f); err != nil {
-			return nil, fmt.Errorf("e2efair: %w", err)
-		}
-	}
-	inst, err := core.NewInstance(topo, set)
-	if err != nil {
-		return nil, fmt.Errorf("e2efair: %w", err)
-	}
-	return &Network{spec: spec, topo: topo, set: set, inst: inst}, nil
+	return networkOn(spec, topo)
 }
 
 // Strategy selects an allocation algorithm.
@@ -248,7 +172,7 @@ func (n *Network) Allocate(s Strategy) (*Allocation, error) {
 		perFlow = core.SingleHopShares(n.inst)
 	case StrategyTwoTier:
 		perSub = core.TwoTierAllocate(n.inst)
-		perFlow = perSub.EndToEnd(n.set)
+		perFlow = perSub.EndToEnd(n.inst.Flows)
 	default:
 		return nil, fmt.Errorf("e2efair: unknown strategy %d", int(s))
 	}
@@ -256,7 +180,7 @@ func (n *Network) Allocate(s Strategy) (*Allocation, error) {
 		return nil, fmt.Errorf("e2efair: allocate %s: %w", s, err)
 	}
 	if perSub == nil {
-		perSub = perFlow.Uniform(n.set)
+		perSub = perFlow.Uniform(n.inst.Flows)
 	}
 	out := &Allocation{
 		Strategy:   s,
@@ -266,7 +190,7 @@ func (n *Network) Allocate(s Strategy) (*Allocation, error) {
 	for id, r := range perFlow {
 		out.PerFlow[string(id)] = r
 	}
-	for _, f := range n.set.Flows() {
+	for _, f := range n.inst.Flows.Flows() {
 		out.Total += perFlow[f.ID()]
 	}
 	for id, r := range perSub {
@@ -330,8 +254,8 @@ func (n *Network) Contention() *ContentionReport {
 
 // Flows returns the flow IDs in insertion order.
 func (n *Network) Flows() []string {
-	out := make([]string, 0, n.set.Len())
-	for _, f := range n.set.Flows() {
+	out := make([]string, 0, n.inst.Flows.Len())
+	for _, f := range n.inst.Flows.Flows() {
 		out = append(out, string(f.ID()))
 	}
 	return out
@@ -339,7 +263,7 @@ func (n *Network) Flows() []string {
 
 // FlowWeight returns a flow's weight w_i.
 func (n *Network) FlowWeight(id string) (float64, error) {
-	f, err := n.set.Get(flow.ID(id))
+	f, err := n.inst.Flows.Get(flow.ID(id))
 	if err != nil {
 		return 0, err
 	}
@@ -348,20 +272,20 @@ func (n *Network) FlowWeight(id string) (float64, error) {
 
 // FlowPath returns the node-name path of a flow.
 func (n *Network) FlowPath(id string) ([]string, error) {
-	f, err := n.set.Get(flow.ID(id))
+	f, err := n.inst.Flows.Get(flow.ID(id))
 	if err != nil {
 		return nil, err
 	}
 	path := f.Path()
 	out := make([]string, len(path))
 	for i, nid := range path {
-		out[i] = n.topo.Name(nid)
+		out[i] = n.inst.Topo.Name(nid)
 	}
 	return out, nil
 }
 
 // Nodes returns node names in insertion order.
-func (n *Network) Nodes() []string { return n.topo.Names() }
+func (n *Network) Nodes() []string { return n.inst.Topo.Names() }
 
 // Instance exposes the underlying allocation instance for advanced
 // integrations within this module.

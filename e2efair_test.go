@@ -7,9 +7,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"e2efair"
 	"e2efair/internal/flow"
+	"e2efair/internal/topology"
 )
 
 // fig1Spec is the paper's Fig. 1 network expressed via the public API.
@@ -322,5 +324,73 @@ func TestTraceWriterThroughAPI(t *testing.T) {
 	first := strings.SplitN(buf.String(), "\n", 2)[0]
 	if !strings.Contains(first, "->") && !strings.HasPrefix(first, "c") {
 		t.Errorf("unexpected first trace line %q", first)
+	}
+}
+
+// returnsWithin runs build and fails the test if it has not returned
+// within 5 s.
+func returnsWithin(t *testing.T, build func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- build() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("did not return within 5 s")
+		return nil
+	}
+}
+
+// Non-finite coordinates and ranges are rejected with typed errors
+// instead of hanging the topology build or surfacing as a bogus
+// "not a radio link".
+func TestNewNetworkNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*e2efair.NetworkSpec)
+		want error
+	}{
+		{"first-x-nan", func(s *e2efair.NetworkSpec) { s.Nodes[0].X = nan }, topology.ErrBadPosition},
+		{"x-inf", func(s *e2efair.NetworkSpec) { s.Nodes[3].X = inf }, topology.ErrBadPosition},
+		{"x-minus-inf", func(s *e2efair.NetworkSpec) { s.Nodes[5].X = -inf }, topology.ErrBadPosition},
+		{"y-nan", func(s *e2efair.NetworkSpec) { s.Nodes[2].Y = nan }, topology.ErrBadPosition},
+		{"tx-nan", func(s *e2efair.NetworkSpec) { s.TxRange = nan }, topology.ErrBadRange},
+		{"tx-inf", func(s *e2efair.NetworkSpec) { s.TxRange = inf }, topology.ErrBadRange},
+		{"interference-nan", func(s *e2efair.NetworkSpec) { s.InterferenceRange = nan }, topology.ErrBadRange},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := fig1Spec()
+			c.edit(&spec)
+			err := returnsWithin(t, func() error { _, err := e2efair.NewNetwork(spec); return err })
+			if !errors.Is(err, c.want) {
+				t.Errorf("NewNetwork: err = %v, want %v", err, c.want)
+			}
+			err = returnsWithin(t, func() error { _, _, err := e2efair.NewNetworkWithDiscovery(spec, 1); return err })
+			if !errors.Is(err, c.want) {
+				t.Errorf("NewNetworkWithDiscovery: err = %v, want %v", err, c.want)
+			}
+		})
+	}
+}
+
+// Finite coordinates whose span overflows float64 still build, with
+// the two far-apart links intact.
+func TestNewNetworkOverflowingSpan(t *testing.T) {
+	spec := e2efair.NetworkSpec{
+		Nodes: []e2efair.NodeSpec{
+			{Name: "A", X: -1e308}, {Name: "B", X: -1e308, Y: 200},
+			{Name: "C", X: 1e308}, {Name: "D", X: 1e308, Y: 200},
+		},
+		Flows: []e2efair.FlowSpec{{ID: "F1", Path: []string{"A", "B"}}, {ID: "F2", Path: []string{"C", "D"}}},
+	}
+	var net *e2efair.Network
+	if err := returnsWithin(t, func() (err error) { net, err = e2efair.NewNetwork(spec); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if groups := net.Contention().FlowGroups; len(groups) != 2 {
+		t.Errorf("flow groups %v, want two independent flows", groups)
 	}
 }

@@ -21,14 +21,7 @@ func main() {
 }
 
 func chainNet(hops int) (*e2efair.Network, error) {
-	spec := e2efair.NetworkSpec{}
-	names := make([]string, hops+1)
-	for i := 0; i <= hops; i++ {
-		names[i] = fmt.Sprintf("N%d", i)
-		spec.Nodes = append(spec.Nodes, e2efair.NodeSpec{Name: names[i], X: float64(i) * 200})
-	}
-	spec.Flows = []e2efair.FlowSpec{{ID: "F1", Path: names}}
-	return e2efair.NewNetwork(spec)
+	return e2efair.NewNetwork(e2efair.ChainSpec(hops))
 }
 
 func run() error {

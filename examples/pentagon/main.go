@@ -23,30 +23,11 @@ func main() {
 	}
 }
 
-// pentagonNet embeds five 200 m links on a circle of radius 300 m so
-// that consecutive links contend (nearest endpoints ≈ 171 m) while
-// non-consecutive ones stay out of range (≥ 476 m).
-func pentagonNet() (*e2efair.Network, error) {
-	const r = 300.0
-	delta := math.Asin(100.0 / r) // half the angle subtended by a link
-	spec := e2efair.NetworkSpec{}
-	for k := 0; k < 5; k++ {
-		phi := 2 * math.Pi * float64(k) / 5
-		a := fmt.Sprintf("A%d", k+1)
-		b := fmt.Sprintf("B%d", k+1)
-		spec.Nodes = append(spec.Nodes,
-			e2efair.NodeSpec{Name: a, X: r * math.Cos(phi-delta), Y: r * math.Sin(phi-delta)},
-			e2efair.NodeSpec{Name: b, X: r * math.Cos(phi+delta), Y: r * math.Sin(phi+delta)},
-		)
-		spec.Flows = append(spec.Flows, e2efair.FlowSpec{
-			ID: fmt.Sprintf("F%d", k+1), Path: []string{a, b},
-		})
-	}
-	return e2efair.NewNetwork(spec)
-}
-
 func run() error {
-	net, err := pentagonNet()
+	// PentagonSpec embeds five 200 m links on a circle of radius 300 m
+	// so that consecutive links contend (nearest endpoints ≈ 171 m)
+	// while non-consecutive ones stay out of range (≥ 476 m).
+	net, err := e2efair.NewNetwork(e2efair.PentagonSpec())
 	if err != nil {
 		return err
 	}

@@ -118,13 +118,14 @@ func benchScenario1k(tb testing.TB) (*topology.Topology, []flow.Subflow) {
 		tb.Fatal(err)
 	}
 	var subs []flow.Subflow
+	var bt routing.BFSTree
 	for added := 0; added < 60; {
 		src := topology.NodeID(rng.Intn(topo.NumNodes()))
 		dst := topology.NodeID(rng.Intn(topo.NumNodes()))
-		if src == dst {
+		if src == dst || bt.Build(topo, src) != nil || !bt.Reached(dst) {
 			continue
 		}
-		path, err := routing.ShortestPath(topo, src, dst)
+		path, err := bt.PathTo(dst)
 		if err != nil {
 			continue
 		}

@@ -296,36 +296,3 @@ func (g *Graph) GreedyColoring() ([]int, int) {
 	}
 	return colors, maxColor
 }
-
-// CliquesContaining returns the maximal cliques of the graph that
-// contain vertex v, computed from v's closed neighborhood only: the
-// search is rooted at R = {v}, P = N(v), so it never reads adjacency
-// outside N[v]. This is the local-constructibility property the
-// paper's distributed first phase relies on (citing Huang & Bensaou):
-// every maximal clique through a subflow lies inside that subflow's
-// closed neighborhood, whose members all have an endpoint within
-// transmission range of the subflow's endpoints and are therefore
-// overhearable by its transmitter (directly or via one-hop exchange).
-// The result equals filtering MaximalCliques for v — see
-// TestCliquesContainingIsLocal — but needs no global knowledge.
-func (g *Graph) CliquesContaining(v int) []Clique {
-	if v < 0 || v >= len(g.subflows) {
-		return nil
-	}
-	sc := acquireScratch(len(g.subflows))
-	var out []Clique
-	sc.p[1].copyFrom(g.rows[v])
-	sc.x[1].zero()
-	sc.r = append(sc.r[:0], v)
-	g.bk(sc, 1, func(r []int) {
-		c := make(Clique, len(r))
-		copy(c, r)
-		out = append(out, c)
-	})
-	sc.r = sc.r[:0]
-	releaseScratch(sc)
-	for _, c := range out {
-		slices.Sort(c)
-	}
-	return canonicalCliques(out)
-}

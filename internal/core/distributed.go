@@ -49,9 +49,9 @@ type DistributedResult struct {
 // own subflows. These are locally constructible: every maximal clique
 // through a subflow lies inside the subflow's closed contention
 // neighborhood, whose members are overhearable by the transmitter
-// (contention.CliquesContaining computes them from that neighborhood
-// alone, and TestCliquesContainingIsLocal proves the equivalence; this
-// implementation filters the precomputed global list purely as an
+// (TestCliquesContainingIsLocal in internal/contention enumerates them
+// from that neighborhood alone and proves the equivalence; this
+// implementation reads the precomputed global list purely as an
 // optimization). Nodes on the
 // same flow propagate their cliques to each other (intra-flow exchange
 // of constraints), so every node on flow F_i's path solves an LP whose

@@ -20,3 +20,19 @@ func GroupLPs(inst *Instance) []GroupLP {
 	}
 	return out
 }
+
+// ResetCache drops all cached group solutions (cumulative CacheStats
+// counters are kept). Benchmarks use it to measure cold solves;
+// allocations never need it for correctness because cache keys capture
+// the entire LP.
+func (a *Allocator) ResetCache() {
+	a.enterGuard()
+	defer a.exitGuard()
+	a.cache.reset()
+}
+
+// reset drops every entry but keeps the cumulative counters.
+func (c *groupLRU) reset() {
+	clear(c.entries)
+	c.order.Init()
+}

@@ -86,12 +86,6 @@ func (c *groupLRU) evict() int {
 	return evicted
 }
 
-// reset drops every entry but keeps the cumulative counters.
-func (c *groupLRU) reset() {
-	clear(c.entries)
-	c.order.Init()
-}
-
 // setCap rebounds the cache, evicting cold entries immediately if the
 // new cap is smaller than the current population; cap < 1 restores the
 // default.

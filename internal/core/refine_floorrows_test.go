@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // The row form of the floor LP, which maximizeFloor replaced, is kept
@@ -49,11 +50,8 @@ func FirstFloorRounds(inst *Instance) ([]FloorRound, error) {
 		if r.T, err = s.maximizeFloor(rows, g.basic, g.weights, opt, frozen, value); err != nil {
 			return nil, err
 		}
-		// lp.Problem exports no row count, and SetRHS fails exactly
-		// past the last row. The program is rebuilt below anyway.
-		for s.prob.SetRHS(r.Rows, 0) == nil {
-			r.Rows++
-		}
+		// lp.Problem exports no row count; read its row slice's length.
+		r.Rows = reflect.ValueOf(&s.prob).Elem().FieldByName("constraints").Len()
 		if r.RowT, err = s.maximizeFloorRows(rows, g.basic, g.weights, opt, frozen, value); err != nil {
 			return nil, err
 		}

@@ -87,16 +87,6 @@ type groupCacheKey struct {
 	refine bool
 }
 
-// ResetCache drops all cached group solutions (cumulative CacheStats
-// counters are kept). Benchmarks use it to measure cold solves;
-// allocations never need it for correctness because cache keys capture
-// the entire LP.
-func (a *Allocator) ResetCache() {
-	a.enterGuard()
-	defer a.exitGuard()
-	a.cache.reset()
-}
-
 // SetGroupCacheCap rebounds the group-share cache to at most n
 // entries, evicting least-recently-used entries immediately if the
 // cache is already larger; n < 1 restores DefaultGroupCacheCap.

@@ -204,13 +204,3 @@ func (s *Set) Subflows() []Subflow {
 	}
 	return out
 }
-
-// TotalWeightedVirtualLength returns Σ_j w_j·v_j over flows in the
-// set, the denominator of the basic share (Sec. II-D).
-func (s *Set) TotalWeightedVirtualLength() float64 {
-	var sum float64
-	for _, f := range s.flows {
-		sum += f.weight * float64(f.VirtualLength())
-	}
-	return sum
-}

@@ -9,6 +9,16 @@ import (
 	"e2efair/internal/topology"
 )
 
+// TotalWeightedVirtualLength returns Σ_j w_j·v_j over flows in the
+// set, the denominator of the basic share (Sec. II-D).
+func (s *Set) TotalWeightedVirtualLength() float64 {
+	var sum float64
+	for _, f := range s.flows {
+		sum += f.weight * float64(f.VirtualLength())
+	}
+	return sum
+}
+
 func path(ids ...int) []topology.NodeID {
 	out := make([]topology.NodeID, len(ids))
 	for i, v := range ids {

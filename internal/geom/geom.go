@@ -44,8 +44,3 @@ func (p Point) InRange(q Point, r float64) bool {
 func (p Point) Add(dx, dy float64) Point {
 	return Point{X: p.X + dx, Y: p.Y + dy}
 }
-
-// Midpoint returns the point halfway between p and q.
-func (p Point) Midpoint(q Point) Point {
-	return Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2}
-}

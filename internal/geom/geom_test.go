@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// Midpoint returns the point halfway between p and q.
+func (p Point) Midpoint(q Point) Point {
+	return Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2}
+}
+
 func TestDist(t *testing.T) {
 	cases := []struct {
 		name string

@@ -67,17 +67,25 @@ func (g *Grid) Rebuild(pts []Point, cell float64) {
 			maxY = p.Y
 		}
 	}
-	budget := maxCellFactor*n + 64
-	cols := int((maxX-minX)/cell) + 1
-	rows := int((maxY-minY)/cell) + 1
-	for cols < 0 || rows < 0 || cols > budget || rows > budget || cols*rows > budget {
-		cell *= 2
-		cols = int((maxX-minX)/cell) + 1
-		rows = int((maxY-minY)/cell) + 1
+	g.cell, g.minX, g.minY = cell, minX, minY
+	budget := float64(maxCellFactor*n + 64)
+	for {
+		cols := math.Floor(g.offset(maxX, minX)) + 1
+		rows := math.Floor(g.offset(maxY, minY)) + 1
+		if cols*rows <= budget {
+			g.cols, g.rows = int(cols), int(rows)
+			break
+		}
+		if math.IsInf(g.cell, 1) {
+			// Only a non-finite coordinate gets here: one cell holds
+			// every point, so queries still terminate.
+			g.cols, g.rows = 1, 1
+			break
+		}
+		g.cell *= 2
 	}
-	g.cell, g.minX, g.minY, g.cols, g.rows = cell, minX, minY, cols, rows
 
-	nc := cols * rows
+	nc := g.cols * g.rows
 	if cap(g.starts) < nc+1 {
 		g.starts = make([]int32, nc+1)
 	} else {
@@ -120,11 +128,19 @@ func (g *Grid) Rebuild(pts []Point, cell float64) {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.pts) }
 
+// offset returns (v − lo)/cell. Halving every operand is exact above
+// the subnormal range, so the result has the same bits as the direct
+// form, but it stays finite when v − lo overflows: finite coordinates
+// more than math.MaxFloat64 apart.
+func (g *Grid) offset(v, lo float64) float64 {
+	return (v/2 - lo/2) / (g.cell / 2)
+}
+
 // cellIndex maps a point inside the bounding box to its cell, clamping
 // for the floating-point edge case of a point exactly on the max edge.
 func (g *Grid) cellIndex(p Point) int {
-	cx := int((p.X - g.minX) / g.cell)
-	cy := int((p.Y - g.minY) / g.cell)
+	cx := int(g.offset(p.X, g.minX))
+	cy := int(g.offset(p.Y, g.minY))
 	if cx >= g.cols {
 		cx = g.cols - 1
 	}
@@ -147,10 +163,10 @@ func (g *Grid) window(p Point, r float64) (cx0, cy0, cx1, cy1 int, ok bool) {
 	if r < 0 || g.cols == 0 || math.IsNaN(r) {
 		return 0, 0, 0, 0, false
 	}
-	fx0 := math.Floor((p.X - r - g.minX) / g.cell)
-	fy0 := math.Floor((p.Y - r - g.minY) / g.cell)
-	fx1 := math.Floor((p.X + r - g.minX) / g.cell)
-	fy1 := math.Floor((p.Y + r - g.minY) / g.cell)
+	fx0 := math.Floor(g.offset(p.X-r, g.minX))
+	fy0 := math.Floor(g.offset(p.Y-r, g.minY))
+	fx1 := math.Floor(g.offset(p.X+r, g.minX))
+	fy1 := math.Floor(g.offset(p.Y+r, g.minY))
 	if fx1 < 0 || fy1 < 0 || fx0 >= float64(g.cols) || fy0 >= float64(g.rows) {
 		return 0, 0, 0, 0, false
 	}
@@ -213,26 +229,4 @@ func (g *Grid) VisitWithin(p Point, r float64, visit func(i int)) {
 			}
 		}
 	}
-}
-
-// CountWithin returns the number of points within radius r of p.
-func (g *Grid) CountWithin(p Point, r float64) int {
-	cx0, cy0, cx1, cy1, ok := g.window(p, r)
-	if !ok {
-		return 0
-	}
-	r2 := r * r
-	n := 0
-	for cy := cy0; cy <= cy1; cy++ {
-		rowBase := cy * g.cols
-		for cx := cx0; cx <= cx1; cx++ {
-			c := rowBase + cx
-			for _, idx := range g.items[g.starts[c]:g.starts[c+1]] {
-				if p.Dist2(g.pts[idx]) <= r2 {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }

@@ -1,9 +1,11 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // bruteWithin is the reference for every grid query: a linear scan with
@@ -58,9 +60,6 @@ func TestGridMatchesBruteForce(t *testing.T) {
 			got := sortedInts(g.AppendWithin(p, r, nil))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: AppendWithin(%v, %g) = %v, want %v", trial, p, r, got, want)
-			}
-			if c := g.CountWithin(p, r); c != len(want) {
-				t.Fatalf("trial %d: CountWithin = %d, want %d", trial, c, len(want))
 			}
 			var visited []int
 			g.VisitWithin(p, r, func(i int) { visited = append(visited, i) })
@@ -134,5 +133,39 @@ func TestGridCellBudget(t *testing.T) {
 	got := sortedInts(g.AppendWithin(Point{0, 0}, 10, nil))
 	if !equalInts(got, []int{0, 3}) {
 		t.Fatalf("budget-capped query = %v, want [0 3]", got)
+	}
+}
+
+// A span wider than math.MaxFloat64 (finite ends, overflowing
+// difference) must still index in bounded time with exact results,
+// and non-finite points must not hang Rebuild either.
+func TestGridOverflowingSpan(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pts := []Point{{-1e308, 0}, {-1e308, 200}, {1e308, 0}, {1e308, 200}, {0, 0}, {math.MaxFloat64, -math.MaxFloat64}}
+		for _, cell := range []float64{250, 1e-3, 1e300} {
+			g := NewGrid()
+			g.Rebuild(pts, cell)
+			if nc := g.cols * g.rows; nc < 1 || nc > maxCellFactor*len(pts)+64 {
+				t.Errorf("cell %g: %d cells", cell, nc)
+			}
+			for _, p := range pts {
+				for _, r := range []float64{0, 250, 1e6} {
+					got := sortedInts(g.AppendWithin(p, r, nil))
+					if want := bruteWithin(pts, p, r); !equalInts(got, want) {
+						t.Errorf("cell %g: within %g of %v = %v, want %v", cell, r, p, got, want)
+					}
+				}
+			}
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			NewGrid().Rebuild([]Point{{bad, 0}, {0, 0}, {1, bad}}, 250)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Rebuild did not return within 5 s")
 	}
 }

@@ -55,9 +55,9 @@ type Problem struct {
 	objective   []float64
 	constraints []Constraint
 
-	// version counts constraint mutations (AddConstraint, SetRHS,
-	// Reset); a Solver re-optimizes in place only while it is unchanged
-	// since its last successful solve of this Problem.
+	// version counts constraint mutations (AddConstraint, Reset); a
+	// Solver re-optimizes in place only while it is unchanged since its
+	// last successful solve of this Problem.
 	version uint64
 }
 
@@ -119,20 +119,8 @@ func (p *Problem) AddGE(coeffs []float64, rhs float64) error {
 	return p.AddConstraint(coeffs, GE, rhs)
 }
 
-// SetRHS replaces constraint i's right-hand side in place, letting a
-// Problem be re-solved without rebuilding or reallocating anything.
-func (p *Problem) SetRHS(i int, rhs float64) error {
-	if i < 0 || i >= len(p.constraints) {
-		return fmt.Errorf("%w: constraint %d of %d", ErrShape, i, len(p.constraints))
-	}
-	p.constraints[i].RHS = rhs
-	p.version++
-	return nil
-}
-
-// SetObjectiveCoeff sets a single objective coefficient in place; the
-// companion to SetRHS for objective-only re-solves (see
-// Solver.ReoptimizeInto).
+// SetObjectiveCoeff sets a single objective coefficient in place, for
+// objective-only re-solves (see Solver.ReoptimizeInto).
 func (p *Problem) SetObjectiveCoeff(j int, v float64) error {
 	if j < 0 || j >= p.n {
 		return fmt.Errorf("%w: variable %d of %d", ErrShape, j, p.n)

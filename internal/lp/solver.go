@@ -130,7 +130,7 @@ func (s *Solver) SolveInto(p *Problem, sol *Solution) error {
 // and no re-pivoting to a saved basis. That vertex stays primal
 // feasible because the constraints are unchanged. When the last
 // successful solve was of another problem, or p's constraints changed
-// since (AddConstraint, SetRHS, Reset), or no solve has succeeded yet, it
+// since (AddConstraint, Reset), or no solve has succeeded yet, it
 // falls back to a cold two-phase solve, so the result is always p's
 // optimum.
 func (s *Solver) ReoptimizeInto(p *Problem, sol *Solution) error {

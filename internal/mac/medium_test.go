@@ -9,6 +9,12 @@ import (
 	"e2efair/internal/topology"
 )
 
+// packetRate is the maximum single-link packet throughput in packets
+// per second for the given payload, ignoring backoff.
+func packetRate(c *phy.Channel, payloadBytes int) float64 {
+	return float64(sim.Second) / float64(c.ExchangeTime(payloadBytes)+phy.DIFS)
+}
+
 // rig is a small MAC test harness.
 type rig struct {
 	t         *testing.T
@@ -124,7 +130,7 @@ func TestSingleLinkThroughputNearCapacity(t *testing.T) {
 	}
 	elapsed := r.eng.Now().Seconds()
 	rate := float64(r.delivered[sub("F1", 0)]) / elapsed
-	maxRate := r.medium.Channel().PacketRate(512)
+	maxRate := packetRate(r.medium.Channel(), 512)
 	if rate < 0.6*maxRate {
 		t.Errorf("saturated link rate %.1f pkt/s below 60%% of channel bound %.1f", rate, maxRate)
 	}
@@ -179,7 +185,7 @@ func TestSpatialReuse(t *testing.T) {
 	r.eng.Run(dur)
 	d1 := r.delivered[sub("F1", 0)]
 	d2 := r.delivered[sub("F2", 0)]
-	maxRate := r.medium.Channel().PacketRate(512) * dur.Seconds()
+	maxRate := packetRate(r.medium.Channel(), 512) * dur.Seconds()
 	if float64(d1) < 0.6*maxRate || float64(d2) < 0.6*maxRate {
 		t.Errorf("no spatial reuse: %d, %d vs single-link bound %.0f", d1, d2, maxRate)
 	}

@@ -136,9 +136,6 @@ func (s *TagScheduler) AddSubflow(id flow.SubflowID, share float64) error {
 	return nil
 }
 
-// NodeShare returns the node share c_i (sum of subflow shares).
-func (s *TagScheduler) NodeShare() float64 { return s.nodeShare }
-
 // SetShare updates a registered subflow's allocated share at runtime,
 // supporting online reallocation when the set of backlogged flows
 // changes. The head packet's internal finish tag is recomputed so the
@@ -417,14 +414,4 @@ func (s *TagScheduler) Drain(match func(*Packet) bool, out func(*Packet)) int {
 		}
 	}
 	return total
-}
-
-// QueueLen returns the backlog of one subflow queue, for tests and
-// diagnostics.
-func (s *TagScheduler) QueueLen(id flow.SubflowID) int {
-	q, ok := s.bySubflow[id]
-	if !ok {
-		return 0
-	}
-	return q.queue.len()
 }

@@ -9,6 +9,18 @@ import (
 	"e2efair/internal/xrand"
 )
 
+// NodeShare returns the node share c_i (sum of subflow shares).
+func (s *TagScheduler) NodeShare() float64 { return s.nodeShare }
+
+// QueueLen returns the backlog of one subflow queue.
+func (s *TagScheduler) QueueLen(id flow.SubflowID) int {
+	q, ok := s.bySubflow[id]
+	if !ok {
+		return 0
+	}
+	return q.queue.len()
+}
+
 func newTagSched(t *testing.T) *TagScheduler {
 	t.Helper()
 	s, err := NewTagScheduler(TagSchedulerConfig{

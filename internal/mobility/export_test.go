@@ -98,10 +98,14 @@ func routeFlows(topo *topology.Topology, specs []FlowSpec) (*flow.Set, map[flow.
 		return nil, nil, err
 	}
 	routes := make(map[flow.ID][]topology.NodeID, len(specs))
+	var bt routing.BFSTree
 	for _, fs := range specs {
-		path, err := routing.ShortestPath(topo, topology.NodeID(fs.Src), topology.NodeID(fs.Dst))
-		if err != nil {
+		if bt.Build(topo, topology.NodeID(fs.Src)) != nil || !bt.Reached(topology.NodeID(fs.Dst)) {
 			continue // unreachable this epoch
+		}
+		path, err := bt.PathTo(topology.NodeID(fs.Dst))
+		if err != nil {
+			continue
 		}
 		weight := fs.Weight
 		if weight == 0 {
@@ -117,4 +121,9 @@ func routeFlows(topo *topology.Topology, specs []FlowSpec) (*flow.Set, map[flow.
 		routes[fs.ID] = path
 	}
 	return set, routes, nil
+}
+
+// Positions returns a snapshot of current node positions.
+func (w *Waypoint) Positions() []geom.Point {
+	return w.AppendPositions(make([]geom.Point, 0, len(w.nodes)))
 }

@@ -121,11 +121,6 @@ func (w *Waypoint) advanceNode(i int, target sim.Time) {
 	}
 }
 
-// Positions returns a snapshot of current node positions.
-func (w *Waypoint) Positions() []geom.Point {
-	return w.AppendPositions(make([]geom.Point, 0, len(w.nodes)))
-}
-
 // AppendPositions appends the current node positions to dst and
 // returns the extended slice, letting epoch loops reuse one buffer
 // instead of allocating a snapshot per epoch.

@@ -313,19 +313,3 @@ func attachSchedulers(medium *mac.Medium, inst *core.Instance, cfg Config, share
 	}
 	return nil
 }
-
-// RunAll executes the run for each protocol with the same config and
-// returns results keyed by protocol, in the given order.
-func RunAll(inst *core.Instance, cfg Config, protocols ...Protocol) ([]*Result, error) {
-	out := make([]*Result, 0, len(protocols))
-	for _, p := range protocols {
-		c := cfg
-		c.Protocol = p
-		r, err := Run(inst, c)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: %s: %w", p, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -443,9 +443,21 @@ func TestLossAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := runProto(t, sc, netsim.ProtocolTwoTier)
+	// flowLost sums the in-flight losses attributed to a flow's hops.
+	flowLost := func(id flow.ID) int64 {
+		f, err := sc.Flows.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for hop := 0; hop < f.Length(); hop++ {
+			sum += r.Stats.DroppedAt(sub(id, hop))
+		}
+		return sum
+	}
 	var attributed int64
 	for _, f := range sc.Flows.Flows() {
-		attributed += r.Stats.FlowLost(f.ID())
+		attributed += flowLost(f.ID())
 	}
 	if attributed != r.Stats.Lost() {
 		t.Errorf("attributed %d != lost %d", attributed, r.Stats.Lost())
@@ -455,9 +467,9 @@ func TestLossAttribution(t *testing.T) {
 	if got := r.Stats.DroppedAt(sub("F1", 1)); got == 0 {
 		t.Error("expected drops attributed to F1.2")
 	}
-	if r.Stats.FlowLost("F1") < r.Stats.FlowLost("F2") {
+	if flowLost("F1") < flowLost("F2") {
 		t.Errorf("two-tier losses should concentrate on F1: %d vs %d",
-			r.Stats.FlowLost("F1"), r.Stats.FlowLost("F2"))
+			flowLost("F1"), flowLost("F2"))
 	}
 }
 

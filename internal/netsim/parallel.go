@@ -98,7 +98,7 @@ func forEach(n, workers int, fn func(eng *sim.Engine, i int) error) (int, error)
 	return -1, nil
 }
 
-// RunAllParallel is RunAll fanned across the worker pool: one run per
+// RunAllParallel fans runs across the worker pool: one run per
 // protocol with the same config, results in protocol order.
 func RunAllParallel(inst *core.Instance, cfg Config, protocols ...Protocol) ([]*Result, error) {
 	jobs := make([]Job, len(protocols))

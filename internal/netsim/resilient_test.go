@@ -12,7 +12,6 @@ import (
 	"e2efair/internal/scenario"
 	"e2efair/internal/sim"
 	"e2efair/internal/topology"
-	"e2efair/internal/trace"
 )
 
 // diamondInstance builds A-B-C in a line with D above B: the flow
@@ -295,6 +294,11 @@ func TestPartitionedFlowDegradesGracefully(t *testing.T) {
 	}
 }
 
+// kindCounter is a mac.Tracer that counts events by kind.
+type kindCounter map[mac.TraceKind]int
+
+func (k kindCounter) Trace(ev mac.TraceEvent) { k[ev.Kind]++ }
+
 // TestResilientTraceEvents checks that the recovery pipeline emits its
 // structured events through the tracer gate: a lossy link cut must
 // produce corruption (x), link-dead (L) and reroute (R) records.
@@ -305,21 +309,17 @@ func TestResilientTraceEvents(t *testing.T) {
 		DefaultLoss: 0.02,
 		LinkFaults:  []fault.LinkFault{{A: 0, B: 1, Down: 3 * sim.Second}},
 	}
-	ring := trace.NewRing(1 << 16)
+	seen := kindCounter{}
 	_, err := netsim.Run(inst, netsim.Config{
 		Protocol:    netsim.Protocol2PAC,
 		Duration:    6 * sim.Second,
 		Seed:        1,
 		PacketsPerS: 100,
 		Fault:       plan,
-		Tracer:      ring,
+		Tracer:      seen,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	seen := map[mac.TraceKind]int{}
-	for _, ev := range ring.Events() {
-		seen[ev.Kind]++
 	}
 	for _, k := range []mac.TraceKind{mac.TraceCorrupt, mac.TraceLinkDead, mac.TraceReroute} {
 		if seen[k] == 0 {

@@ -119,12 +119,6 @@ func (c *Channel) Airtime(bytes int) sim.Time {
 	return sim.Time(us)
 }
 
-// RTSTime returns the airtime of an RTS frame.
-func (c *Channel) RTSTime() sim.Time { return c.rts }
-
-// CTSTime returns the airtime of a CTS frame.
-func (c *Channel) CTSTime() sim.Time { return c.cts }
-
 // ACKTime returns the airtime of an ACK frame.
 func (c *Channel) ACKTime() sim.Time { return c.ack }
 
@@ -149,12 +143,4 @@ func (c *Channel) ExchangeTime(payloadBytes int) sim.Time {
 // itself plus a DIFS of recovery).
 func (c *Channel) CollisionTime() sim.Time {
 	return c.collision
-}
-
-// PacketRate returns the maximum single-link packet throughput in
-// packets per second for the given payload, ignoring backoff: a
-// convenient upper bound when sizing workloads.
-func (c *Channel) PacketRate(payloadBytes int) float64 {
-	per := c.ExchangeTime(payloadBytes) + DIFS
-	return float64(sim.Second) / float64(per)
 }

@@ -7,6 +7,20 @@ import (
 	"e2efair/internal/sim"
 )
 
+// RTSTime returns the airtime of an RTS frame.
+func (c *Channel) RTSTime() sim.Time { return c.rts }
+
+// CTSTime returns the airtime of a CTS frame.
+func (c *Channel) CTSTime() sim.Time { return c.cts }
+
+// PacketRate returns the maximum single-link packet throughput in
+// packets per second for the given payload, ignoring backoff: a
+// convenient upper bound when sizing workloads.
+func (c *Channel) PacketRate(payloadBytes int) float64 {
+	per := c.ExchangeTime(payloadBytes) + DIFS
+	return float64(sim.Second) / float64(per)
+}
+
 func TestNewChannelDefaults(t *testing.T) {
 	ch, err := NewChannel(0)
 	if err != nil {

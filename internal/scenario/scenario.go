@@ -1,14 +1,17 @@
-// Package scenario constructs the canonical problem instances of the
-// paper: the Fig. 1 two-flow topology, the Fig. 2 fairness examples,
-// the Fig. 3 chain, the Fig. 4 weighted contention graph, the Fig. 5
-// pentagon, and the Fig. 6 / Table I five-flow topology, plus random
-// instances for property tests and ablations.
+// Package scenario is the home of network specs and constructs the
+// canonical problem instances of the paper: the Fig. 1 two-flow
+// topology, the Fig. 2 fairness examples, the Fig. 3 chain, the Fig. 4
+// weighted contention graph, the Fig. 5 pentagon, and the Fig. 6 /
+// Table I five-flow topology, plus random instances for property tests
+// and ablations.
 //
-// Geometric scenarios place nodes so that the unit-disk contention
-// rule (250 m transmission range) reproduces the paper's subflow
-// contention graphs exactly; abstract scenarios (Fig. 2(b,c), Fig. 4,
-// Fig. 5) are specified directly as contention graphs, as the paper
-// does.
+// One table of named specs (BuiltinSpec) serves the library facade
+// and the command-line tools, and one builder (Build) turns any spec
+// into an instance. Geometric scenarios are Build applied to a spec
+// whose node placement makes the unit-disk contention rule (250 m
+// transmission range) reproduce the paper's subflow contention graphs
+// exactly; abstract scenarios (Fig. 2(b,c), Fig. 4, Fig. 5) are
+// specified directly as contention graphs, as the paper does.
 package scenario
 
 import (
@@ -32,42 +35,15 @@ type Scenario struct {
 	Inst  *core.Instance
 }
 
-// Figure1 builds the paper's Fig. 1 topology: F1 = A→B→C and
-// F2 = D→E→F, placed so that F1.2 contends with both subflows of F2
-// while F1.1 is free of them.
-func Figure1() (*Scenario, error) {
-	topo, err := topology.NewBuilder(topology.DefaultRange, 0).
-		Add("A", 0, 0).
-		Add("B", 200, 0).
-		Add("C", 400, 0).
-		Add("D", 600, 200).
-		Add("E", 600, 0).
-		Add("F", 800, 0).
-		Build()
-	if err != nil {
-		return nil, err
-	}
-	return assemble("figure1", topo, []pathSpec{
-		{id: "F1", weight: 1, path: []string{"A", "B", "C"}},
-		{id: "F2", weight: 1, path: []string{"D", "E", "F"}},
-	})
-}
+// Figure1 builds the paper's Fig. 1 network from Figure1Spec.
+func Figure1() (*Scenario, error) { return Build("figure1", Figure1Spec()) }
 
 // Figure2Single builds Fig. 2(a): two contending single-hop flows
 // with weights 2 and 1, whose fair allocation is (2B/3, B/3).
 func Figure2Single() (*Scenario, error) {
-	topo, err := topology.NewBuilder(topology.DefaultRange, 0).
-		Add("A", 0, 0).
-		Add("B", 200, 0).
-		Add("C", 100, 150).
-		Add("D", 300, 150).
-		Build()
-	if err != nil {
-		return nil, err
-	}
-	return assemble("figure2a", topo, []pathSpec{
-		{id: "F1", weight: 2, path: []string{"A", "B"}},
-		{id: "F2", weight: 1, path: []string{"C", "D"}},
+	return Build("figure2a", NetworkSpec{
+		Nodes: []NodeSpec{{Name: "A", X: 0, Y: 0}, {Name: "B", X: 200, Y: 0}, {Name: "C", X: 100, Y: 150}, {Name: "D", X: 300, Y: 150}},
+		Flows: []FlowSpec{{ID: "F1", Weight: 2, Path: []string{"A", "B"}}, {ID: "F2", Weight: 1, Path: []string{"C", "D"}}},
 	})
 }
 
@@ -86,27 +62,15 @@ func Figure2Multi() (*Scenario, error) {
 	return assembleAbstract("figure2c", completeEdges, f1, f2)
 }
 
-// Chain builds a single flow of the given hop count along a straight
-// line with 200 m spacing (Fig. 3(c) uses six hops); skip-one
-// neighbors are in range, so the contention graph is the square of a
-// path, three-colourable for any length.
+// Chain builds ChainSpec(hops): one flow along a straight line with
+// 200 m spacing (Fig. 3(c) uses six hops). Skip-one neighbors are in
+// range, so the contention graph is the square of a path,
+// three-colourable for any length.
 func Chain(hops int) (*Scenario, error) {
 	if hops < 1 {
 		return nil, fmt.Errorf("scenario: chain needs at least one hop, got %d", hops)
 	}
-	b := topology.NewBuilder(topology.DefaultRange, 0)
-	names := make([]string, hops+1)
-	for i := 0; i <= hops; i++ {
-		names[i] = fmt.Sprintf("N%d", i)
-		b.Add(names[i], float64(i)*200, 0)
-	}
-	topo, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return assemble(fmt.Sprintf("chain%d", hops), topo, []pathSpec{
-		{id: "F1", weight: 1, path: names},
-	})
+	return Build(fmt.Sprintf("chain%d", hops), ChainSpec(hops))
 }
 
 // Figure4 builds the weighted subflow contention graph of Fig. 4:
@@ -161,77 +125,9 @@ func Pentagon() (*Scenario, error) {
 	return assembleAbstract("pentagon", edges, flows...)
 }
 
-// Figure6 builds the paper's Fig. 6 / Table I topology: five flows
-// F1 = A→B→C→D→E, F2 = F→G, F3 = H→I, F4 = J→K→L and F5 = M→N, with
-// maximal cliques
-//
-//	Ω1 = {F1.1,F1.2,F1.3}   Ω2 = {F1.2,F1.3,F1.4}
-//	Ω3 = {F1.3,F1.4,F2.1}   Ω4 = {F2.1,F3.1}
-//	Ω5 = {F3.1,F4.1}        Ω6 = {F4.1,F4.2,F5.1}
-func Figure6() (*Scenario, error) {
-	topo, err := topology.NewBuilder(topology.DefaultRange, 0).
-		Add("A", 0, 0).
-		Add("B", 200, 0).
-		Add("C", 400, 0).
-		Add("D", 600, 0).
-		Add("E", 800, 0).
-		Add("F", 600, 220).
-		Add("G", 790, 380).
-		Add("H", 1000, 420).
-		Add("I", 1200, 540).
-		Add("J", 1400, 640).
-		Add("K", 1600, 740).
-		Add("L", 1800, 840).
-		Add("M", 1650, 520).
-		Add("N", 1850, 420).
-		Build()
-	if err != nil {
-		return nil, err
-	}
-	return assemble("figure6", topo, []pathSpec{
-		{id: "F1", weight: 1, path: []string{"A", "B", "C", "D", "E"}},
-		{id: "F2", weight: 1, path: []string{"F", "G"}},
-		{id: "F3", weight: 1, path: []string{"H", "I"}},
-		{id: "F4", weight: 1, path: []string{"J", "K", "L"}},
-		{id: "F5", weight: 1, path: []string{"M", "N"}},
-	})
-}
-
-type pathSpec struct {
-	id     flow.ID
-	weight float64
-	path   []string
-}
-
-// assemble resolves node names, validates paths and builds the
-// instance for a geometric scenario.
-func assemble(name string, topo *topology.Topology, specs []pathSpec) (*Scenario, error) {
-	var flows []*flow.Flow
-	for _, s := range specs {
-		path := make([]topology.NodeID, len(s.path))
-		for i, n := range s.path {
-			id, err := topo.Lookup(n)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", name, err)
-			}
-			path[i] = id
-		}
-		f, err := flow.New(s.id, s.weight, path)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", name, err)
-		}
-		flows = append(flows, f)
-	}
-	set, err := flow.NewSet(flows...)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", name, err)
-	}
-	inst, err := core.NewInstance(topo, set)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", name, err)
-	}
-	return &Scenario{Name: name, Topo: topo, Flows: set, Inst: inst}, nil
-}
+// Figure6 builds the paper's Fig. 6 / Table I network from
+// Figure6Spec.
+func Figure6() (*Scenario, error) { return Build("figure6", Figure6Spec()) }
 
 // completeEdges yields the edge list of the complete graph on n
 // vertices.

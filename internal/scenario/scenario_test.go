@@ -97,8 +97,12 @@ func TestFigure6Lengths(t *testing.T) {
 			t.Errorf("%s: %d hops, want %d", id, f.Length(), hops)
 		}
 	}
-	if got := sc.Flows.TotalWeightedVirtualLength(); got != 8 {
-		t.Errorf("Σ w·v = %g, want 8", got)
+	var sumWV float64
+	for _, f := range sc.Flows.Flows() {
+		sumWV += f.Weight() * float64(f.VirtualLength())
+	}
+	if sumWV != 8 {
+		t.Errorf("Σ w·v = %g, want 8", sumWV)
 	}
 }
 

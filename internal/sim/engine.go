@@ -72,9 +72,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // alloc takes an event from the free list, or the heap when the list
 // is dry.
 func (e *Engine) alloc() *event {
@@ -150,12 +147,6 @@ func (e *Engine) Schedule(at Time, phase Phase, fn func()) error {
 	ev.at, ev.phase, ev.seq, ev.fn = at, phase, e.seq, fn
 	e.push(ev)
 	return nil
-}
-
-// ScheduleAt is the fast path for the common phase-0 case: it enqueues
-// fn at an absolute time with no phase bookkeeping at the call site.
-func (e *Engine) ScheduleAt(at Time, fn func()) error {
-	return e.Schedule(at, 0, fn)
 }
 
 // ScheduleArg enqueues fn(arg) to run at the given time and phase.

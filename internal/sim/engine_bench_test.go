@@ -2,6 +2,11 @@ package sim
 
 import "testing"
 
+// ScheduleAt enqueues fn at an absolute time in phase 0.
+func (e *Engine) ScheduleAt(at Time, fn func()) error {
+	return e.Schedule(at, 0, fn)
+}
+
 func TestScheduleAt(t *testing.T) {
 	e := NewEngine()
 	var order []int

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Pending returns the number of scheduled events.
+func (e *Engine) Pending() int { return len(e.events) }
+
 func TestRunOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int

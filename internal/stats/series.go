@@ -25,9 +25,6 @@ func NewSeries(period sim.Time) *Series {
 	}
 }
 
-// Period returns the sampling period.
-func (s *Series) Period() sim.Time { return s.period }
-
 // Sample appends one window: for every flow seen so far, the
 // deliveries since the previous sample.
 func (s *Series) Sample(now sim.Time, c *Collector) {
@@ -86,25 +83,4 @@ func sortFlowIDs(ids []flow.ID) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-// WindowJain returns the Jain fairness index of the given flows'
-// throughput in each window, normalized by the supplied weights; a
-// value near 1 in late windows indicates the scheduler has converged
-// to weighted fairness. Flows missing a weight default to 1.
-func (s *Series) WindowJain(weights map[flow.ID]float64) []float64 {
-	ids := s.Flows()
-	out := make([]float64, s.Len())
-	for w := 0; w < s.Len(); w++ {
-		vals := make([]float64, 0, len(ids))
-		for _, id := range ids {
-			wt := weights[id]
-			if wt == 0 {
-				wt = 1
-			}
-			vals = append(vals, float64(s.perFlow[id][w])/wt)
-		}
-		out[w] = JainIndex(vals)
-	}
-	return out
 }

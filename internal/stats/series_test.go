@@ -7,6 +7,30 @@ import (
 	"e2efair/internal/sim"
 )
 
+// Period returns the sampling period.
+func (s *Series) Period() sim.Time { return s.period }
+
+// WindowJain returns the Jain fairness index of the given flows'
+// throughput in each window, normalized by the supplied weights; a
+// value near 1 in late windows indicates the scheduler has converged
+// to weighted fairness. Flows missing a weight default to 1.
+func (s *Series) WindowJain(weights map[flow.ID]float64) []float64 {
+	ids := s.Flows()
+	out := make([]float64, s.Len())
+	for w := 0; w < s.Len(); w++ {
+		vals := make([]float64, 0, len(ids))
+		for _, id := range ids {
+			wt := weights[id]
+			if wt == 0 {
+				wt = 1
+			}
+			vals = append(vals, float64(s.perFlow[id][w])/wt)
+		}
+		out[w] = JainIndex(vals)
+	}
+	return out
+}
+
 func TestSeriesWindows(t *testing.T) {
 	c := NewCollector()
 	s := NewSeries(sim.Second)

@@ -73,17 +73,6 @@ func (c *Collector) DropAt(id flow.SubflowID) { c.dropsAt[id]++ }
 // DroppedAt returns the in-flight losses attributed to a subflow.
 func (c *Collector) DroppedAt(id flow.SubflowID) int64 { return c.dropsAt[id] }
 
-// FlowLost sums in-flight losses across a flow's subflows.
-func (c *Collector) FlowLost(id flow.ID) int64 {
-	var sum int64
-	for sf, n := range c.dropsAt {
-		if sf.Flow == id {
-			sum += n
-		}
-	}
-	return sum
-}
-
 // Collision records one failed floor acquisition.
 func (c *Collector) Collision() { c.collisions++ }
 

@@ -5,11 +5,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"e2efair/internal/geom"
 )
+
+// AppendNodesInRange appends the IDs of every node within radius r of
+// p (boundary inclusive) to dst in ascending ID order and returns the
+// extended slice, answered from a Builder-built topology's grid.
+func (t *Topology) AppendNodesInRange(p geom.Point, r float64, dst []NodeID) []NodeID {
+	start := len(dst)
+	t.grid.VisitWithin(p, r, func(i int) { dst = append(dst, NodeID(i)) })
+	slices.Sort(dst[start:])
+	return dst
+}
 
 // neighborsNaive recomputes the adjacency lists with the seed's
 // all-pairs scan: the reference oracle for the grid-backed build —
@@ -88,7 +99,7 @@ func TestNodesInRangeMatchesScan(t *testing.T) {
 		for q := 0; q < 8; q++ {
 			p := geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 			r := rng.Float64() * side / 2
-			got := topo.NodesInRange(p, r)
+			got := topo.AppendNodesInRange(p, r, nil)
 			var want []NodeID
 			for i := 0; i < n; i++ {
 				if p.InRange(topo.Position(NodeID(i)), r) {
@@ -96,11 +107,11 @@ func TestNodesInRangeMatchesScan(t *testing.T) {
 				}
 			}
 			if len(got) != len(want) {
-				t.Fatalf("trial %d: NodesInRange = %v, want %v", trial, got, want)
+				t.Fatalf("trial %d: AppendNodesInRange = %v, want %v", trial, got, want)
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("trial %d: NodesInRange = %v, want %v", trial, got, want)
+					t.Fatalf("trial %d: AppendNodesInRange = %v, want %v", trial, got, want)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -22,8 +23,12 @@ var (
 	// ErrUnknownNode is returned when a query names a node that does
 	// not exist in the topology.
 	ErrUnknownNode = errors.New("topology: unknown node")
-	// ErrBadRange is returned for non-positive radio ranges.
-	ErrBadRange = errors.New("topology: radio range must be positive")
+	// ErrBadRange is returned for non-positive or non-finite radio
+	// ranges.
+	ErrBadRange = errors.New("topology: radio range must be positive and finite")
+	// ErrBadPosition is returned for a node placed at a NaN or
+	// infinite coordinate.
+	ErrBadPosition = errors.New("topology: node position must be finite")
 )
 
 // NodeID identifies a node within a Topology. IDs are dense indices
@@ -67,12 +72,16 @@ type Builder struct {
 // infRange <= 0 defaults it to txRange.
 func NewBuilder(txRange, infRange float64) *Builder {
 	b := &Builder{byName: make(map[string]NodeID)}
-	if txRange <= 0 {
+	if !(txRange > 0) || math.IsInf(txRange, 1) {
 		b.err = fmt.Errorf("%w: tx range %g", ErrBadRange, txRange)
 		return b
 	}
 	if infRange <= 0 {
 		infRange = txRange
+	}
+	if math.IsNaN(infRange) || math.IsInf(infRange, 1) {
+		b.err = fmt.Errorf("%w: interference range %g", ErrBadRange, infRange)
+		return b
 	}
 	if infRange < txRange {
 		b.err = fmt.Errorf("%w: interference range %g below tx range %g", ErrBadRange, infRange, txRange)
@@ -91,6 +100,10 @@ func (b *Builder) Add(name string, x, y float64) *Builder {
 	}
 	if _, ok := b.byName[name]; ok {
 		b.err = fmt.Errorf("%w: %q", ErrDuplicateNode, name)
+		return b
+	}
+	if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+		b.err = fmt.Errorf("%w: %q at (%g, %g)", ErrBadPosition, name, x, y)
 		return b
 	}
 	id := NodeID(len(b.nodes))
@@ -247,31 +260,6 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 		return nil
 	}
 	return t.neighbors[id]
-}
-
-// NodesInRange returns the IDs of every node within radius r of point
-// p (boundary inclusive), in ascending ID order. Builder-built
-// topologies answer from the spatial grid; Snapshotter builds fall
-// back to a linear scan.
-func (t *Topology) NodesInRange(p geom.Point, r float64) []NodeID {
-	return t.AppendNodesInRange(p, r, nil)
-}
-
-// AppendNodesInRange appends the IDs of every node within radius r of
-// p to dst in ascending ID order and returns the extended slice.
-func (t *Topology) AppendNodesInRange(p geom.Point, r float64, dst []NodeID) []NodeID {
-	start := len(dst)
-	if t.grid != nil {
-		t.grid.VisitWithin(p, r, func(i int) { dst = append(dst, NodeID(i)) })
-	} else {
-		for i := range t.pts {
-			if p.InRange(t.pts[i], r) {
-				dst = append(dst, NodeID(i))
-			}
-		}
-	}
-	slices.Sort(dst[start:])
-	return dst
 }
 
 // InTxRange reports whether nodes a and b can decode each other's

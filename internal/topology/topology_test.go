@@ -2,8 +2,11 @@ package topology
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 func line(t *testing.T, spacing float64, n int) *Topology {
@@ -155,5 +158,46 @@ func TestRandomNeighborSymmetry(t *testing.T) {
 				t.Fatalf("adjacency asymmetric: %d->%d", i, j)
 			}
 		}
+	}
+}
+
+func TestBuilderNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range [][2]float64{{nan, 0}, {inf, 0}, {250, nan}, {250, inf}} {
+		if _, err := NewBuilder(r[0], r[1]).Add("A", 0, 0).Build(); !errors.Is(err, ErrBadRange) {
+			t.Errorf("ranges %v: err = %v, want ErrBadRange", r, err)
+		}
+	}
+	for _, p := range [][2]float64{{nan, 0}, {0, nan}, {inf, 0}, {0, -inf}} {
+		if _, err := NewBuilder(250, 0).Add("A", 0, 0).Add("B", p[0], p[1]).Build(); !errors.Is(err, ErrBadPosition) {
+			t.Errorf("position %v: err = %v, want ErrBadPosition", p, err)
+		}
+	}
+}
+
+// Finite coordinates whose span overflows float64 build in bounded
+// time with the right links.
+func TestBuildOverflowingSpan(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		topo, err := NewBuilder(250, 0).
+			Add("A", -1e308, 0).Add("B", -1e308, 200).
+			Add("C", 1e308, 0).Add("D", 1e308, 200).Build()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		want := [][]NodeID{{1}, {0}, {3}, {2}}
+		for id, w := range want {
+			if got := topo.Neighbors(NodeID(id)); !slices.Equal(got, w) {
+				t.Errorf("node %d neighbours %v, want %v", id, got, w)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Build did not return within 5 s")
 	}
 }

@@ -1,6 +1,6 @@
-// Package trace renders MAC events as ns-2-style trace lines and
-// collects them in bounded buffers, for debugging simulations and for
-// post-hoc analysis of channel behaviour.
+// Package trace renders MAC events as ns-2-style trace lines, for
+// debugging simulations and for post-hoc analysis of channel
+// behaviour.
 //
 // Line format (one event per line):
 //
@@ -86,7 +86,6 @@ type Writer struct {
 	w     io.Writer
 	names func(topology.NodeID) string
 	err   error
-	lines int64
 }
 
 var _ mac.Tracer = (*Writer)(nil)
@@ -104,16 +103,6 @@ func (t *Writer) Trace(ev mac.TraceEvent) {
 		return
 	}
 	_, t.err = fmt.Fprintln(t.w, Format(ev, t.names))
-	if t.err == nil {
-		t.lines++
-	}
-}
-
-// Lines returns the number of lines successfully written.
-func (t *Writer) Lines() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lines
 }
 
 // Err returns the first write error, if any.
@@ -121,56 +110,4 @@ func (t *Writer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
-}
-
-// Ring keeps the last N events in memory — cheap always-on tracing for
-// post-mortem inspection in tests.
-type Ring struct {
-	mu     sync.Mutex
-	events []mac.TraceEvent
-	next   int
-	filled bool
-}
-
-var _ mac.Tracer = (*Ring)(nil)
-
-// NewRing creates a ring holding up to n events.
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = 1
-	}
-	return &Ring{events: make([]mac.TraceEvent, n)}
-}
-
-// Trace implements mac.Tracer.
-func (r *Ring) Trace(ev mac.TraceEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events[r.next] = ev
-	r.next = (r.next + 1) % len(r.events)
-	if r.next == 0 {
-		r.filled = true
-	}
-}
-
-// Events returns the buffered events, oldest first.
-func (r *Ring) Events() []mac.TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []mac.TraceEvent
-	if r.filled {
-		out = append(out, r.events[r.next:]...)
-	}
-	out = append(out, r.events[:r.next]...)
-	return out
-}
-
-// Count returns how many events are buffered.
-func (r *Ring) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.filled {
-		return len(r.events)
-	}
-	return r.next
 }

@@ -67,35 +67,10 @@ func TestWriterOnLiveMedium(t *testing.T) {
 	if !strings.Contains(out, "A -> B") {
 		t.Errorf("trace missing names:\n%s", out)
 	}
-	if tr.Lines() != 2 {
-		t.Errorf("lines = %d, want 2 (start + end)", tr.Lines())
+	if lines := strings.Count(out, "\n"); lines != 2 {
+		t.Errorf("lines = %d, want 2 (start + end)", lines)
 	}
 	if tr.Err() != nil {
 		t.Errorf("writer error: %v", tr.Err())
-	}
-}
-
-func TestRing(t *testing.T) {
-	r := trace.NewRing(3)
-	if r.Count() != 0 {
-		t.Errorf("empty count = %d", r.Count())
-	}
-	for i := 0; i < 5; i++ {
-		r.Trace(mac.TraceEvent{At: sim.Time(i)})
-	}
-	if r.Count() != 3 {
-		t.Errorf("count = %d, want 3", r.Count())
-	}
-	evs := r.Events()
-	if len(evs) != 3 || evs[0].At != 2 || evs[2].At != 4 {
-		t.Errorf("events = %v", evs)
-	}
-}
-
-func TestRingZeroSize(t *testing.T) {
-	r := trace.NewRing(0)
-	r.Trace(mac.TraceEvent{At: 7})
-	if r.Count() != 1 {
-		t.Errorf("count = %d", r.Count())
 	}
 }

@@ -126,7 +126,7 @@ func (n *Network) Simulate(cfg SimConfig) (*SimResult, error) {
 		RetryLimit:   cfg.RetryLimit,
 	}
 	if cfg.TraceWriter != nil {
-		netCfg.Tracer = trace.NewWriter(cfg.TraceWriter, n.topo.Name)
+		netCfg.Tracer = trace.NewWriter(cfg.TraceWriter, n.inst.Topo.Name)
 	}
 	res, err := netsim.Run(n.inst, netCfg)
 	if err != nil {
@@ -143,7 +143,7 @@ func (n *Network) Simulate(cfg SimConfig) (*SimResult, error) {
 		SourceDrops:         res.Stats.SourceDrops(),
 		Collisions:          res.Stats.Collisions(),
 	}
-	for _, f := range n.set.Flows() {
+	for _, f := range n.inst.Flows.Flows() {
 		out.PerFlowDelivered[string(f.ID())] = res.Stats.EndToEnd(f.ID())
 		for _, s := range f.Subflows() {
 			out.PerSubflowDelivered[s.ID.String()] = res.Stats.Subflow(s.ID)

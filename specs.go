@@ -1,28 +1,12 @@
 package e2efair
 
 import (
+	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
-)
+	"os"
 
-// parseTwoInts parses "AxB" style arguments.
-func parseTwoInts(arg, sep string) (int, int, error) {
-	parts := strings.SplitN(arg, sep, 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("e2efair: want N%sM, got %q", sep, arg)
-	}
-	a, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	b, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return a, b, nil
-}
+	"e2efair/internal/scenario"
+)
 
 // BuiltinSpec returns one of the named example networks from the
 // paper's evaluation or the classic wireless benchmarks:
@@ -34,167 +18,63 @@ func parseTwoInts(arg, sep string) (int, int, error) {
 //	grid:RxC      — R×C grid with two horizontal and two vertical flows
 //	parkinglot:N  — N-hop chain crossed by short flows at its relays
 func BuiltinSpec(name string) (NetworkSpec, error) {
-	if rest, ok := strings.CutPrefix(name, "chain:"); ok {
-		hops, err := strconv.Atoi(rest)
-		if err != nil || hops < 1 {
-			return NetworkSpec{}, fmt.Errorf("e2efair: bad chain length %q", rest)
-		}
-		return ChainSpec(hops), nil
+	spec, err := scenario.BuiltinSpec(name)
+	if err != nil {
+		return NetworkSpec{}, fmt.Errorf("e2efair: %w", err)
 	}
-	if rest, ok := strings.CutPrefix(name, "grid:"); ok {
-		rows, cols, err := parseTwoInts(rest, "x")
-		if err != nil || rows < 2 || cols < 2 {
-			return NetworkSpec{}, fmt.Errorf("e2efair: bad grid size %q", rest)
-		}
-		return GridSpec(rows, cols), nil
-	}
-	if rest, ok := strings.CutPrefix(name, "parkinglot:"); ok {
-		hops, err := strconv.Atoi(rest)
-		if err != nil || hops < 2 {
-			return NetworkSpec{}, fmt.Errorf("e2efair: bad parking-lot length %q", rest)
-		}
-		return ParkingLotSpec(hops), nil
-	}
-	switch name {
-	case "figure1":
-		return Figure1Spec(), nil
-	case "figure6":
-		return Figure6Spec(), nil
-	case "pentagon":
-		return PentagonSpec(), nil
-	default:
-		return NetworkSpec{}, fmt.Errorf("e2efair: unknown builtin %q (want figure1, figure6, pentagon, chain:N, grid:RxC or parkinglot:N)", name)
-	}
+	return spec, nil
 }
 
 // BuiltinNames lists the builtin spec names.
-func BuiltinNames() []string {
-	return []string{"figure1", "figure6", "pentagon", "chain:N", "grid:RxC", "parkinglot:N"}
+func BuiltinNames() []string { return scenario.BuiltinNames() }
+
+// LoadSpec reads the network of a command line's -spec and -scenario
+// flags: the JSON spec file at path, or the builtin network called
+// builtin. Exactly one of the two must be set.
+func LoadSpec(path, builtin string) (NetworkSpec, error) {
+	switch {
+	case path != "" && builtin != "":
+		return NetworkSpec{}, fmt.Errorf("pass either -spec or -scenario, not both")
+	case path != "":
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return NetworkSpec{}, err
+		}
+		var spec NetworkSpec
+		if err := json.Unmarshal(data, &spec); err != nil {
+			return NetworkSpec{}, fmt.Errorf("parse %s: %w", path, err)
+		}
+		return spec, nil
+	case builtin != "":
+		return BuiltinSpec(builtin)
+	default:
+		return NetworkSpec{}, fmt.Errorf("pass -spec FILE or -scenario NAME (builtins: %v)", BuiltinNames())
+	}
 }
 
 // GridSpec is the classic R×C grid (200 m spacing) with two horizontal
 // and two vertical cross flows (fewer when the grid is too small).
-func GridSpec(rows, cols int) NetworkSpec {
-	spec := NetworkSpec{}
-	name := func(r, c int) string { return fmt.Sprintf("g%d_%d", r, c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			spec.Nodes = append(spec.Nodes, NodeSpec{Name: name(r, c), X: float64(c) * 200, Y: float64(r) * 200})
-		}
-	}
-	hFlows := min(2, rows)
-	vFlows := min(2, cols)
-	for i := 0; i < hFlows; i++ {
-		r := i * rows / hFlows
-		path := make([]string, cols)
-		for c := 0; c < cols; c++ {
-			path[c] = name(r, c)
-		}
-		spec.Flows = append(spec.Flows, FlowSpec{ID: fmt.Sprintf("H%d", i+1), Path: path})
-	}
-	for i := 0; i < vFlows; i++ {
-		c := i * cols / vFlows
-		path := make([]string, rows)
-		for r := 0; r < rows; r++ {
-			path[r] = name(r, c)
-		}
-		spec.Flows = append(spec.Flows, FlowSpec{ID: fmt.Sprintf("V%d", i+1), Path: path})
-	}
-	return spec
-}
+func GridSpec(rows, cols int) NetworkSpec { return scenario.GridSpec(rows, cols) }
 
 // ParkingLotSpec is an N-hop chain flow crossed by single-hop flows at
 // roughly every other relay.
-func ParkingLotSpec(hops int) NetworkSpec {
-	spec := NetworkSpec{}
-	names := make([]string, hops+1)
-	for i := 0; i <= hops; i++ {
-		names[i] = fmt.Sprintf("m%d", i)
-		spec.Nodes = append(spec.Nodes, NodeSpec{Name: names[i], X: float64(i) * 200})
-	}
-	spec.Flows = append(spec.Flows, FlowSpec{ID: "L", Path: names})
-	cross := max(1, (hops-1)/2)
-	for i := 0; i < cross; i++ {
-		at := 1 + i*(hops-1)/cross
-		src := fmt.Sprintf("c%d", i+1)
-		spec.Nodes = append(spec.Nodes, NodeSpec{Name: src, X: float64(at) * 200, Y: 240})
-		spec.Flows = append(spec.Flows, FlowSpec{
-			ID: fmt.Sprintf("X%d", i+1), Path: []string{src, names[at]},
-		})
-	}
-	return spec
-}
+func ParkingLotSpec(hops int) NetworkSpec { return scenario.ParkingLotSpec(hops) }
 
 // Figure1Spec is the paper's Fig. 1 network: F1 = A→B→C and
 // F2 = D→E→F, with F1's downstream hop contending with both hops of
 // F2.
-func Figure1Spec() NetworkSpec {
-	return NetworkSpec{
-		Nodes: []NodeSpec{
-			{Name: "A", X: 0, Y: 0}, {Name: "B", X: 200, Y: 0}, {Name: "C", X: 400, Y: 0},
-			{Name: "D", X: 600, Y: 200}, {Name: "E", X: 600, Y: 0}, {Name: "F", X: 800, Y: 0},
-		},
-		Flows: []FlowSpec{
-			{ID: "F1", Path: []string{"A", "B", "C"}},
-			{ID: "F2", Path: []string{"D", "E", "F"}},
-		},
-	}
-}
+func Figure1Spec() NetworkSpec { return scenario.Figure1Spec() }
 
 // Figure6Spec is the paper's Fig. 6 / Table I network: five flows over
 // fourteen nodes with maximal cliques Ω1…Ω6.
-func Figure6Spec() NetworkSpec {
-	return NetworkSpec{
-		Nodes: []NodeSpec{
-			{Name: "A", X: 0, Y: 0}, {Name: "B", X: 200, Y: 0}, {Name: "C", X: 400, Y: 0},
-			{Name: "D", X: 600, Y: 0}, {Name: "E", X: 800, Y: 0},
-			{Name: "F", X: 600, Y: 220}, {Name: "G", X: 790, Y: 380},
-			{Name: "H", X: 1000, Y: 420}, {Name: "I", X: 1200, Y: 540},
-			{Name: "J", X: 1400, Y: 640}, {Name: "K", X: 1600, Y: 740}, {Name: "L", X: 1800, Y: 840},
-			{Name: "M", X: 1650, Y: 520}, {Name: "N", X: 1850, Y: 420},
-		},
-		Flows: []FlowSpec{
-			{ID: "F1", Path: []string{"A", "B", "C", "D", "E"}},
-			{ID: "F2", Path: []string{"F", "G"}},
-			{ID: "F3", Path: []string{"H", "I"}},
-			{ID: "F4", Path: []string{"J", "K", "L"}},
-			{ID: "F5", Path: []string{"M", "N"}},
-		},
-	}
-}
+func Figure6Spec() NetworkSpec { return scenario.Figure6Spec() }
 
 // ChainSpec is a single flow along an N-hop straight line with 200 m
 // node spacing.
-func ChainSpec(hops int) NetworkSpec {
-	spec := NetworkSpec{}
-	names := make([]string, hops+1)
-	for i := 0; i <= hops; i++ {
-		names[i] = fmt.Sprintf("N%d", i)
-		spec.Nodes = append(spec.Nodes, NodeSpec{Name: names[i], X: float64(i) * 200})
-	}
-	spec.Flows = []FlowSpec{{ID: "F1", Path: names}}
-	return spec
-}
+func ChainSpec(hops int) NetworkSpec { return scenario.ChainSpec(hops) }
 
 // PentagonSpec embeds the paper's Fig. 5 pentagon geometrically: five
 // 200 m links on a 300 m circle, so consecutive links contend
 // (nearest endpoints ≈ 171 m) and non-consecutive ones do not
 // (≥ 476 m).
-func PentagonSpec() NetworkSpec {
-	const r = 300.0
-	delta := math.Asin(100.0 / r)
-	spec := NetworkSpec{}
-	for k := 0; k < 5; k++ {
-		phi := 2 * math.Pi * float64(k) / 5
-		a := fmt.Sprintf("A%d", k+1)
-		b := fmt.Sprintf("B%d", k+1)
-		spec.Nodes = append(spec.Nodes,
-			NodeSpec{Name: a, X: r * math.Cos(phi-delta), Y: r * math.Sin(phi-delta)},
-			NodeSpec{Name: b, X: r * math.Cos(phi+delta), Y: r * math.Sin(phi+delta)},
-		)
-		spec.Flows = append(spec.Flows, FlowSpec{
-			ID: fmt.Sprintf("F%d", k+1), Path: []string{a, b},
-		})
-	}
-	return spec
-}
+func PentagonSpec() NetworkSpec { return scenario.PentagonSpec() }
