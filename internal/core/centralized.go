@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+
+	"e2efair/internal/lp"
 )
 
 // CentralizedOptions configures the centralized phase-1 algorithm.
@@ -197,22 +200,21 @@ func (a *Allocator) solveGroups(groups []*group, pending []int, shares [][]float
 // bit-identical output — the property the sharded fan-out and the
 // share cache both rest on.
 func (s *session) solveGroup(g *group, refine bool) ([]float64, error) {
-	obj, err := s.maximizeTotal(g.lpRows(), g.basic, nil, nil)
+	opt, err := s.load(g.lpRows(), g.basic, g.weights)
 	if err != nil {
 		return nil, fmt.Errorf("core: centralized allocation: %w", err)
 	}
 	if refine {
-		x, err := s.refineMaxMin(g.lpRows(), g.basic, g.weights, obj)
+		x, err := s.refineMaxMin(opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: max-min refinement: %w", err)
 		}
 		return x, nil
 	}
-	// With nothing frozen, reduced column i is flow i shifted by its
-	// floor.
 	out := make([]float64, len(g.basic))
-	for i, b := range g.basic {
-		out[i] = s.sol.X[i] + b
+	t := s.sol.X[len(out)]
+	for i, y := range s.sol.X[:len(out)] {
+		out[i] = y + g.weights[i]*t
 	}
 	return out, nil
 }
@@ -227,140 +229,83 @@ const (
 	dualTol   = 1e-9
 )
 
-// refineMaxMin computes the lexicographic weighted max-min fairest
-// point among the optima of max Σ x_i subject to rows·x ≤ 1,
-// x ≥ basic. It repeatedly maximizes the smallest normalized share
-// x_i/w_i among unfrozen flows, then freezes the flows that cannot
-// exceed that level, in the style of progressive filling.
+// A group is loaded into the session's lp.Problem once, and every LP
+// of its refinement is an edit of that one program, re-solved warm
+// from the tableau the previous LP left (lp.Solver.ReoptimizeInto).
+// The program has one column per flow, a level column t and, after
+// the clique rows Σ a_i·x_i ≤ 1, the total row Σ x_i ≥ R. Column i
+// stands for y_i = x_i − w_i·t while flow i is unfrozen and for x_i
+// once it is frozen, so t's column is Σ w_i·(column i) over the
+// unfrozen flows and a flow's floor x_i ≥ w_i·t is the bound y_i ≥ 0.
+// The LPs differ only in bounds, the total row's RHS and the
+// objective:
 //
-// A flow is frozen by one of two tests. Most are certified by the
-// floor LP: a floor with a positive shadow price binds at every
-// optimum of max t (complementary slackness), so its flow cannot rise
-// above w_i·t* without lowering t* (see maximizeFloor). A flow whose
-// floor has a zero shadow price and that sits at the threshold is
-// probed: one LP maximizes its share among the round's optima.
-func (s *session) refineMaxMin(rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
-	return s.refineWith((*session).maximizeFloor, rows, basic, weights, opt)
-}
+//	first   max Σ x        t = t0, y_i ≥ 0, R = −Inf
+//	total   max Σ x        t fixed, y_i ≥ basic_i − w_i·t, R = −Inf
+//	floor   max t          t ≥ t0, y_i ≥ 0, R = opt − optTol
+//	settle  min Σ c_i·y_i  t = t*, y_i ≥ 0, R = opt − optTol
+//	probe   max x_j        t = t*, y_i ≥ max(basic_i, w_i·t* − optTol) − w_i·t*
+//
+// with frozen flows fixed throughout. Freezing a flow takes
+// w_i·(column i) out of t's column (AddColumn) and fixes column i at
+// its x value (see fix). Only the first LP is solved cold.
 
-// floorLP solves one round's floor LP on the session; maximizeFloor is
-// the one production form.
-type floorLP func(s *session, rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error)
-
-// refineWith is refineMaxMin with each round's floor LP solved by
-// solveFloor.
-func (s *session) refineWith(solveFloor floorLP, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
+// load builds the group's program and solves its first LP, max Σ x
+// subject to rows·x ≤ 1 and x ≥ basic, cold, with t fixed at
+// t0 = max basic_i/w_i and y ≥ 0: x_i ≥ w_i·t0 ≥ basic_i. Both
+// callers set the floors proportional to the weights (w_i/Σ w_j·v_j
+// in 2PA-C, w_i/denom in 2PA-D's local LPs), so basic_i = w_i·t0 and
+// the floors are exactly the basic shares. When they fit every clique
+// the clique rows' RHS stay nonnegative and the vacuous total row's
+// slack is free, so the slack basis is feasible and phase 1 has no
+// artificials; floors that do not fit flip a row's normalized sense,
+// and phase 1 reports ErrInfeasible. It returns the optimal total and
+// leaves the point in s.sol.
+func (s *session) load(rows [][]float64, basic, weights []float64) (float64, error) {
 	n := len(basic)
-	frozen := make([]bool, n)
-	value := make([]float64, n)
-	first := true
-	for remaining := n; remaining > 0; {
-		// Re-derive the optimal total against the current frozen set:
-		// freezing at w·t* carries rounding error that would otherwise
-		// accumulate into infeasibility of the Σx ≥ opt constraint. In
-		// the first round nothing is frozen and the caller's opt is
-		// exactly this program's optimum, so the solve is skipped.
-		if !first {
-			optCur, err := s.maximizeTotal(rows, basic, frozen, value)
-			if err != nil {
-				return nil, err
-			}
-			opt = optCur
-		}
-		first = false
-		t, err := solveFloor(s, rows, basic, weights, opt, frozen, value)
-		if err != nil {
-			return nil, err
-		}
-		// The floor LP's own solution is the freeze target: freezing
-		// several variables in one round at individually-maximized
-		// values can be jointly infeasible, while s.point is one
-		// consistent optimal vertex.
-		point := s.point
-		anyFrozen := false
-		freeze := func(i int) {
-			frozen[i] = true
-			value[i] = point[i]
-			remaining--
-			anyFrozen = true
-		}
-		for i := 0; i < n; i++ {
-			if !frozen[i] && s.blocking[i] && point[i] <= weights[i]*t+freezeTol {
-				freeze(i)
-			}
-		}
-		// The probes of one round share one program, which pins the
-		// flows frozen so far; only the objective changes between
-		// targets, so each probe after the first re-optimizes in place
-		// from the vertex the previous one left. A probe that freezes
-		// its flow turns that flow's floor into an equality for the
-		// probes that follow, so the program is rebuilt.
-		built := false
-		for i := 0; i < n; i++ {
-			// point satisfies every probe constraint, so the probe's
-			// maximum is at least point[i]: a variable strictly above
-			// the freeze threshold at point cannot freeze, and its
-			// probe LP is skipped outright.
-			if frozen[i] || point[i] > weights[i]*t+freezeTol {
-				continue
-			}
-			if !built {
-				if err := s.buildProbe(rows, basic, weights, opt, frozen, value, t); err != nil {
-					return nil, err
-				}
-				built = true
-			}
-			xi, err := s.probe(i)
-			if err != nil {
-				return nil, err
-			}
-			// Flows that cannot exceed w_i·t* at any optimum freeze.
-			if xi <= weights[i]*t+freezeTol {
-				freeze(i)
-				built = false
-			}
-		}
-		if !anyFrozen {
-			// Numerical stall: freeze everything at the consistent
-			// point to guarantee progress; in practice unreached.
-			for i := 0; i < n; i++ {
-				if !frozen[i] {
-					freeze(i)
-				}
-			}
+	s.rows, s.basic, s.weights = rows, basic, weights
+	s.inT = slices.Grow(s.inT[:0], n)[:n]
+	s.prob.Reset(n + 1)
+	var wsum float64
+	s.t0 = 0
+	for i, b := range basic {
+		s.inT[i] = true
+		wsum += weights[i]
+		s.t0 = max(s.t0, b/weights[i])
+		if err := s.prob.SetObjectiveCoeff(i, 1); err != nil {
+			return 0, err
 		}
 	}
-	return value, nil
-}
-
-// The refinement LPs below are built in reduced form: frozen variables
-// are substituted out as constants and each unfrozen x_i is shifted by
-// its active floor (z_i = x_i − shift_i), turning the floors into the
-// implicit z ≥ 0 bounds. Clique rows keep nonnegative right-hand sides
-// at every reachable state, so their slacks form a feasible basis and
-// phase 1 has at most one artificial — the total-optimality row — to
-// drive out, instead of one per floor and frozen equality. Every
-// program is rebuilt in place in the session's one lp.Problem, on the
-// session's column and row scratch.
-
-// reduce assigns a reduced column to every unfrozen variable (s.col[i]
-// is −1 for a frozen one) and shifts each variable by value_i when
-// frozen and floor_i otherwise. A nil frozen freezes nothing. It
-// returns the reduced column count and Σ shift.
-func (s *session) reduce(frozen []bool, value, floor []float64) (k int, off float64) {
-	n := len(floor)
-	s.col = slices.Grow(s.col[:0], n)[:n]
-	s.shift = slices.Grow(s.shift[:0], n)[:n]
-	for i := range floor {
-		if frozen != nil && frozen[i] {
-			s.col[i], s.shift[i] = -1, value[i]
-		} else {
-			s.col[i], s.shift[i] = k, floor[i]
-			k++
-		}
-		off += s.shift[i]
+	// Σ x = Σ y + (Σ w)·t over the unfrozen flows.
+	if err := s.prob.SetObjectiveCoeff(n, wsum); err != nil {
+		return 0, err
 	}
-	return k, off
+	if err := s.prob.SetBounds(n, s.t0, s.t0); err != nil {
+		return 0, err
+	}
+	buf := s.rowBuf(n + 1)
+	for _, r := range rows {
+		copy(buf, r)
+		buf[n] = 0
+		for i, a := range r {
+			buf[n] += a * weights[i]
+		}
+		if err := s.prob.AddLE(buf, 1); err != nil {
+			return 0, err
+		}
+	}
+	for i := range basic {
+		buf[i] = 1
+	}
+	buf[n] = wsum
+	if err := s.prob.AddGE(buf, math.Inf(-1)); err != nil {
+		return 0, err
+	}
+	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
+		return 0, err
+	}
+	s.observe(&s.prob)
+	return s.sol.Objective, nil
 }
 
 // rowBuf returns the session's row scratch with width zeroed entries.
@@ -370,175 +315,355 @@ func (s *session) rowBuf(width int) []float64 {
 	return s.buf
 }
 
-// addCliqueRows appends each clique row rewritten over the k reduced
-// columns, Σ a_i·z_i ≤ 1 − Σ a_i·shift_i, with width − k trailing
-// columns. They are zero, except that a non-nil weights puts the floor
-// LP's u coefficient Σ a_i·w_i over the unfrozen flows in column k.
-func (s *session) addCliqueRows(rows [][]float64, k, width int, weights []float64) error {
-	for _, r := range rows {
-		buf := s.rowBuf(width)
-		rhs := 1.0
-		for i, a := range r {
-			if c := s.col[i]; c >= 0 {
-				buf[c] = a
-				if weights != nil {
-					buf[k] += a * weights[i]
-				}
-			}
-			rhs -= a * s.shift[i]
-		}
-		if err := s.prob.AddLE(buf, rhs); err != nil {
+// resolve re-solves the edited program p warm on solver and returns
+// its objective.
+func (s *session) resolve(solver *lp.Solver, p *lp.Problem) (float64, error) {
+	if err := solver.ReoptimizeInto(p, &s.sol); err != nil {
+		return 0, err
+	}
+	s.observe(p)
+	return s.sol.Objective, nil
+}
+
+// observe hands the program p just solved to the session's observer,
+// if it has one.
+func (s *session) observe(p *lp.Problem) {
+	if s.observer != nil {
+		s.observer(p, &s.sol)
+	}
+}
+
+// objective sets p's objective to Σ coef·x over the flows plus tc·t.
+func (s *session) objective(p *lp.Problem, coef, tc float64) error {
+	n := len(s.basic)
+	for i := 0; i < n; i++ {
+		if err := p.SetObjectiveCoeff(i, coef); err != nil {
 			return err
 		}
 	}
-	return nil
+	return p.SetObjectiveCoeff(n, tc)
 }
 
-// addTotalRow appends Σ z ≥ rhs over the k reduced columns. As in
-// addCliqueRows, a non-nil weights adds the floor LP's u term, with
-// coefficient Σ w_i over the unfrozen flows, in column k.
-func (s *session) addTotalRow(k, width int, weights []float64, rhs float64) error {
-	buf := s.rowBuf(width)
-	for i, c := range s.col {
-		if c >= 0 {
-			buf[c] = 1
-			if weights != nil {
-				buf[k] += weights[i]
+// refineMaxMin computes the lexicographic weighted max-min fairest
+// point among the optima of the loaded group's program, max Σ x_i
+// subject to rows·x ≤ 1, x ≥ basic, whose optimal total opt load
+// found. It repeatedly maximizes the smallest normalized share
+// x_i/w_i among unfrozen flows, then freezes the flows that cannot
+// exceed that level, in the style of progressive filling.
+//
+// A flow is frozen by one of two tests. Most are certified by the
+// floor LP: a floor with a positive shadow price binds at every
+// optimum of max t (complementary slackness), so its flow cannot rise
+// above w_i·t* without lowering t* (see floor). A flow whose floor has
+// a zero shadow price and that sits at the threshold is probed: one
+// LP asks whether its share can rise above the threshold among the
+// round's optima (see probe).
+func (s *session) refineMaxMin(opt float64) ([]float64, error) {
+	n := len(s.basic)
+	frozen := make([]bool, n)
+	value := make([]float64, n)
+	level := s.t0 // t's value, fixed outside the floor LP
+	for remaining, first := n, true; remaining > 0; first = false {
+		// Re-derive the optimal total against the current frozen set:
+		// freezing at w·t* carries rounding error that would otherwise
+		// accumulate into infeasibility of the Σx ≥ opt constraint. In
+		// the first round nothing is frozen and opt is exactly this
+		// program's optimum, so the solve is skipped.
+		if !first {
+			var err error
+			if opt, err = s.total(frozen, level); err != nil {
+				return nil, err
+			}
+		}
+		t, err := s.floor(frozen, opt)
+		if err != nil {
+			return nil, err
+		}
+		level = t
+		// Fixing t at t*, which the floor LP's point has, lets fix
+		// edit t's column; the probes and settle keep it fixed.
+		if err := s.solver.SetBounds(&s.prob, n, t, t); err != nil {
+			return nil, err
+		}
+		// An optimal point of the floor LP is the freeze target:
+		// freezing several variables in one round at individually-
+		// maximized values can be jointly infeasible, while s.point is
+		// one consistent optimum. A certified flow sits at its floor at
+		// every optimum; before the first probe freezes a flow, settle
+		// moves s.point to the one optimum a fixed secondary objective
+		// selects, so the values frozen do not depend on the vertex the
+		// floor LP's solve reached.
+		anyFrozen, built, settled := false, false, false
+		freeze := func(i int) error {
+			frozen[i] = true
+			value[i] = s.point[i]
+			remaining--
+			anyFrozen = true
+			return s.fix(i, value[i])
+		}
+		for i := 0; i < n; i++ {
+			if !frozen[i] && s.blocking[i] && s.point[i] <= s.weights[i]*t+freezeTol {
+				if err := freeze(i); err != nil {
+					return nil, err
+				}
+			}
+		}
+		// The probes of one round share one program; each re-optimizes
+		// from the vertex the previous one left, and a probe that
+		// freezes its flow fixes the flow's column for the probes that
+		// follow. Every point of the program bounds each flow's
+		// maximum from below, so a flow strictly above the freeze
+		// threshold at the floor LP's point (which meets every fix
+		// made this round), or at a probe's point found since the last
+		// freeze, cannot freeze, and its probe LP is skipped outright.
+		above := s.above[:0]
+		for i := 0; i < n; i++ {
+			above = append(above, s.point[i] > s.weights[i]*t+freezeTol)
+		}
+		s.above = above
+		for i := 0; i < n; i++ {
+			if frozen[i] || above[i] {
+				continue
+			}
+			if !built {
+				if err := s.probeProgram(frozen, t); err != nil {
+					return nil, err
+				}
+				built = true
+			}
+			xi, err := s.probe(i, t)
+			if err != nil {
+				return nil, err
+			}
+			// Flows that cannot exceed w_i·t* at any optimum freeze.
+			if xi <= s.weights[i]*t+freezeTol {
+				if !settled {
+					if err := s.settle(frozen, t); err != nil {
+						return nil, err
+					}
+					settled = true
+				}
+				if err := freeze(i); err != nil {
+					return nil, err
+				}
+				// The earlier probe optima may break the new fix.
+				for j := i + 1; j < n; j++ {
+					above[j] = s.point[j] > s.weights[j]*t+freezeTol
+				}
+				continue
+			}
+			for j := i + 1; j < n; j++ {
+				if s.sol.X[j]+s.weights[j]*t > s.weights[j]*t+freezeTol {
+					above[j] = true
+				}
+			}
+		}
+		if !anyFrozen {
+			// Numerical stall: freeze everything at the consistent
+			// point to guarantee progress; in practice unreached.
+			for i := 0; i < n; i++ {
+				if !frozen[i] {
+					frozen[i], value[i] = true, s.point[i]
+					remaining--
+				}
 			}
 		}
 	}
-	return s.prob.AddGE(buf, rhs)
+	return value, nil
 }
 
-// maximizeTotal solves max Σx subject to rows·x ≤ 1 and x ≥ basic,
-// with frozen variables pinned at value (a nil frozen pins none). It
-// yields a group's optimal total and each refinement round's
-// optimality target. When the floors fit every clique the reduced
-// program is pure-LE with nonnegative right-hand sides: the slack
-// basis is feasible and phase 1 has no artificials. Floors that do not
-// fit flip a row's normalized sense, and phase 1 reports
-// ErrInfeasible. The reduced optimum stays in s.sol until the next
-// solve on this session.
-func (s *session) maximizeTotal(rows [][]float64, basic []float64, frozen []bool, value []float64) (float64, error) {
-	k, off := s.reduce(frozen, value, basic)
-	s.prob.Reset(k)
-	for j := 0; j < k; j++ {
-		if err := s.prob.SetObjectiveCoeff(j, 1); err != nil {
+// total solves max Σ x with t fixed at level and the frozen flows at
+// their values: a round's optimality target.
+func (s *session) total(frozen []bool, level float64) (float64, error) {
+	n := len(s.basic)
+	p := &s.prob
+	if err := s.solver.SetBounds(p, n, level, level); err != nil {
+		return 0, err
+	}
+	var wsum float64
+	for i := 0; i < n; i++ {
+		if frozen[i] {
+			continue
+		}
+		wsum += s.weights[i]
+		if err := s.solver.SetBounds(p, i, s.basic[i]-s.weights[i]*level, math.Inf(1)); err != nil {
 			return 0, err
 		}
 	}
-	if err := s.addCliqueRows(rows, k, k, nil); err != nil {
+	if err := s.solver.SetRHS(p, len(s.rows), math.Inf(-1)); err != nil {
 		return 0, err
 	}
-	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
+	if err := s.objective(p, 1, wsum); err != nil {
 		return 0, err
 	}
-	return s.sol.Objective + off, nil
+	return s.resolve(s.solver, p)
 }
 
-// maximizeFloor solves one round's floor LP: max t subject to
-// rows·x ≤ 1, x ≥ basic, Σ x ≥ opt − ε, x_i = value_i for frozen i and
-// x_i ≥ w_i·t otherwise. It returns t and leaves the solution's x
-// vector — a consistent optimal point used as the freeze target — in
-// s.point, and in s.blocking which unfrozen flows' floors are
-// certified to bind at every optimum.
+// fix freezes flow i at x_i = x. Its column, which stood for
+// x_i − w_i·t, leaves t's column and stands for x_i, fixed at x; t
+// must be fixed, so the point does not move. The edit comes before
+// the pivots that follow: a fixed column goes stale in them (see
+// lp.Solver), and t's edit would then have to recompute it.
+func (s *session) fix(i int, x float64) error {
+	s.inT[i] = false
+	if err := s.solver.AddColumn(&s.prob, len(s.basic), i, -s.weights[i]); err != nil {
+		return err
+	}
+	return s.solver.SetBounds(&s.prob, i, x, x)
+}
+
+// floor solves one round's floor LP: max t subject to rows·x ≤ 1,
+// Σ x ≥ opt − optTol, x_i = value_i for frozen i and x_i ≥ w_i·t
+// otherwise, with t ≥ t0 = max basic_i/w_i over the unfrozen flows.
+// It returns t* and leaves the optimal point in s.point, the freeze
+// target, and in s.blocking
+// which unfrozen flows' floors are certified to bind at every
+// optimum.
 //
-// The floors are substituted out rather than written as rows. With
-// t0 = max basic_i/w_i over the unfrozen flows, t = t0 + u and each
-// unfrozen x_i = w_i·t + y_i, the program is max u over y, u ≥ 0
-// subject to the clique rows, where u's coefficient is Σ_i a_i·w_i,
-// and the total row Σ y + (Σ w)·u ≥ opt − ε − Σ shift, with no
-// per-flow row: y_i ≥ 0 is the floor x_i ≥ w_i·t, and it implies
-// x_i ≥ w_i·t0 ≥ basic_i. The substitution drops t < t0, so it needs
-// the round's optimum t* ≥ t0. Both callers set the floors
-// proportional to the weights (w_i/Σ w_j·v_j in 2PA-C, w_i/denom in
-// 2PA-D's local LPs), so basic_i = w_i·t0, and every feasible point of
-// the original program meets its floors at t = t0. TestFloorFormsAgree
-// checks t* ≥ t0 in every round of the row form it replaced.
+// x_i ≥ w_i·t ≥ w_i·t0 ≥ basic_i, so the floors imply the basic
+// shares, and as basic_i = w_i·t0 (see load) the bound t ≥ t0 cuts off
+// no point. The first round's floor LP starts at the first LP's
+// optimum, which is feasible for it (t = t0, y ≥ 0, Σ x = opt), so
+// only the primal simplex runs; a later round's starts at the total
+// LP's optimum, whose flows below the previous level the dual simplex
+// lifts back to their floors. TestFloorFormsAgree checks it against
+// the row form, which writes every floor as a row and has no t0.
 //
 // y_i is the slack of flow i's floor, so its reduced cost is the
 // floor's shadow price: a y_i with reduced cost above dualTol is 0 at
 // every optimum, and the flow cannot rise above w_i·t* without
 // lowering t*. This is the dual test of LP-based max-min fairness
 // (Radunović & Le Boudec, IEEE/ACM ToN 2007).
-func (s *session) maximizeFloor(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error) {
-	n := len(basic)
-	t0 := 0.0
+func (s *session) floor(frozen []bool, opt float64) (float64, error) {
+	n := len(s.basic)
+	p := &s.prob
 	for i := 0; i < n; i++ {
 		if !frozen[i] {
-			t0 = max(t0, basic[i]/weights[i])
+			if err := s.solver.SetBounds(p, i, 0, math.Inf(1)); err != nil {
+				return 0, err
+			}
 		}
 	}
-	s.floor = slices.Grow(s.floor[:0], n)[:n]
-	for i, w := range weights {
-		s.floor[i] = w * t0
-	}
-	k, off := s.reduce(frozen, value, s.floor)
-	s.prob.Reset(k + 1) // reduced columns y, then u
-	if err := s.prob.SetObjectiveCoeff(k, 1); err != nil {
+	if err := s.solver.SetBounds(p, n, s.t0, math.Inf(1)); err != nil {
 		return 0, err
 	}
-	if err := s.addCliqueRows(rows, k, k+1, weights); err != nil {
+	if err := s.solver.SetRHS(p, len(s.rows), opt-optTol); err != nil {
 		return 0, err
 	}
-	if err := s.addTotalRow(k, k+1, weights, opt-optTol-off); err != nil {
+	if err := s.objective(p, 0, 1); err != nil {
 		return 0, err
 	}
-	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
+	t, err := s.resolve(s.solver, p)
+	if err != nil {
 		return 0, err
 	}
-	t := t0 + s.sol.X[k]
-	// Copy the x-space point and the certified floors out of the
-	// solver's scratch: the probe solves that follow reuse both.
-	s.point = s.point[:0]
+	// Copy the point and the certified floors out of the solver's
+	// scratch: the probe solves that follow reuse both.
+	s.keepPoint(t)
 	s.blocking = s.blocking[:0]
 	for i := 0; i < n; i++ {
-		if c := s.col[i]; c >= 0 {
-			s.point = append(s.point, s.sol.X[c]+weights[i]*t)
-			s.blocking = append(s.blocking, s.solver.ReducedCost(c) > dualTol)
-		} else {
-			s.point = append(s.point, value[i])
-			s.blocking = append(s.blocking, false)
-		}
+		s.blocking = append(s.blocking, s.inT[i] && !frozen[i] && s.solver.ReducedCost(i) > dualTol)
 	}
 	return t, nil
 }
 
-// buildProbe rebuilds the session's program as one refinement round's
-// shared per-variable probe LP in reduced form. The probe floors
-// max(basic_i, w_i·t − ε) are folded into the shifts, so the program
-// is the clique rows plus the single total-optimality row; only the
-// objective changes between targets (see probe).
-func (s *session) buildProbe(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64, t float64) error {
-	n := len(basic)
-	s.floor = slices.Grow(s.floor[:0], n)[:n]
-	for i := range s.floor {
-		s.floor[i] = max(basic[i], weights[i]*t-optTol)
+// keepPoint copies the flows' values at the point just solved, with t
+// at t, into s.point.
+func (s *session) keepPoint(t float64) {
+	s.point = s.point[:0]
+	for i, y := range s.sol.X[:len(s.basic)] {
+		if s.inT[i] {
+			y += s.weights[i] * t
+		}
+		s.point = append(s.point, y)
 	}
-	k, off := s.reduce(frozen, value, s.floor)
-	s.prob.Reset(k)
-	s.probed = -1
-	if err := s.addCliqueRows(rows, k, k, nil); err != nil {
-		return err
-	}
-	return s.addTotalRow(k, k, nil, opt-optTol-off)
 }
 
-// probe returns the largest x_i over the probe program. Each probe
-// after the first on one program re-optimizes in place from the vertex
-// the previous probe left in the solver's tableau.
-func (s *session) probe(i int) (float64, error) {
+// settle moves the round's freeze target s.point from the floor LP's
+// optimal point to the optimum of the floor LP that a fixed secondary
+// objective selects: with t fixed at t* and the floors y_i ≥ 0
+// restored, it minimizes Σ (1 + i/n)·y_i over the unfrozen flows, and
+// then restores the probe program. The floor LP can have many optima
+// (the total row leaves optTol of slack to share out) and which one a
+// solve reaches depends on the vertex it started from. With distinct
+// weights the minimizer is unique unless an edge of the optimal face
+// is orthogonal to the weight vector, so the values the probes freeze
+// depend on the program alone. Minimizing keeps the flows as close to
+// the level as the round's optima allow.
+func (s *session) settle(frozen []bool, t float64) error {
+	n := len(s.basic)
+	p := &s.prob
+	if err := s.solver.SetBounds(p, n, t, t); err != nil {
+		return err
+	}
+	if err := p.SetObjectiveCoeff(n, 0); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		c := 0.0
+		if !frozen[i] {
+			c = -(1 + float64(i)/float64(n))
+			if err := s.solver.SetBounds(p, i, 0, math.Inf(1)); err != nil {
+				return err
+			}
+		}
+		if err := p.SetObjectiveCoeff(i, c); err != nil {
+			return err
+		}
+	}
+	if _, err := s.resolve(s.solver, p); err != nil {
+		return err
+	}
+	s.keepPoint(t)
+	return s.probeProgram(frozen, t)
+}
+
+// probeProgram turns the program into one round's shared probe
+// program: t fixed at t*, each unfrozen flow's floor relaxed to
+// max(basic_i, w_i·t* − ε), and the total row kept. Only the objective
+// changes between targets (see probe). The probes start where the
+// floor LP or settle left the tableau, and the next round's total LP
+// resets every bound they change.
+func (s *session) probeProgram(frozen []bool, t float64) error {
+	n := len(s.basic)
+	p := &s.prob
+	if err := s.solver.SetBounds(p, n, t, t); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if !frozen[i] {
+			wt := s.weights[i] * t
+			if err := s.solver.SetBounds(p, i, max(s.basic[i], wt-optTol)-wt, math.Inf(1)); err != nil {
+				return err
+			}
+		}
+	}
+	s.probed = -1
+	return s.objective(p, 0, 0)
+}
+
+// probe returns x_i at a point of the probe program, which fixes t at
+// t: the largest x_i, or the first one found that exceeds the round's
+// level by more than the freeze threshold. Either answers whether flow
+// i can rise above the level; the search stops at the first such point
+// (twice the threshold, to keep the decision clear of rounding).
+func (s *session) probe(i int, t float64) (float64, error) {
+	p := &s.prob
 	if s.probed >= 0 {
-		if err := s.prob.SetObjectiveCoeff(s.col[s.probed], 0); err != nil {
+		if err := p.SetObjectiveCoeff(s.probed, 0); err != nil {
 			return 0, err
 		}
 	}
 	s.probed = i
-	if err := s.prob.SetObjectiveCoeff(s.col[i], 1); err != nil {
+	if err := p.SetObjectiveCoeff(i, 1); err != nil {
 		return 0, err
 	}
-	if err := s.solver.ReoptimizeInto(&s.prob, &s.sol); err != nil {
+	const target = 2 * freezeTol
+	if err := s.solver.ReoptimizeUntil(p, &s.sol, target); err != nil {
 		return 0, err
 	}
-	return s.sol.X[s.col[i]] + s.shift[i], nil
+	if s.sol.Objective <= target {
+		s.observe(p) // an optimum, not a stop short of one
+	}
+	return s.sol.X[i] + s.weights[i]*t, nil
 }

@@ -210,17 +210,17 @@ func (inst *Instance) nodeName(id topology.NodeID) string {
 // clique holds at most v_i subflows of flow i, so the widened floors
 // fit every clique and the retry is feasible.
 func (s *session) solveLocal(local *LocalProblem, denomAll float64) error {
-	obj, err := s.maximizeTotal(local.Cliques, local.Basic, nil, nil)
+	obj, err := s.load(local.Cliques, local.Basic, local.Weights)
 	if errors.Is(err, lp.ErrInfeasible) && denomAll > 0 {
 		for i, w := range local.Weights {
 			local.Basic[i] = w / denomAll
 		}
-		obj, err = s.maximizeTotal(local.Cliques, local.Basic, nil, nil)
+		obj, err = s.load(local.Cliques, local.Basic, local.Weights)
 	}
 	if err != nil {
 		return err
 	}
-	local.Solution, err = s.refineMaxMin(local.Cliques, local.Basic, local.Weights, obj)
+	local.Solution, err = s.refineMaxMin(obj)
 	return err
 }
 

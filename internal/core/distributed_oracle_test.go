@@ -194,17 +194,17 @@ func oracleSolveLocal(inst *Instance, node topology.NodeID, own map[int]bool, fl
 		local.Cliques = append(local.Cliques, row)
 	}
 
-	obj, err := s.maximizeTotal(local.Cliques, local.Basic, nil, nil)
+	obj, err := s.load(local.Cliques, local.Basic, local.Weights)
 	if errors.Is(err, lp.ErrInfeasible) && denomAll > 0 {
 		for i, id := range ids {
 			local.Basic[i] = weightsByID[id] / denomAll
 		}
-		obj, err = s.maximizeTotal(local.Cliques, local.Basic, nil, nil)
+		obj, err = s.load(local.Cliques, local.Basic, local.Weights)
 	}
 	if err != nil {
 		return nil, err
 	}
-	x, err := s.refineMaxMin(local.Cliques, local.Basic, local.Weights, obj)
+	x, err := s.refineMaxMin(obj)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "e2efair/internal/flow"
+import (
+	"e2efair/internal/flow"
+	"e2efair/internal/lp"
+)
 
 // GroupLP is a test view of one contending flow group's LP as the
 // allocator sees it.
@@ -35,4 +38,13 @@ func (a *Allocator) ResetCache() {
 func (c *groupLRU) reset() {
 	clear(c.entries)
 	c.order.Init()
+}
+
+// CentralizedObserved is CentralizedAllocate with Refine on, handing
+// every LP the refinement solves to its optimum, with that optimum, to
+// observe.
+func CentralizedObserved(inst *Instance, observe func(*lp.Problem, *lp.Solution)) (FlowAllocation, error) {
+	a := NewAllocatorWorkers(1)
+	a.sessions[0].observer = observe
+	return a.Centralized(inst, CentralizedOptions{Refine: true})
 }

@@ -6,53 +6,56 @@ import (
 	"reflect"
 )
 
-// The row form of the floor LP, which maximizeFloor replaced, is kept
-// here as the reference the substituted form is checked against
+// The row form of the floor LP, which the substituted form (the floor
+// as the bound y_i ≥ 0, see session.floor) replaced, is kept here as
+// the reference the substituted form is checked against
 // (TestFloorFormsAgree). It writes every unfrozen flow's floor
 // x_i ≥ w_i·t as a row beside the clique rows and the total row, and
-// certifies a blocking flow by its floor row's dual.
+// certifies a blocking flow by its floor row's dual. It runs on the
+// per-LP rebuild state of refine_rebuild_test.go.
 
 // CentralizedRowFloor is CentralizedAllocate with Refine on, each
 // round's floor LP solved in the row form. Every round also checks
 // the precondition of the substituted form: the row form's t* is at
 // least t0 = max basic_i/w_i over the unfrozen flows.
 func CentralizedRowFloor(inst *Instance) (FlowAllocation, error) {
-	return centralizedRefinedWith(inst, func(s *session, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
-		return s.refineWith((*session).maximizeFloorRows, rows, basic, weights, opt)
+	return centralizedRefinedWith(inst, func(s *rebuild, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
+		return s.refineRows(rows, basic, weights, opt)
 	})
 }
 
 // FloorRound is one group's first refinement round as each floor form
 // solves it.
 type FloorRound struct {
-	// T and RowT are the round's t* from the substituted floor LP and
+	// T and RowT are the round's t* from the refinement's floor LP and
 	// from the row form.
 	T, RowT float64
-	// Rows is the substituted floor LP's row count, Cliques the
+	// Rows is the refinement's program's row count, Cliques the
 	// group's clique row count.
 	Rows, Cliques int
 }
 
 // FirstFloorRounds solves each contending flow group's first
-// refinement round's floor LP in both forms.
+// refinement round's floor LP as the refinement does, warm on the
+// group's loaded program, and in the row form.
 func FirstFloorRounds(inst *Instance) ([]FloorRound, error) {
-	s := newSession()
+	s, rows := newSession(), newRebuild()
 	var out []FloorRound
 	for _, g := range inst.groups() {
-		rows := g.lpRows()
-		opt, err := s.maximizeTotal(rows, g.basic, nil, nil)
+		cliques := g.lpRows()
+		opt, err := s.load(cliques, g.basic, g.weights)
 		if err != nil {
 			return nil, err
 		}
 		frozen := make([]bool, len(g.basic))
 		value := make([]float64, len(g.basic))
-		r := FloorRound{Cliques: len(rows)}
-		if r.T, err = s.maximizeFloor(rows, g.basic, g.weights, opt, frozen, value); err != nil {
+		r := FloorRound{Cliques: len(cliques)}
+		if r.T, err = s.floor(frozen, opt); err != nil {
 			return nil, err
 		}
 		// lp.Problem exports no row count; read its row slice's length.
 		r.Rows = reflect.ValueOf(&s.prob).Elem().FieldByName("constraints").Len()
-		if r.RowT, err = s.maximizeFloorRows(rows, g.basic, g.weights, opt, frozen, value); err != nil {
+		if r.RowT, err = rows.maximizeFloorRows(cliques, g.basic, g.weights, opt, frozen, value); err != nil {
 			return nil, err
 		}
 		out = append(out, r)
@@ -60,19 +63,19 @@ func FirstFloorRounds(inst *Instance) ([]FloorRound, error) {
 	return out, nil
 }
 
-// maximizeFloorRows is maximizeFloor in the row form: max t subject
+// maximizeFloorRows is the floor LP in the row form: max t subject
 // to the clique rows, the total row and, for every unfrozen flow, the
 // floor row reduced to −z_i + w_i·t ≤ basic_i (nonnegative RHS), with
 // z_i = x_i − basic_i. It fills s.point and s.blocking as maximizeFloor
 // does, blocking read off the floor rows' duals.
-func (s *session) maximizeFloorRows(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error) {
+func (s *rebuild) maximizeFloorRows(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error) {
 	n := len(basic)
 	k, off := s.reduce(frozen, value, basic)
 	s.prob.Reset(k + 1) // reduced columns, then t
 	if err := s.prob.SetObjectiveCoeff(k, 1); err != nil {
 		return 0, err
 	}
-	if err := s.addCliqueRows(rows, k, k+1, nil); err != nil {
+	if err := s.addCliqueRows(rows, k, k+1); err != nil {
 		return 0, err
 	}
 	t0 := 0.0
@@ -88,7 +91,7 @@ func (s *session) maximizeFloorRows(rows [][]float64, basic, weights []float64, 
 			return 0, err
 		}
 	}
-	if err := s.addTotalRow(k, k+1, nil, opt-optTol-off); err != nil {
+	if err := s.addTotalRow(k, k+1, opt-optTol-off); err != nil {
 		return 0, err
 	}
 	if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {

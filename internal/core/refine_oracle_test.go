@@ -1,21 +1,39 @@
 package core
 
 // The probe-only max-min refinement is kept here as the reference the
-// production refinement is checked against. It freezes a flow only
-// after a probe LP shows the flow cannot exceed the round's threshold,
-// solves every probe cold (SolveInto), and rebuilds the shared probe
+// production refinement is checked against. It runs the refinement's
+// own total and floor LPs, but freezes a flow only after a probe LP
+// shows the flow cannot exceed the round's threshold, solves every
+// probe to its optimum cold (SolveInto) on a program rebuilt from
+// scratch (refine_rebuild_test.go), and rebuilds the shared probe
 // program after every freeze.
 
 // CentralizedOracle is CentralizedAllocate with Refine on, run with
 // the probe-only refinement.
 func CentralizedOracle(inst *Instance) (FlowAllocation, error) {
-	return centralizedRefinedWith(inst, (*session).refineMaxMinOracle)
+	s, probes := newSession(), newRebuild()
+	out := make(FlowAllocation, inst.Flows.Len())
+	for _, g := range inst.groups() {
+		opt, err := s.load(g.lpRows(), g.basic, g.weights)
+		if err != nil {
+			return nil, err
+		}
+		x, err := s.refineMaxMinOracle(probes, opt)
+		if err != nil {
+			return nil, err
+		}
+		for i, id := range g.ids {
+			out[id] = x[i]
+		}
+	}
+	return out, nil
 }
 
 // centralizedRefinedWith is CentralizedAllocate with Refine on, each
-// group's optimal total refined by refine on one fresh session.
-func centralizedRefinedWith(inst *Instance, refine func(s *session, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error)) (FlowAllocation, error) {
-	s := newSession()
+// group's optimal total refined by refine on one fresh per-LP rebuild
+// state (refine_rebuild_test.go).
+func centralizedRefinedWith(inst *Instance, refine func(s *rebuild, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error)) (FlowAllocation, error) {
+	s := newRebuild()
 	out := make(FlowAllocation, inst.Flows.Len())
 	for _, g := range inst.groups() {
 		obj, err := s.maximizeTotal(g.lpRows(), g.basic, nil, nil)
@@ -33,66 +51,79 @@ func centralizedRefinedWith(inst *Instance, refine func(s *session, rows [][]flo
 	return out, nil
 }
 
-// refineMaxMinOracle is the probe-only refinement; see refineMaxMin
-// for the problem it solves.
-func (s *session) refineMaxMinOracle(rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
+// refineMaxMinOracle is the probe-only refinement of the loaded group;
+// see refineMaxMin for the problem it solves. Its total and floor LPs
+// are the refinement's own, on the session's tableau; its probes are
+// rebuilt and solved cold on probes.
+func (s *session) refineMaxMinOracle(probes *rebuild, opt float64) ([]float64, error) {
+	rows, basic, weights := s.rows, s.basic, s.weights
 	n := len(basic)
 	frozen := make([]bool, n)
 	value := make([]float64, n)
-	first := true
-	for remaining := n; remaining > 0; {
+	level := 0.0
+	for remaining, first := n, true; remaining > 0; first = false {
 		if !first {
-			optCur, err := s.maximizeTotal(rows, basic, frozen, value)
-			if err != nil {
+			var err error
+			if opt, err = s.total(frozen, level); err != nil {
 				return nil, err
 			}
-			opt = optCur
 		}
-		first = false
-		t, err := s.maximizeFloor(rows, basic, weights, opt, frozen, value)
+		t, err := s.floor(frozen, opt)
 		if err != nil {
 			return nil, err
 		}
-		point := s.point
-		built := false
+		level = t
+		if err := s.solver.SetBounds(&s.prob, n, t, t); err != nil {
+			return nil, err
+		}
+		built, settled := false, false
 		prev := -1
 		anyFrozen := false
 		for i := 0; i < n; i++ {
-			if frozen[i] || point[i] > weights[i]*t+freezeTol {
+			if frozen[i] || s.point[i] > weights[i]*t+freezeTol {
 				continue
 			}
 			if !built {
-				if err := s.buildProbe(rows, basic, weights, opt, frozen, value, t); err != nil {
+				if err := probes.buildProbe(rows, basic, weights, opt, frozen, value, t); err != nil {
 					return nil, err
 				}
 				built = true
 				prev = -1
 			}
 			if prev >= 0 {
-				if err := s.prob.SetObjectiveCoeff(s.col[prev], 0); err != nil {
+				if err := probes.prob.SetObjectiveCoeff(probes.col[prev], 0); err != nil {
 					return nil, err
 				}
 			}
-			if err := s.prob.SetObjectiveCoeff(s.col[i], 1); err != nil {
+			if err := probes.prob.SetObjectiveCoeff(probes.col[i], 1); err != nil {
 				return nil, err
 			}
-			if err := s.solver.SolveInto(&s.prob, &s.sol); err != nil {
+			if err := probes.solver.SolveInto(&probes.prob, &probes.sol); err != nil {
 				return nil, err
 			}
 			prev = i
-			if s.sol.X[s.col[i]]+s.shift[i] <= weights[i]*t+freezeTol {
+			if probes.sol.X[probes.col[i]]+probes.shift[i] <= weights[i]*t+freezeTol {
+				if !settled {
+					if err := s.settle(frozen, t); err != nil {
+						return nil, err
+					}
+					settled = true
+				}
 				frozen[i] = true
-				value[i] = point[i]
+				value[i] = s.point[i]
 				remaining--
 				anyFrozen = true
 				built = false
+				if err := s.fix(i, value[i]); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if !anyFrozen {
 			for i := 0; i < n; i++ {
 				if !frozen[i] {
 					frozen[i] = true
-					value[i] = point[i]
+					value[i] = s.point[i]
 					remaining--
 				}
 			}

@@ -8,10 +8,10 @@ import (
 )
 
 // session bundles one reusable lp.Solver with the scratch it needs to
-// run the phase-1 algorithms without per-solve allocation churn: one
-// lp.Problem every LP is rebuilt in, a reusable Solution, the reduced
-// form's column and row scratch, and copy buffers for the floor LP's
-// consistent optimal point and its dual-certified blocking flows.
+// run the phase-1 algorithms without per-solve allocation churn: the
+// lp.Problem a group is loaded into and edited through its refinement,
+// a reusable Solution, row scratch, and copy buffers for the floor
+// LP's consistent optimal point and its dual-certified blocking flows.
 //
 // A session is not safe for concurrent use; Allocator gives each
 // worker its own.
@@ -20,14 +20,24 @@ type session struct {
 	sol    lp.Solution
 	prob   lp.Problem
 
-	col    []int     // reduced column per flow, −1 when frozen
-	shift  []float64 // per-flow shift of the reduced form
-	floor  []float64 // floor LP and probe shifts
-	buf    []float64 // one constraint row
+	// The loaded group's clique rows, basic shares, weights and
+	// t0 = max basic_i/w_i, and which flows' columns stand for
+	// x_i − w_i·t (see load).
+	rows           [][]float64
+	basic, weights []float64
+	t0             float64
+	inT            []bool
+
+	buf    []float64 // one constraint row or column
 	probed int       // flow the probe objective selects, or −1
 
 	point    []float64
 	blocking []bool
+	above    []bool // flows shown able to exceed the round's level
+
+	// observer, when set, sees every program the session solves and
+	// its solution; tests use it to re-solve each one cold.
+	observer func(*lp.Problem, *lp.Solution)
 }
 
 func newSession() *session {

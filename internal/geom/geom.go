@@ -37,7 +37,16 @@ func (p Point) InRange(q Point, r float64) bool {
 	if r < 0 {
 		return false
 	}
-	return p.Dist2(q) <= r*r
+	d2, r2 := p.Dist2(q), r*r
+	if !math.IsInf(d2, 1) || !math.IsInf(r2, 1) || math.IsInf(r, 1) {
+		return d2 <= r2
+	}
+	// Both squares overflow (r above ~1.3e154): +Inf ≤ +Inf would say
+	// yes at any distance, so compare in units of the largest
+	// magnitude instead.
+	u := max(math.Abs(p.X), math.Abs(p.Y), math.Abs(q.X), math.Abs(q.Y), r)
+	d := Point{p.X / u, p.Y / u}.Dist2(Point{q.X / u, q.Y / u})
+	return d <= (r/u)*(r/u)
 }
 
 // Add returns the translation of p by (dx, dy).

@@ -105,6 +105,13 @@ func TestInRange(t *testing.T) {
 		{"diagonal outside", Point{200, 200}, 250, false},
 		{"negative radius", Point{0, 0}, -1, false},
 		{"zero radius same point", Point{0, 0}, 0, true},
+		// r*r overflows: the squares no longer compare, the scaled
+		// values do.
+		{"huge radius, farther point", Point{1e300, 0}, 1e200, false},
+		{"huge radius, nearer point", Point{1e200, 1e200}, 2e200, true},
+		{"huge radius, both far out", Point{-1e300, 1e300}, 1e300, false},
+		{"huge radius, finite distance", Point{1, 1}, 1e200, true},
+		{"infinite radius", Point{1e300, 1e300}, math.Inf(1), true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

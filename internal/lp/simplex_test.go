@@ -18,17 +18,6 @@ func (p *Problem) AddEQ(coeffs []float64, rhs float64) error {
 // NumConstraints returns the number of constraint rows.
 func (p *Problem) NumConstraints() int { return len(p.constraints) }
 
-// SetRHS replaces constraint i's right-hand side in place, letting a
-// Problem be re-solved without rebuilding or reallocating anything.
-func (p *Problem) SetRHS(i int, rhs float64) error {
-	if i < 0 || i >= len(p.constraints) {
-		return fmt.Errorf("%w: constraint %d of %d", ErrShape, i, len(p.constraints))
-	}
-	p.constraints[i].RHS = rhs
-	p.version++
-	return nil
-}
-
 // LowerBound appends x_i ≥ v: a test shorthand for a one-variable row.
 func (p *Problem) LowerBound(i int, v float64) error {
 	if i < 0 || i >= p.n {

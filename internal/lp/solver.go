@@ -1,14 +1,18 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
 
-// Solver is a reusable two-phase primal simplex engine. It keeps every
-// piece of working state (one flat, contiguous, row-major tableau plus
-// basis, cost and reduced-cost rows) across solves, so the
-// steady-state re-solve loop allocates nothing.
+// Solver is a reusable bounded-variable simplex engine: a two-phase
+// primal simplex for cold solves, and a dual simplex that repairs a
+// retained optimal tableau after its bounds, right-hand sides or
+// columns are edited. It keeps every piece of working state (one
+// flat, contiguous, row-major tableau plus basis, bound, cost and
+// reduced-cost rows) across solves, so the steady-state re-solve loop
+// allocates nothing.
 //
 // The tableau is compact: it stores only the nonbasic columns. A basic
 // variable's column is a unit vector, so storing it buys nothing, and
@@ -21,6 +25,13 @@ import (
 // would and computes the same values on every column it keeps; only
 // the sign of a zero can differ (pinned by fulltableau_test.go).
 //
+// Every variable has bounds lo ≤ x ≤ hi; a nonbasic variable rests at
+// one of them, or anywhere between them once an edit has relaxed its
+// bounds (pricing then lets it move either way), and each row's RHS
+// slot holds its basic variable's value. With the default bounds [0, +Inf) every
+// nonbasic variable rests at 0, the RHS slots hold B⁻¹b, and a solve
+// takes exactly the pivots and the arithmetic of a textbook tableau.
+//
 // Pricing is Dantzig's rule (most negative reduced cost), which on the
 // clique-capacity programs of phase 1 reaches the optimum in far fewer
 // pivots than Bland's rule. Degenerate programs can cycle under
@@ -31,8 +42,8 @@ import (
 //
 // After a successful solve the Solver retains the optimal tableau, so
 // Dual and ReducedCost read the constraints' shadow prices and the
-// variables' reduced costs off it and ReoptimizeInto re-prices it in
-// place after an objective-only change.
+// variables' reduced costs off it, SetBounds, SetRHS and AddColumn
+// edit it in place, and ReoptimizeInto re-solves from it.
 //
 // A Solver is not safe for concurrent use; give each goroutine its
 // own.
@@ -41,7 +52,7 @@ type Solver struct {
 	// n..n+nSlack-1 for slacks and surpluses and n+nSlack..width-1 for
 	// artificials. The flat tableau has m rows × stride entries,
 	// row-major: slot k < cols holds the column of variable
-	// nonbasic[k], and slot cols holds the RHS.
+	// nonbasic[k], and slot cols holds the row's basic value.
 	tab    []float64
 	stride int
 	cols   int
@@ -58,6 +69,12 @@ type Solver struct {
 	cost     []float64 // cost of each variable, len width
 	nz       []int     // pivot-row scratch: slots with a nonzero entry
 
+	// lo and hi bound every variable, len width; val[v] is where a
+	// nonbasic v rests, and room[k] records which ways the variable in
+	// slot k may move from there (canRise, canFall).
+	lo, hi, val []float64
+	room        []uint8
+
 	// dualVar[i] is the variable whose final reduced cost prices
 	// constraint i — its slack, surplus or artificial — and
 	// dualSign[i] maps that reduced cost to ∂objective/∂b_i, undoing
@@ -68,10 +85,40 @@ type Solver struct {
 	dualSign []float64
 	ncons    int // constraint count of the loaded problem
 
+	// binv[i] is the variable whose tableau column is column i of the
+	// basis inverse — row i's slack, or its artificial — rowSign[i] is
+	// the sign the row was normalized by, and rhsAt[i] is the finite
+	// right-hand side the RHS slots reflect. SetRHS and refresh
+	// apply their edits through them.
+	binv    []int
+	rowSign []float64
+	rhsAt   []float64
+	// dropped records that phase 1 removed a redundant row, whose
+	// right-hand side and coefficients the tableau no longer carries.
+	dropped bool
+	// edited records bound, RHS or column edits since the last solve.
+	edited bool
+	// plain records that every variable is bounded [0, +Inf) and
+	// rests at 0 when nonbasic. A plain tableau leaves lo, hi, val,
+	// room and stale unset, skips their upkeep, and fills them in
+	// (unplain) at its first bound edit.
+	plain bool
+	// lazy lets pivots skip the columns of fixed nonbasic decision
+	// variables, which can never enter: a skipped column is marked
+	// stale, skipped by every later pivot, and recomputed from the
+	// basis inverse (refresh) only when its variable is freed or
+	// moved. Set after phase 1 of a program with no dropped row, whose
+	// inverse covers every row.
+	lazy   bool
+	stale  []bool
+	start  []float64 // load scratch: each decision variable's start
+	colIn  []float64 // refresh scratch: the column's coefficients
+	colBuf []float64 // refresh scratch: the recomputed tableau column
+
 	// last is the problem whose optimal tableau the solver holds, at
-	// constraint version lastVersion; nil unless the latest solve
-	// succeeded. Holding the pointer keeps the address from being
-	// reused by a different Problem.
+	// version lastVersion; nil unless the latest solve succeeded.
+	// Holding the pointer keeps the address from being reused by a
+	// different Problem.
 	last        *Problem
 	lastVersion uint64
 
@@ -84,6 +131,13 @@ type Solver struct {
 	stallLimit int
 	maxIter    int
 }
+
+// room bits: a nonbasic variable below its upper bound can rise, one
+// above its lower bound can fall.
+const (
+	canRise uint8 = 1 << iota
+	canFall
+)
 
 // defaultStallLimit bounds the degenerate plateau a Dantzig-priced run
 // may walk before anti-cycling kicks in.
@@ -115,7 +169,10 @@ func (s *Solver) SolveInto(p *Problem, sol *Solution) error {
 	if err := s.phase1(); err != nil {
 		return err
 	}
-	obj, err := s.phase2(p)
+	s.lazy = !s.dropped
+	s.setCost(p)
+	s.price()
+	obj, err := s.primal(s.n+s.nSlack, math.Inf(1))
 	if err != nil {
 		return err
 	}
@@ -124,22 +181,48 @@ func (s *Solver) SolveInto(p *Problem, sol *Solution) error {
 	return nil
 }
 
-// ReoptimizeInto re-solves p after an objective-only change
-// (SetObjective, SetObjectiveCoeff): phase 2 runs from the optimal
-// vertex the previous solve of p left in the tableau, with no reload
-// and no re-pivoting to a saved basis. That vertex stays primal
-// feasible because the constraints are unchanged. When the last
-// successful solve was of another problem, or p's constraints changed
-// since (AddConstraint, Reset), or no solve has succeeded yet, it
+// ReoptimizeInto re-solves p from the optimal tableau the last solve
+// of p left behind. Edits made through this Solver's SetBounds, SetRHS
+// and AddColumn are repaired by the dual simplex — after shifting to
+// zero any reduced cost an objective edit left with the wrong sign —
+// and the primal simplex then optimizes the current objective
+// (SetObjective, SetObjectiveCoeff). With only the objective changed
+// the retained vertex is still feasible and the primal simplex runs
+// alone. When the last successful solve was of another problem, or p
+// changed since other than through this Solver's edits (AddConstraint,
+// Reset, Problem.SetBounds, ...), or no solve has succeeded yet, it
 // falls back to a cold two-phase solve, so the result is always p's
-// optimum.
+// optimum. A dual simplex that exceeds its iteration budget falls back
+// the same way.
 func (s *Solver) ReoptimizeInto(p *Problem, sol *Solution) error {
-	if s.last != p || s.lastVersion != p.version {
+	return s.ReoptimizeUntil(p, sol, math.Inf(1))
+}
+
+// ReoptimizeUntil is ReoptimizeInto stopping at the first feasible
+// point whose objective exceeds target: it answers whether p's optimum
+// exceeds target without finding the optimum when it does. The point
+// it returns is feasible, and optimal when its objective is at most
+// target. The tableau it stops at is kept for the next re-solve; Dual
+// and ReducedCost read that tableau's basis.
+func (s *Solver) ReoptimizeUntil(p *Problem, sol *Solution, target float64) error {
+	if !s.holds(p) {
 		return s.SolveInto(p, sol)
 	}
 	s.last = nil
 	s.solves++
-	obj, err := s.phase2(p)
+	s.setCost(p)
+	s.price()
+	if s.edited {
+		s.edited = false
+		if err := s.repair(); err != nil {
+			if !errors.Is(err, ErrIterationLimit) {
+				return err
+			}
+			s.solves-- // the cold solve counts itself
+			return s.SolveInto(p, sol)
+		}
+	}
+	obj, err := s.primal(s.n+s.nSlack, target)
 	if err != nil {
 		return err
 	}
@@ -148,12 +231,225 @@ func (s *Solver) ReoptimizeInto(p *Problem, sol *Solution) error {
 	return nil
 }
 
+// holds reports whether s retains p's current optimal tableau.
+func (s *Solver) holds(p *Problem) bool {
+	return s.last == p && s.lastVersion == p.version
+}
+
+// SetBounds is p.SetBounds, also applied to the optimal tableau of p
+// that s retains, if it does: a nonbasic x_j keeps its value when the
+// new bounds hold it and otherwise moves to the nearer one, and the
+// next ReoptimizeInto repairs the tableau instead of solving p cold.
+func (s *Solver) SetBounds(p *Problem, j int, lo, hi float64) error {
+	warm, version := s.holds(p), p.version
+	if err := p.SetBounds(j, lo, hi); err != nil || p.version == version {
+		return err
+	}
+	if warm {
+		s.lastVersion = p.version
+		s.bound(j, lo, hi)
+	}
+	return nil
+}
+
+// SetRHS is p.SetRHS, also applied to the optimal tableau of p that s
+// retains, if it does, as SetBounds is. A row that phase 1 found
+// redundant cannot take the edit; the tableau is then dropped and the
+// next ReoptimizeInto solves p cold.
+func (s *Solver) SetRHS(p *Problem, i int, rhs float64) error {
+	warm, version := s.holds(p), p.version
+	if err := p.SetRHS(i, rhs); err != nil || p.version == version || !warm {
+		return err
+	}
+	if s.dropped {
+		s.last = nil
+		return nil
+	}
+	s.lastVersion = p.version
+	s.unplain()
+	sense, v := p.constraints[i].Sense, s.dualVar[i]
+	if math.IsInf(rhs, 0) {
+		s.bound(v, math.Inf(-1), math.Inf(1))
+		return nil
+	}
+	if d := rhs - s.rhsAt[i]; d != 0 {
+		s.axpy(s.tab, s.cols, s.stride, s.binv[i], s.rowSign[i]*d)
+		s.rhsAt[i] = rhs
+		s.edited = true
+	}
+	if sense == EQ {
+		return nil
+	}
+	// The row's slack or surplus keeps the sign that makes the row
+	// hold: ≥ 0 when it enters the normalized row the way a ≤ row's
+	// slack does, ≤ 0 otherwise.
+	if (sense == LE) == (s.dualSign[i] > 0) {
+		s.bound(v, 0, math.Inf(1))
+	} else {
+		s.bound(v, math.Inf(-1), 0)
+	}
+	return nil
+}
+
+// AddColumn is p.AddColumn, also applied to the optimal tableau of p
+// that s retains, if it does: x_j's tableau column gains f times
+// x_k's, in O(rows). A basic x_j is first exchanged out of the basis
+// for the nonbasic column with the largest entry in its row; when no
+// column can take its place, the tableau is dropped and the next
+// ReoptimizeInto solves p cold.
+func (s *Solver) AddColumn(p *Problem, j, k int, f float64) error {
+	warm := s.holds(p)
+	if err := p.AddColumn(j, k, f); err != nil {
+		return err
+	}
+	if !warm {
+		return nil
+	}
+	s.unplain()
+	if s.where[j] < 0 && !s.pivotOut(j) {
+		s.last = nil
+		return nil
+	}
+	s.lastVersion = p.version
+	if s.stale[k] {
+		s.refresh(k)
+	}
+	if v := s.val[j]; v != 0 {
+		s.axpy(s.tab, s.cols, s.stride, k, -f*v)
+	}
+	if !s.stale[j] {
+		s.axpy(s.tab, s.where[j], s.stride, k, f)
+	}
+	s.edited = true
+	return nil
+}
+
+// binvTimes returns B⁻¹ times the normalized column whose original
+// coefficients are coeffs, read off the basis inverse's columns, in
+// the solver's column scratch.
+func (s *Solver) binvTimes(coeffs []float64) []float64 {
+	s.colBuf = growFloat(s.colBuf, s.m)
+	col := s.colBuf
+	clear(col)
+	for i, a := range coeffs {
+		if a != 0 {
+			s.axpy(col, 0, 1, s.binv[i], s.rowSign[i]*a)
+		}
+	}
+	return col
+}
+
+// refresh recomputes nonbasic decision variable v's stale column from
+// the coefficients of the program s holds.
+func (s *Solver) refresh(v int) {
+	s.colIn = growFloat(s.colIn, s.ncons)
+	for i, c := range s.last.constraints {
+		s.colIn[i] = c.Coeffs[v]
+	}
+	col := s.binvTimes(s.colIn)
+	k := s.where[v]
+	for i, c := range col {
+		s.tab[i*s.stride+k] = c
+	}
+	s.stale[v] = false
+}
+
+// bound sets variable v's bounds in the tableau. A nonbasic v keeps
+// its value when the new bounds hold it and otherwise moves to the
+// nearer one, shifting the basic values with it.
+func (s *Solver) bound(v int, lo, hi float64) {
+	s.unplain()
+	s.lo[v], s.hi[v] = lo, hi
+	s.edited = true
+	if s.where[v] < 0 {
+		return
+	}
+	to := min(max(s.val[v], lo), hi)
+	if s.stale[v] && (lo != hi || to != s.val[v]) {
+		s.refresh(v)
+	}
+	if d := to - s.val[v]; d != 0 {
+		s.axpy(s.tab, s.cols, s.stride, v, -d)
+		s.val[v] = to
+	}
+	s.room[s.where[v]] = s.roomOf(v)
+}
+
+// roomOf is the room bits of nonbasic variable v.
+func (s *Solver) roomOf(v int) uint8 {
+	var r uint8
+	if s.val[v] < s.hi[v] {
+		r |= canRise
+	}
+	if s.val[v] > s.lo[v] {
+		r |= canFall
+	}
+	return r
+}
+
+// axpy adds f times variable v's tableau column to the vector
+// dst[off], dst[off+step], ... over the rows.
+func (s *Solver) axpy(dst []float64, off, step, v int, f float64) {
+	if k := s.where[v]; k >= 0 {
+		for i := 0; i < s.m; i++ {
+			dst[off+i*step] += f * s.tab[i*s.stride+k]
+		}
+		return
+	}
+	for i, b := range s.basis[:s.m] {
+		if b == v {
+			dst[off+i*step] += f
+			return
+		}
+	}
+}
+
+// pivotOut exchanges basic variable v for the non-artificial, unfixed
+// nonbasic column with the largest entry in v's row, v leaving at its
+// bound nearest its value (at its value, if it is free). It reports
+// false when every such entry is within tol of zero.
+func (s *Solver) pivotOut(v int) bool {
+	r := -1
+	for i, b := range s.basis[:s.m] {
+		if b == v {
+			r = i
+		}
+	}
+	row := s.row(r)
+	col, best := -1, tol
+	for k, j := range s.nonbasic[:s.cols] {
+		if a := math.Abs(row[k]); j < s.n+s.nSlack && s.lo[j] != s.hi[j] && a > best {
+			col, best = k, a
+		}
+	}
+	if col < 0 {
+		return false
+	}
+	x, lo, hi := row[s.cols], s.lo[v], s.hi[v]
+	to := x
+	switch {
+	case !math.IsInf(lo, -1) && (math.IsInf(hi, 1) || x-lo <= hi-x):
+		to = lo
+	case !math.IsInf(hi, 1):
+		to = hi
+	}
+	// Keep the columns that are current so: the caller is about to
+	// move a fixed variable, whose column a lazy pivot would leave
+	// stale.
+	lazy := s.lazy
+	s.lazy = false
+	s.pivot(r, col, to)
+	s.lazy = lazy
+	s.edited = true
+	return true
+}
+
 // Dual returns constraint i's shadow price at the optimum of the last
 // successful solve: y_i = ∂objective/∂b_i, read off the final
-// reduced-cost row, so Σ b_i·y_i equals the objective, y_i ≥ 0 on a
-// ≤ row and y_i ≤ 0 on a ≥ row. A row with y_i ≠ 0 is tight at every
-// optimum. Dual returns 0 for an out-of-range i or when the last solve
-// failed.
+// reduced-cost row, so with the default bounds Σ b_i·y_i equals the
+// objective, y_i ≥ 0 on a ≤ row and y_i ≤ 0 on a ≥ row. A row with
+// y_i ≠ 0 is tight at every optimum. Dual returns 0 for an
+// out-of-range i or when the last solve failed.
 func (s *Solver) Dual(i int) float64 {
 	if s.last == nil || i < 0 || i >= s.ncons {
 		return 0
@@ -167,13 +463,14 @@ func (s *Solver) Dual(i int) float64 {
 
 // ReducedCost returns decision variable j's reduced cost at the
 // optimum of the last successful solve: the rate at which the
-// objective falls as x_j rises from 0, read off the final
-// reduced-cost row. It is ≥ 0 at a maximum, and a variable whose
-// reduced cost is positive is 0 at every optimum (complementary
-// slackness). ReducedCost returns 0 for a basic variable, an
-// out-of-range j, or when the last solve failed.
+// objective falls as x_j rises from its bound, read off the final
+// reduced-cost row. It is ≥ 0 at a maximum for a variable at its
+// lower bound (≤ 0 at its upper), and a variable at its lower bound
+// whose reduced cost is positive stays there at every optimum
+// (complementary slackness). ReducedCost returns 0 for a basic or a
+// fixed variable, an out-of-range j, or when the last solve failed.
 func (s *Solver) ReducedCost(j int) float64 {
-	if s.last == nil || j < 0 || j >= s.n {
+	if s.last == nil || j < 0 || j >= s.n || !s.plain && s.lo[j] == s.hi[j] {
 		return 0
 	}
 	k := s.where[j]
@@ -191,18 +488,46 @@ func (s *Solver) Work() (solves, cold, pivots int) { return s.solves, s.cold, s.
 
 func (s *Solver) row(i int) []float64 { return s.tab[i*s.stride : (i+1)*s.stride] }
 
+// rest is where a nonbasic variable bounded [lo, hi] starts: at its
+// lower bound if finite, else its upper, else 0.
+func rest(lo, hi float64) float64 {
+	switch {
+	case !math.IsInf(lo, -1):
+		return lo
+	case !math.IsInf(hi, 1):
+		return hi
+	}
+	return 0
+}
+
 // load normalizes p into the tableau exactly as the seed's reference
 // Solve (reference_test.go) does: every row an equality with RHS ≥ 0,
 // LE rows gaining a slack, GE rows a surplus and an artificial, EQ
 // rows an artificial. The slacks and artificials form the starting
 // basis, so the only columns stored are the decision variables' and
-// the surpluses'.
+// the surpluses'. Each decision variable starts at rest(lo, hi), so a
+// row's RHS is b minus its activity there; a vacuous row gets a free
+// slack.
 func (s *Solver) load(p *Problem) {
 	m := len(p.constraints)
 	n := p.n
+	// A program whose bounds were never set has every decision
+	// variable starting at 0, and a row's residual RHS is its RHS.
+	defaults := !p.bounded
+	s.plain = defaults
+	if !defaults {
+		s.start = growFloat(s.start, n)
+		for j, lo := range p.lo[:n] {
+			s.start[j] = rest(lo, p.hi[j])
+		}
+	}
 	nSlack, nArt, nGE := 0, 0, 0
 	for _, c := range p.constraints {
-		switch normSense(c) {
+		r, vacuous := s.residual(c, defaults)
+		if vacuous {
+			s.plain = false
+		}
+		switch rowSense(c.Sense, r, vacuous) {
 		case LE:
 			nSlack++
 		case GE:
@@ -217,27 +542,41 @@ func (s *Solver) load(p *Problem) {
 	cols := n + nGE
 	stride := cols + 1
 	s.m, s.n, s.width, s.cols, s.stride, s.nSlack, s.nArt = m, n, width, cols, stride, nSlack, nArt
+	s.dropped, s.edited, s.lazy = false, false, false
 	s.tab = growFloat(s.tab, m*stride)
 	clear(s.tab)
 	s.basis = growInt(s.basis, m)
 	s.nonbasic = growInt(s.nonbasic, cols)
 	s.nz = growInt(s.nz, cols)[:0]
-	s.where = growInt(s.where, width)
-	for v := range s.where {
-		s.where[v] = -1
+	where := growInt(s.where, width)
+	for v := n; v < width; v++ {
+		where[v] = -1
 	}
 	for j := 0; j < n; j++ {
-		s.nonbasic[j], s.where[j] = j, j
+		s.nonbasic[j], where[j] = j, j
+	}
+	s.where = where
+	if !s.plain {
+		s.defaults()
+		copy(s.lo, p.lo[:n])
+		copy(s.hi, p.hi[:n])
+		if !defaults {
+			copy(s.val, s.start)
+		}
 	}
 	s.ncons = m
 	s.dualVar = growInt(s.dualVar, m)
 	s.dualSign = growFloat(s.dualSign, m)
+	s.binv = growInt(s.binv, m)
+	s.rowSign = growFloat(s.rowSign, m)
+	s.rhsAt = growFloat(s.rhsAt, m)
 	slackAt, artAt, surplusAt := n, n+nSlack, n
 	for i, c := range p.constraints {
-		row := s.row(i)
-		b := c.RHS
+		row := s.tab[i*stride : i*stride+stride]
+		b, vacuous := s.residual(c, defaults)
+		sense := rowSense(c.Sense, b, vacuous)
 		sign := 1.0
-		if b < 0 {
+		if b < 0 && !vacuous {
 			b = -b
 			sign = -1
 			for j, v := range c.Coeffs {
@@ -247,10 +586,19 @@ func (s *Solver) load(p *Problem) {
 			copy(row, c.Coeffs)
 		}
 		row[cols] = b
-		switch normSense(c) {
+		s.rowSign[i] = sign
+		s.rhsAt[i] = c.RHS
+		if vacuous {
+			s.rhsAt[i] = 0
+		}
+		switch sense {
 		case LE:
 			s.basis[i] = slackAt
 			s.dualVar[i], s.dualSign[i] = slackAt, sign
+			s.binv[i] = slackAt
+			if vacuous {
+				s.lo[slackAt] = math.Inf(-1)
+			}
 			slackAt++
 		case GE:
 			row[surplusAt] = -1
@@ -258,14 +606,73 @@ func (s *Solver) load(p *Problem) {
 			surplusAt++
 			s.dualVar[i], s.dualSign[i] = slackAt, -sign
 			slackAt++
-			s.basis[i] = artAt
+			s.basis[i], s.binv[i] = artAt, artAt
 			artAt++
 		default:
-			s.basis[i] = artAt
+			s.basis[i], s.binv[i] = artAt, artAt
 			s.dualVar[i], s.dualSign[i] = artAt, sign
 			artAt++
 		}
 	}
+	if !s.plain {
+		for k, v := range s.nonbasic[:cols] {
+			s.room[k] = s.roomOf(v)
+		}
+	}
+}
+
+// defaults sizes the bound rows to the loaded tableau and fills them
+// as a plain tableau has them implicitly: every variable bounded
+// [0, +Inf), current and resting at 0, free to rise.
+func (s *Solver) defaults() {
+	s.lo, s.hi = growFloat(s.lo, s.width), growFloat(s.hi, s.width)
+	s.val, s.stale = growFloat(s.val, s.width), growBool(s.stale, s.width)
+	s.room = growUint8(s.room, s.cols)
+	clear(s.lo)
+	clear(s.val)
+	clear(s.stale)
+	for v := range s.hi {
+		s.hi[v] = math.Inf(1)
+	}
+	for k := range s.room {
+		s.room[k] = canRise
+	}
+}
+
+// unplain fills in the bound rows of a plain tableau before an edit
+// that needs them.
+func (s *Solver) unplain() {
+	if s.plain {
+		s.defaults()
+		s.plain = false
+	}
+}
+
+// residual is row c's RHS less its activity at the start point (its
+// RHS, when every start is 0), and reports a vacuous row, whose RHS
+// counts as 0.
+func (s *Solver) residual(c Constraint, defaults bool) (r float64, vacuous bool) {
+	r = c.RHS
+	if vacuous = r > math.MaxFloat64 || r < -math.MaxFloat64; vacuous {
+		r = 0
+	}
+	if !defaults {
+		for j, a := range c.Coeffs {
+			if v := s.start[j]; v != 0 && a != 0 {
+				r -= a * v
+			}
+		}
+	}
+	return r, vacuous
+}
+
+// rowSense is the sense of a row with residual RHS r after the
+// negative-RHS flip; a vacuous row loads as a ≤ row with a free slack.
+func rowSense(sense Sense, r float64, vacuous bool) Sense {
+	if vacuous {
+		return LE
+	}
+	return normSense(Constraint{Sense: sense, RHS: r})
 }
 
 // normSense is the constraint's sense after the negative-RHS flip.
@@ -294,7 +701,8 @@ func (s *Solver) phase1() error {
 			s.cost[j] = -1
 		}
 	}
-	obj, err := s.simplex(s.width)
+	s.price()
+	obj, err := s.primal(s.width, math.Inf(1))
 	if err != nil {
 		// Phase 1 is bounded by construction; an unbounded report
 		// indicates numerical trouble and is surfaced as such.
@@ -322,7 +730,7 @@ func (s *Solver) phase1() error {
 			s.basis[i] = -1
 			continue
 		}
-		s.pivot(i, col)
+		s.pivot(i, col, 0)
 	}
 	// Remove redundant rows in one compaction pass — O(m) row moves
 	// where the reference's repeated middle deletion is O(m²).
@@ -337,25 +745,25 @@ func (s *Solver) phase1() error {
 		}
 		w++
 	}
+	s.dropped = w < s.m
 	s.m = w
 	return nil
 }
 
-func (s *Solver) phase2(p *Problem) (float64, error) {
+// setCost loads p's objective as the cost of the decision variables,
+// the slacks and artificials costing nothing.
+func (s *Solver) setCost(p *Problem) {
 	s.cost = growFloat(s.cost, s.width)
 	copy(s.cost, p.objective)
 	for j := s.n; j < s.width; j++ {
 		s.cost[j] = 0
 	}
-	// Artificial variables sit beyond the pricing limit, so they can
-	// never re-enter the basis.
-	return s.simplex(s.n + s.nSlack)
 }
 
-// simplex optimizes maximize costᵀx over the tableau in place,
-// considering variables below enterLimit as entering candidates, and
-// returns the optimal objective value.
-func (s *Solver) simplex(enterLimit int) (float64, error) {
+// price computes the reduced-cost row z from the cost vector: z_k is
+// the reduced cost of the variable in slot k, and z[cols] the
+// objective at the current point.
+func (s *Solver) price() {
 	cols := s.cols
 	s.z = growFloat(s.z, s.stride)
 	z := s.z
@@ -364,18 +772,197 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 		z[k] = -s.cost[j]
 	}
 	z[cols] = 0
-	if s.m == 0 {
-		return 0, nil
-	}
-	for i := 0; i < s.m; i++ {
-		cb := s.cost[s.basis[i]]
+	tab, stride := s.tab, s.stride
+	for i, b := range s.basis[:s.m] {
+		cb := s.cost[b]
 		if cb == 0 {
 			continue
 		}
-		row := s.row(i)
+		row := tab[i*stride : i*stride+len(z)]
 		for k := range z {
 			z[k] += cb * row[k]
 		}
+	}
+	if s.plain {
+		return // every nonbasic variable rests at 0
+	}
+	for _, j := range nonbasic {
+		if v, c := s.val[j], s.cost[j]; v != 0 && c != 0 {
+			z[cols] += c * v
+		}
+	}
+}
+
+// defaultBounds reports whether every decision variable has the
+// default bounds [0, +Inf).
+func (s *Solver) defaultBounds() bool {
+	for j := 0; j < s.n; j++ {
+		if s.lo[j] != 0 || !math.IsInf(s.hi[j], 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// gain is what pricing sees in slot k: the larger rate of objective
+// gain over the directions its variable may move in, and that
+// direction (+1 up, −1 down). A fixed variable gains −Inf.
+func (s *Solver) gain(k int) (float64, float64) {
+	z := s.z[k]
+	switch s.room[k] {
+	case canRise:
+		return -z, 1
+	case canFall:
+		return z, -1
+	case canRise | canFall:
+		if z > 0 {
+			return z, -1
+		}
+		return -z, 1
+	}
+	return math.Inf(-1), 0
+}
+
+// primal optimizes maximize costᵀx over the tableau in place from the
+// reduced-cost row price left, considering variables below enterLimit
+// as entering candidates, and returns the optimal objective value, or
+// the first one above target. The ratio test bounds the step by every
+// basic variable's bounds and by the entering variable's own: an
+// entering variable that reaches its other bound first flips to it
+// without a pivot.
+func (s *Solver) primal(enterLimit int, target float64) (float64, error) {
+	if s.plain {
+		return s.primalPlain(enterLimit, target)
+	}
+	cols := s.cols
+	z := s.z
+	nonbasic := s.nonbasic[:cols]
+	if s.m == 0 && s.defaultBounds() {
+		// Every row was redundant: the reference reports the origin.
+		return 0, nil
+	}
+	tab, stride, basis := s.tab, s.stride, s.basis[:s.m]
+	lo, hi, room := s.lo, s.hi, s.room
+	limit := s.maxIter
+	if limit <= 0 {
+		limit = 10000 * (s.m + s.width + 1)
+	}
+	stall := 0
+	for iter := 0; ; iter++ {
+		if iter > limit {
+			return 0, fmt.Errorf("%w (%d iterations over %d rows × %d columns)", ErrIterationLimit, iter, s.m, s.width)
+		}
+		if z[cols] > target {
+			return z[cols], nil
+		}
+		// enter is a slot; ties go to the lower-numbered variable.
+		enter, ev := -1, enterLimit
+		if stall < s.stallLimit {
+			// Dantzig: largest rate of gain.
+			best := tol
+			for k, j := range nonbasic {
+				if j >= enterLimit {
+					continue
+				}
+				g := -z[k] // the common case: free to rise only
+				if room[k] != canRise {
+					g, _ = s.gain(k)
+				}
+				if g > best || g == best && enter >= 0 && j < ev {
+					best, enter, ev = g, k, j
+				}
+			}
+		} else {
+			// Bland: smallest variable with a gain.
+			for k, j := range nonbasic {
+				if j >= ev {
+					continue
+				}
+				if g, _ := s.gain(k); g > tol {
+					enter, ev = k, j
+				}
+			}
+		}
+		if enter == -1 {
+			return z[cols], nil
+		}
+		_, dir := s.gain(enter)
+		// Leaving row: minimum ratio; ties to the smallest basis index
+		// (Bland), which with Bland pricing forbids cycling.
+		leave := -1
+		bestRatio := math.Inf(1)
+		for i, b := range basis {
+			a := dir * tab[i*stride+enter]
+			var ratio float64
+			if a > tol {
+				if l := lo[b]; l != math.Inf(-1) {
+					ratio = (tab[i*stride+cols] - l) / a
+				} else {
+					continue
+				}
+			} else if a < -tol {
+				if h := hi[b]; h != math.Inf(1) {
+					ratio = (h - tab[i*stride+cols]) / -a
+				} else {
+					continue
+				}
+			} else {
+				continue
+			}
+			if ratio < bestRatio-tol || (ratio < bestRatio+tol && (leave == -1 || b < basis[leave])) {
+				bestRatio = ratio
+				leave = i
+			}
+		}
+		prev := z[cols]
+		q := nonbasic[enter]
+		reach := hi[q] - s.val[q]
+		if dir < 0 {
+			reach = s.val[q] - lo[q]
+		}
+		switch {
+		case reach != math.Inf(1) && (leave == -1 || reach <= bestRatio):
+			// The entering variable reaches its other bound first.
+			to := hi[q]
+			if dir < 0 {
+				to = lo[q]
+			}
+			step := to - s.val[q]
+			for i := range basis {
+				tab[i*stride+cols] -= step * tab[i*stride+enter]
+			}
+			s.val[q] = to
+			s.room[enter] = s.roomOf(q)
+			z[cols] -= z[enter] * step
+		case leave == -1:
+			return 0, ErrUnbounded
+		default:
+			b := basis[leave]
+			to := lo[b]
+			if a := tab[leave*stride+enter]; dir < 0 && a > 0 || dir > 0 && a < 0 {
+				to = hi[b]
+			}
+			s.reprice(leave, enter, s.pivot(leave, enter, to))
+		}
+		if z[cols] > prev+tol {
+			stall = 0 // progress: back to Dantzig pricing
+		} else {
+			stall++
+		}
+	}
+}
+
+// primalPlain is primal on a plain tableau: every variable bounded
+// [0, +Inf) and resting at 0, so pricing looks for the most negative
+// reduced cost, the ratio test for the smallest RHS/entry, and no
+// variable flips.
+func (s *Solver) primalPlain(enterLimit int, target float64) (float64, error) {
+	cols := s.cols
+	z := s.z
+	nonbasic := s.nonbasic[:cols]
+	if s.m == 0 {
+		// Every row was redundant: the reference reports the origin.
+		return 0, nil
 	}
 	tab, stride, basis := s.tab, s.stride, s.basis[:s.m]
 	limit := s.maxIter
@@ -387,10 +974,11 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 		if iter > limit {
 			return 0, fmt.Errorf("%w (%d iterations over %d rows × %d columns)", ErrIterationLimit, iter, s.m, s.width)
 		}
-		// enter is a slot; ties go to the lower-numbered variable.
+		if z[cols] > target {
+			return z[cols], nil
+		}
 		enter, ev := -1, enterLimit
 		if stall < s.stallLimit {
-			// Dantzig: most negative reduced cost.
 			best := -tol
 			for k, j := range nonbasic {
 				if j < enterLimit && (z[k] < best || z[k] == best && enter >= 0 && j < ev) {
@@ -398,7 +986,6 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 				}
 			}
 		} else {
-			// Bland: smallest variable with negative reduced cost.
 			for k, j := range nonbasic {
 				if j < ev && z[k] < -tol {
 					enter, ev = k, j
@@ -408,8 +995,6 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 		if enter == -1 {
 			return z[cols], nil
 		}
-		// Leaving row: minimum ratio; ties to the smallest basis index
-		// (Bland), which with Bland pricing forbids cycling.
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i, b := range basis {
@@ -427,48 +1012,176 @@ func (s *Solver) simplex(enterLimit int) (float64, error) {
 			return 0, ErrUnbounded
 		}
 		prev := z[cols]
-		s.pivot(leave, enter)
-		if factor := z[enter]; factor != 0 {
-			z[enter] = 0
-			lrow := s.row(leave)
-			for _, k := range s.nz {
-				z[k] -= factor * lrow[k]
-			}
-			z[cols] -= factor * lrow[cols]
-		}
+		s.reprice(leave, enter, s.pivot(leave, enter, 0))
 		if z[cols] > prev+tol {
-			stall = 0 // progress: back to Dantzig pricing
+			stall = 0
 		} else {
 			stall++
 		}
 	}
 }
 
+// reprice updates the reduced-cost row after a pivot on (row, col)
+// whose entering variable moved by step.
+func (s *Solver) reprice(row, col int, step float64) {
+	z := s.z
+	if factor := z[col]; factor != 0 {
+		z[col] = 0
+		lrow := s.row(row)
+		for _, k := range s.nz {
+			z[k] -= factor * lrow[k]
+		}
+		z[s.cols] -= factor * step
+	}
+}
+
+// repair restores primal feasibility after bound, RHS or column edits.
+// Reduced costs with the wrong sign for their variable's resting bound
+// are first shifted to zero, so the dual simplex starts dual feasible
+// (the cost-shifting start of Koberstein's bounded dual simplex, PhD
+// thesis, Paderborn 2005); the row is re-priced from the true costs
+// once the basis is primal feasible, for the primal simplex to finish.
+func (s *Solver) repair() error {
+	feasible := true
+	for i, b := range s.basis[:s.m] {
+		if x := s.tab[i*s.stride+s.cols]; x < s.lo[b]-tol || x > s.hi[b]+tol {
+			feasible = false
+			break
+		}
+	}
+	if feasible {
+		return nil
+	}
+	shifted := false
+	limit := s.n + s.nSlack
+	for k, j := range s.nonbasic[:s.cols] {
+		if j >= limit {
+			continue
+		}
+		if g, _ := s.gain(k); g > tol {
+			s.z[k] = 0
+			shifted = true
+		}
+	}
+	if err := s.dual(limit); err != nil {
+		return err
+	}
+	if shifted {
+		s.price()
+	}
+	return nil
+}
+
+// dual runs the bounded dual simplex on a dual-feasible tableau until
+// every basic variable is within its bounds, considering variables
+// below enterLimit as entering candidates. The leaving row is the
+// largest bound violation; the entering column passes a two-pass
+// (Harris) ratio test, which among the columns whose ratio is within
+// tol of the smallest takes the largest pivot. A violated row with no
+// entering candidate proves the program infeasible.
+func (s *Solver) dual(enterLimit int) error {
+	cols, stride := s.cols, s.stride
+	tab, basis, nonbasic := s.tab, s.basis[:s.m], s.nonbasic[:cols]
+	z, lo, hi, room := s.z, s.lo, s.hi, s.room
+	limit := s.maxIter
+	if limit <= 0 {
+		limit = 50 * (s.m + s.width + 1)
+	}
+	for iter := 0; ; iter++ {
+		if iter > limit {
+			return fmt.Errorf("%w (dual simplex, %d iterations over %d rows × %d columns)", ErrIterationLimit, iter, s.m, s.width)
+		}
+		leave, worst := -1, tol
+		for i, b := range basis {
+			x := tab[i*stride+cols]
+			d := lo[b] - x
+			if x > hi[b] {
+				d = x - hi[b]
+			}
+			if d > worst || d == worst && leave >= 0 && b < basis[leave] {
+				leave, worst = i, d
+			}
+		}
+		if leave == -1 {
+			return nil
+		}
+		b := basis[leave]
+		row := s.row(leave)
+		to, up := lo[b], 1.0 // the leaving variable rises to lo ...
+		if row[cols] > hi[b] {
+			to, up = hi[b], -1 // ... or falls to hi
+		}
+		// A nonbasic x_k moving by Δ moves the leaving variable by
+		// −row[k]·Δ, so it must rise (Δ > 0) where up·row[k] < 0 and
+		// fall where up·row[k] > 0. ratio is |z_k|/|row[k]|, the
+		// dual step that drives z_k to zero.
+		eligible := func(k, j int) (a, ratio float64, ok bool) {
+			if j >= enterLimit {
+				return 0, 0, false
+			}
+			a = up * row[k]
+			switch {
+			case a < -tol && room[k]&canRise != 0:
+				return -a, max(z[k], 0) / -a, true
+			case a > tol && room[k]&canFall != 0:
+				return a, max(-z[k], 0) / a, true
+			}
+			return 0, 0, false
+		}
+		bound := math.Inf(1)
+		for k, j := range nonbasic {
+			if a, ratio, ok := eligible(k, j); ok {
+				bound = min(bound, ratio+tol/a)
+			}
+		}
+		enter, big := -1, 0.0
+		for k, j := range nonbasic {
+			if a, ratio, ok := eligible(k, j); ok && ratio <= bound && (a > big || a == big && j < nonbasic[enter]) {
+				enter, big = k, a
+			}
+		}
+		if enter == -1 {
+			return ErrInfeasible
+		}
+		s.reprice(leave, enter, s.pivot(leave, enter, to))
+	}
+}
+
 // pivot performs a Gauss-Jordan pivot on tableau entry (row, col): the
 // variable in slot col enters the basis at row, and row's basic
-// variable leaves into slot col. Before the update, slot col holds
-// what the leaving variable's unit column holds in a full tableau — 1
-// in the pivot row, 0 elsewhere — so the arithmetic on every stored
-// entry is the full tableau's. The row updates run over the pivot
-// row's nonzero slots only (recorded in s.nz for the caller's
-// reduced-cost update) and the RHS: subtracting f·0 changes no value,
-// at most the sign of a zero.
-func (s *Solver) pivot(row, col int) {
+// variable leaves into slot col at the value to. It returns the
+// entering variable's step. Before the update, slot col holds what the
+// leaving variable's unit column holds in a full tableau — 1 in the
+// pivot row, 0 elsewhere — so the arithmetic on every stored entry is
+// the full tableau's. The row updates run over the pivot row's
+// nonzero slots only (recorded in s.nz for the caller's reduced-cost
+// update) and the basic values: subtracting f·0 changes no value, at
+// most the sign of a zero. With the entering variable at 0 and the
+// leaving one leaving to 0, the step and the basic values are the
+// textbook RHS update's, bit for bit.
+func (s *Solver) pivot(row, col int, to float64) float64 {
 	s.pivots++
 	cols := s.cols
 	pr := s.row(row)
 	pv := pr[col]
+	step := (pr[cols] - to) / pv
 	pr[col] = 1
 	nz := s.nz[:0]
+	plain := s.plain
 	for j, v := range pr[:cols] {
 		if v != 0 {
+			if !plain && s.room[j] == 0 {
+				if u := s.nonbasic[j]; u < s.n && (s.lazy || s.stale[u]) {
+					s.stale[u] = true
+					continue
+				}
+			}
 			pr[j] = v / pv
 			nz = append(nz, j)
 		}
 	}
-	pr[cols] /= pv
+	pr[cols] = step
 	s.nz = nz
-	rhs := pr[cols]
 	for i := 0; i < s.m; i++ {
 		if i == row {
 			continue
@@ -482,11 +1195,20 @@ func (s *Solver) pivot(row, col int) {
 		for _, j := range nz {
 			r[j] -= f * pr[j]
 		}
-		r[cols] -= f * rhs
+		r[cols] -= f * step
 	}
 	enter, leave := s.nonbasic[col], s.basis[row]
 	s.basis[row], s.where[enter] = enter, -1
 	s.nonbasic[col], s.where[leave] = leave, col
+	if !s.plain {
+		if v := s.val[enter]; v != 0 {
+			pr[cols] = v + step
+		}
+		s.val[leave] = to
+		s.stale[enter], s.stale[leave] = false, false
+		s.room[col] = s.roomOf(leave)
+	}
+	return step
 }
 
 func (s *Solver) extract(sol *Solution, obj float64) {
@@ -495,19 +1217,30 @@ func (s *Solver) extract(sol *Solution, obj float64) {
 		sol.X = make([]float64, n)
 	}
 	sol.X = sol.X[:n]
-	for j := range sol.X {
-		sol.X[j] = 0
-	}
-	for i := 0; i < s.m; i++ {
-		if b := s.basis[i]; b < n {
-			sol.X[b] = s.tab[i*s.stride+s.cols]
+	for _, v := range s.nonbasic[:s.cols] {
+		if v < n {
+			sol.X[v] = 0
+			if !s.plain {
+				sol.X[v] = s.val[v]
+			}
 		}
 	}
-	// Clamp tiny negatives produced by roundoff.
-	for j, v := range sol.X {
-		if v < 0 && v > -1e-7 {
-			sol.X[j] = 0
+	for i, b := range s.basis[:s.m] {
+		if b >= n {
+			continue
 		}
+		// Clamp tiny bound violations produced by roundoff.
+		x := s.tab[i*s.stride+s.cols]
+		lo, hi := 0.0, math.Inf(1)
+		if !s.plain {
+			lo, hi = s.lo[b], s.hi[b]
+		}
+		if x < lo && x > lo-1e-7 {
+			x = lo
+		} else if x > hi && x < hi+1e-7 {
+			x = hi
+		}
+		sol.X[b] = x
 	}
 	sol.Objective = obj
 }
@@ -515,6 +1248,20 @@ func (s *Solver) extract(sol *Solution, obj float64) {
 func growFloat(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+func growBool(buf []bool, n int) []bool {
+	if cap(buf) < n {
+		return make([]bool, n)
+	}
+	return buf[:n]
+}
+
+func growUint8(buf []uint8, n int) []uint8 {
+	if cap(buf) < n {
+		return make([]uint8, n)
 	}
 	return buf[:n]
 }

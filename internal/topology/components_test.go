@@ -63,6 +63,26 @@ func buildLine(t *testing.T, n int, spacing, txRange, infRange float64) *Topolog
 	return topo
 }
 
+// TestInTxRangeHugeRange: with a range whose square overflows, two
+// nodes 1e300 m apart are out of range of each other and a third
+// 1e150 m from the first is in range.
+func TestInTxRangeHugeRange(t *testing.T) {
+	b := NewBuilder(1e200, 1e200)
+	b.Add("a", 0, 0)
+	b.Add("far", 1e300, 0)
+	b.Add("near", 0, 1e150)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.InTxRange(0, 1) {
+		t.Error("nodes 1e300 m apart are in range of a 1e200 m radio")
+	}
+	if !topo.InTxRange(0, 2) {
+		t.Error("nodes 1e150 m apart are out of range of a 1e200 m radio")
+	}
+}
+
 // sameComponents compares a RadioComponentSet against oracle output.
 func sameComponents(cs *RadioComponentSet, want [][]NodeID) bool {
 	if cs.Len() != len(want) {
