@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +12,9 @@ import (
 	"e2efair/internal/benchreport"
 )
 
-// capture redirects stdout during fn and returns what was printed.
+// capture redirects stdout during fn and returns what was printed. The
+// pipe is drained while fn runs, so output larger than the pipe's
+// buffer cannot block fn.
 func capture(t *testing.T, fn func() error) string {
 	t.Helper()
 	old := os.Stdout
@@ -18,17 +22,37 @@ func capture(t *testing.T, fn func() error) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out bytes.Buffer
+	read := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(&out, r)
+		read <- err
+	}()
 	os.Stdout = w
 	errRun := fn()
-	w.Close()
 	os.Stdout = old
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
+	w.Close()
+	errRead := <-read
 	r.Close()
 	if errRun != nil {
 		t.Fatal(errRun)
 	}
-	return string(buf[:n])
+	if errRead != nil {
+		t.Fatal(errRead)
+	}
+	return out.String()
+}
+
+// TestDuration20Golden pins benchtables -duration 20 stdout byte for
+// byte: every section, analytic and simulated, at seed 1.
+func TestDuration20Golden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "duration20.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := capture(t, func() error { return run(20, 1, "", "") }); got != string(want) {
+		t.Errorf("output differs from testdata/duration20.txt:\n%s", got)
+	}
 }
 
 func TestAnalyticSections(t *testing.T) {

@@ -394,3 +394,55 @@ func TestNewNetworkOverflowingSpan(t *testing.T) {
 		t.Errorf("flow groups %v, want two independent flows", groups)
 	}
 }
+
+// TestWeightScaleInvariance checks that 2PA-C and 2PA-D depend only
+// on the ratios of the flow weights, as the paper's shares do. Scaling
+// every weight by a power of two, down to a subnormal one, gives the
+// unit-weight shares bit for bit; other scales give them within 1e-12. A 3-node chain with very
+// large, very small or very unequal weights allocates without error.
+func TestWeightScaleInvariance(t *testing.T) {
+	strategies := []e2efair.Strategy{e2efair.StrategyCentralized, e2efair.StrategyDistributed}
+	allocate := func(spec e2efair.NetworkSpec, s e2efair.Strategy) map[string]float64 {
+		t.Helper()
+		net, err := e2efair.NewNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := net.Allocate(s)
+		if err != nil {
+			t.Fatalf("weights %v: %v", spec.Flows[0].Weight, err)
+		}
+		return a.PerFlow
+	}
+	scaled := func(spec e2efair.NetworkSpec, scale float64) e2efair.NetworkSpec {
+		spec.Flows = append([]e2efair.FlowSpec(nil), spec.Flows...)
+		for i := range spec.Flows {
+			spec.Flows[i].Weight = scale
+		}
+		return spec
+	}
+	fig6 := e2efair.Figure6Spec()
+	for _, s := range strategies {
+		want := allocate(fig6, s)
+		for _, c := range []struct {
+			scale, tol float64
+		}{{0x1p40, 0}, {0x1p-40, 0}, {0x1p-1030, 0}, {1e9, 1e-12}, {1e-10, 1e-12}} {
+			got := allocate(scaled(fig6, c.scale), s)
+			for id, w := range want {
+				if d := math.Abs(got[id] - w); d > c.tol {
+					t.Errorf("%s, weights ×%g: %s share %.17g, unit weights %.17g", s, c.scale, id, got[id], w)
+				}
+			}
+		}
+	}
+	chain := e2efair.NetworkSpec{
+		Nodes: []e2efair.NodeSpec{{Name: "A", X: 0}, {Name: "B", X: 200}, {Name: "C", X: 400}},
+		Flows: []e2efair.FlowSpec{{ID: "F1", Path: []string{"A", "B", "C"}}, {ID: "F2", Path: []string{"B", "C"}}},
+	}
+	for _, w := range [][2]float64{{1e9, 1e9}, {1e-10, 1e-10}, {1e9, 1}} {
+		chain.Flows[0].Weight, chain.Flows[1].Weight = w[0], w[1]
+		for _, s := range strategies {
+			allocate(chain, s)
+		}
+	}
+}

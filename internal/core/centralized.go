@@ -214,7 +214,7 @@ func (s *session) solveGroup(g *group, refine bool) ([]float64, error) {
 	out := make([]float64, len(g.basic))
 	t := s.sol.X[len(out)]
 	for i, y := range s.sol.X[:len(out)] {
-		out[i] = y + g.weights[i]*t
+		out[i] = y + s.weights[i]*t
 	}
 	return out, nil
 }
@@ -261,9 +261,20 @@ const (
 // artificials; floors that do not fit flip a row's normalized sense,
 // and phase 1 reports ErrInfeasible. It returns the optimal total and
 // leaves the point in s.sol.
+//
+// The shares depend only on the weights' ratios, but t scales as 1/w
+// and lp's tolerances are absolute, so load first multiplies the
+// weights by 2^weightExp(weights); s.weights and t are in those units,
+// the shares are not.
 func (s *session) load(rows [][]float64, basic, weights []float64) (float64, error) {
 	n := len(basic)
-	s.rows, s.basic, s.weights = rows, basic, weights
+	s.rows, s.basic = rows, basic
+	k := weightExp(weights)
+	s.weights = s.weights[:0]
+	for _, w := range weights {
+		s.weights = append(s.weights, math.Ldexp(w, k))
+	}
+	weights = s.weights
 	s.inT = slices.Grow(s.inT[:0], n)[:n]
 	s.prob.Reset(n + 1)
 	var wsum float64
@@ -306,6 +317,18 @@ func (s *session) load(rows [][]float64, basic, weights []float64) (float64, err
 	}
 	s.observe(&s.prob)
 	return s.sol.Objective, nil
+}
+
+// weightExp is the k for which 2^k times the largest of weights lies
+// in [1, 2): 0 for unit weights. The scaling is exact, and it leaves a
+// subnormal weight normal, where 2^k itself would overflow.
+func weightExp(weights []float64) int {
+	var wmax float64
+	for _, w := range weights {
+		wmax = max(wmax, w)
+	}
+	_, e := math.Frexp(wmax)
+	return 1 - e
 }
 
 // rowBuf returns the session's row scratch with width zeroed entries.

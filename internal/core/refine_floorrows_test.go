@@ -53,6 +53,7 @@ func FirstFloorRounds(inst *Instance) ([]FloorRound, error) {
 		if r.T, err = s.floor(frozen, opt); err != nil {
 			return nil, err
 		}
+		r.T = math.Ldexp(r.T, weightExp(g.weights)) // in g.weights' units, as RowT is
 		// lp.Problem exports no row count; read its row slice's length.
 		r.Rows = reflect.ValueOf(&s.prob).Elem().FieldByName("constraints").Len()
 		if r.RowT, err = rows.maximizeFloorRows(cliques, g.basic, g.weights, opt, frozen, value); err != nil {

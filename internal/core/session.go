@@ -20,9 +20,9 @@ type session struct {
 	sol    lp.Solution
 	prob   lp.Problem
 
-	// The loaded group's clique rows, basic shares, weights and
-	// t0 = max basic_i/w_i, and which flows' columns stand for
-	// x_i − w_i·t (see load).
+	// The loaded group's clique rows, basic shares, weights (scaled,
+	// see load) and t0 = max basic_i/w_i, and which flows' columns
+	// stand for x_i − w_i·t.
 	rows           [][]float64
 	basic, weights []float64
 	t0             float64

@@ -265,9 +265,6 @@ func (s *fullSolver) simplex(enterLimit int) (float64, error) {
 		z[j] = -s.cost[j]
 	}
 	z[width] = 0
-	if s.m == 0 {
-		return 0, nil
-	}
 	for i := 0; i < s.m; i++ {
 		cb := s.cost[s.basis[i]]
 		if cb == 0 {

@@ -194,10 +194,7 @@ func Solve(p *Problem) (*Solution, error) {
 // of row i. Bland's rule is used throughout.
 func runSimplex(tab [][]float64, basis []int, cost []float64) (float64, error) {
 	m := len(tab)
-	if m == 0 {
-		return 0, nil
-	}
-	width := len(tab[0]) - 1
+	width := len(cost)
 
 	// Reduced costs: z_j - c_j computed against the current basis. We
 	// maintain an explicit cost row and eliminate basic columns.

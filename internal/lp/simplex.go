@@ -64,7 +64,6 @@ type Problem struct {
 	objective   []float64
 	constraints []Constraint
 	lo, hi      []float64 // variable bounds, [0, +Inf) by default
-	bounded     bool      // SetBounds has set a bound since Reset
 
 	// version counts mutations of everything but the objective
 	// (constraints, right-hand sides, bounds, Reset); a Solver
@@ -98,7 +97,6 @@ func (p *Problem) Reset(numVars int) {
 		p.hi[j] = math.Inf(1)
 	}
 	p.constraints = p.constraints[:0]
-	p.bounded = false
 	p.version++
 }
 
@@ -115,7 +113,6 @@ func (p *Problem) SetBounds(j int, lo, hi float64) error {
 		return nil
 	}
 	p.lo[j], p.hi[j] = lo, hi
-	p.bounded = true
 	p.version++
 	return nil
 }

@@ -98,11 +98,6 @@ type Solver struct {
 	dropped bool
 	// edited records bound, RHS or column edits since the last solve.
 	edited bool
-	// plain records that every variable is bounded [0, +Inf) and
-	// rests at 0 when nonbasic. A plain tableau leaves lo, hi, val,
-	// room and stale unset, skips their upkeep, and fills them in
-	// (unplain) at its first bound edit.
-	plain bool
 	// lazy lets pivots skip the columns of fixed nonbasic decision
 	// variables, which can never enter: a skipped column is marked
 	// stale, skipped by every later pivot, and recomputed from the
@@ -111,7 +106,7 @@ type Solver struct {
 	// inverse covers every row.
 	lazy   bool
 	stale  []bool
-	start  []float64 // load scratch: each decision variable's start
+	moved  []int     // load scratch: decision variables starting off 0
 	colIn  []float64 // refresh scratch: the column's coefficients
 	colBuf []float64 // refresh scratch: the recomputed tableau column
 
@@ -266,7 +261,6 @@ func (s *Solver) SetRHS(p *Problem, i int, rhs float64) error {
 		return nil
 	}
 	s.lastVersion = p.version
-	s.unplain()
 	sense, v := p.constraints[i].Sense, s.dualVar[i]
 	if math.IsInf(rhs, 0) {
 		s.bound(v, math.Inf(-1), math.Inf(1))
@@ -305,7 +299,6 @@ func (s *Solver) AddColumn(p *Problem, j, k int, f float64) error {
 	if !warm {
 		return nil
 	}
-	s.unplain()
 	if s.where[j] < 0 && !s.pivotOut(j) {
 		s.last = nil
 		return nil
@@ -358,7 +351,6 @@ func (s *Solver) refresh(v int) {
 // its value when the new bounds hold it and otherwise moves to the
 // nearer one, shifting the basic values with it.
 func (s *Solver) bound(v int, lo, hi float64) {
-	s.unplain()
 	s.lo[v], s.hi[v] = lo, hi
 	s.edited = true
 	if s.where[v] < 0 {
@@ -470,7 +462,7 @@ func (s *Solver) Dual(i int) float64 {
 // (complementary slackness). ReducedCost returns 0 for a basic or a
 // fixed variable, an out-of-range j, or when the last solve failed.
 func (s *Solver) ReducedCost(j int) float64 {
-	if s.last == nil || j < 0 || j >= s.n || !s.plain && s.lo[j] == s.hi[j] {
+	if s.last == nil || j < 0 || j >= s.n || s.lo[j] == s.hi[j] {
 		return 0
 	}
 	k := s.where[j]
@@ -511,22 +503,15 @@ func rest(lo, hi float64) float64 {
 func (s *Solver) load(p *Problem) {
 	m := len(p.constraints)
 	n := p.n
-	// A program whose bounds were never set has every decision
-	// variable starting at 0, and a row's residual RHS is its RHS.
-	defaults := !p.bounded
-	s.plain = defaults
-	if !defaults {
-		s.start = growFloat(s.start, n)
-		for j, lo := range p.lo[:n] {
-			s.start[j] = rest(lo, p.hi[j])
+	s.moved = s.moved[:0]
+	for j, lo := range p.lo[:n] {
+		if rest(lo, p.hi[j]) != 0 {
+			s.moved = append(s.moved, j)
 		}
 	}
 	nSlack, nArt, nGE := 0, 0, 0
 	for _, c := range p.constraints {
-		r, vacuous := s.residual(c, defaults)
-		if vacuous {
-			s.plain = false
-		}
+		r, vacuous := s.residual(p, c)
 		switch rowSense(c.Sense, r, vacuous) {
 		case LE:
 			nSlack++
@@ -556,14 +541,22 @@ func (s *Solver) load(p *Problem) {
 		s.nonbasic[j], where[j] = j, j
 	}
 	s.where = where
-	if !s.plain {
-		s.defaults()
-		copy(s.lo, p.lo[:n])
-		copy(s.hi, p.hi[:n])
-		if !defaults {
-			copy(s.val, s.start)
-		}
+	// Slacks, surpluses and artificials are bounded [0, +Inf) and rest
+	// at 0; every variable's column is current.
+	s.lo, s.hi = growFloat(s.lo, width), growFloat(s.hi, width)
+	s.val, s.stale = growFloat(s.val, width), growBool(s.stale, width)
+	s.room = growUint8(s.room, cols)
+	copy(s.lo, p.lo[:n])
+	clear(s.lo[n:])
+	copy(s.hi, p.hi[:n])
+	for v := n; v < width; v++ {
+		s.hi[v] = math.Inf(1)
 	}
+	clear(s.val)
+	for _, j := range s.moved {
+		s.val[j] = rest(p.lo[j], p.hi[j])
+	}
+	clear(s.stale)
 	s.ncons = m
 	s.dualVar = growInt(s.dualVar, m)
 	s.dualSign = growFloat(s.dualSign, m)
@@ -573,7 +566,7 @@ func (s *Solver) load(p *Problem) {
 	slackAt, artAt, surplusAt := n, n+nSlack, n
 	for i, c := range p.constraints {
 		row := s.tab[i*stride : i*stride+stride]
-		b, vacuous := s.residual(c, defaults)
+		b, vacuous := s.residual(p, c)
 		sense := rowSense(c.Sense, b, vacuous)
 		sign := 1.0
 		if b < 0 && !vacuous {
@@ -614,53 +607,21 @@ func (s *Solver) load(p *Problem) {
 			artAt++
 		}
 	}
-	if !s.plain {
-		for k, v := range s.nonbasic[:cols] {
-			s.room[k] = s.roomOf(v)
-		}
+	for k, v := range s.nonbasic[:cols] {
+		s.room[k] = s.roomOf(v)
 	}
 }
 
-// defaults sizes the bound rows to the loaded tableau and fills them
-// as a plain tableau has them implicitly: every variable bounded
-// [0, +Inf), current and resting at 0, free to rise.
-func (s *Solver) defaults() {
-	s.lo, s.hi = growFloat(s.lo, s.width), growFloat(s.hi, s.width)
-	s.val, s.stale = growFloat(s.val, s.width), growBool(s.stale, s.width)
-	s.room = growUint8(s.room, s.cols)
-	clear(s.lo)
-	clear(s.val)
-	clear(s.stale)
-	for v := range s.hi {
-		s.hi[v] = math.Inf(1)
-	}
-	for k := range s.room {
-		s.room[k] = canRise
-	}
-}
-
-// unplain fills in the bound rows of a plain tableau before an edit
-// that needs them.
-func (s *Solver) unplain() {
-	if s.plain {
-		s.defaults()
-		s.plain = false
-	}
-}
-
-// residual is row c's RHS less its activity at the start point (its
-// RHS, when every start is 0), and reports a vacuous row, whose RHS
-// counts as 0.
-func (s *Solver) residual(c Constraint, defaults bool) (r float64, vacuous bool) {
+// residual is p's row c's RHS less its activity at the start point,
+// and reports a vacuous row, whose RHS counts as 0.
+func (s *Solver) residual(p *Problem, c Constraint) (r float64, vacuous bool) {
 	r = c.RHS
 	if vacuous = r > math.MaxFloat64 || r < -math.MaxFloat64; vacuous {
 		r = 0
 	}
-	if !defaults {
-		for j, a := range c.Coeffs {
-			if v := s.start[j]; v != 0 && a != 0 {
-				r -= a * v
-			}
+	for _, j := range s.moved {
+		if a := c.Coeffs[j]; a != 0 {
+			r -= a * rest(p.lo[j], p.hi[j])
 		}
 	}
 	return r, vacuous
@@ -783,25 +744,11 @@ func (s *Solver) price() {
 			z[k] += cb * row[k]
 		}
 	}
-	if s.plain {
-		return // every nonbasic variable rests at 0
-	}
 	for _, j := range nonbasic {
 		if v, c := s.val[j], s.cost[j]; v != 0 && c != 0 {
 			z[cols] += c * v
 		}
 	}
-}
-
-// defaultBounds reports whether every decision variable has the
-// default bounds [0, +Inf).
-func (s *Solver) defaultBounds() bool {
-	for j := 0; j < s.n; j++ {
-		if s.lo[j] != 0 || !math.IsInf(s.hi[j], 1) {
-			return false
-		}
-	}
-	return true
 }
 
 // gain is what pricing sees in slot k: the larger rate of objective
@@ -831,16 +778,9 @@ func (s *Solver) gain(k int) (float64, float64) {
 // entering variable that reaches its other bound first flips to it
 // without a pivot.
 func (s *Solver) primal(enterLimit int, target float64) (float64, error) {
-	if s.plain {
-		return s.primalPlain(enterLimit, target)
-	}
 	cols := s.cols
 	z := s.z
 	nonbasic := s.nonbasic[:cols]
-	if s.m == 0 && s.defaultBounds() {
-		// Every row was redundant: the reference reports the origin.
-		return 0, nil
-	}
 	tab, stride, basis := s.tab, s.stride, s.basis[:s.m]
 	lo, hi, room := s.lo, s.hi, s.room
 	limit := s.maxIter
@@ -946,75 +886,6 @@ func (s *Solver) primal(enterLimit int, target float64) (float64, error) {
 		}
 		if z[cols] > prev+tol {
 			stall = 0 // progress: back to Dantzig pricing
-		} else {
-			stall++
-		}
-	}
-}
-
-// primalPlain is primal on a plain tableau: every variable bounded
-// [0, +Inf) and resting at 0, so pricing looks for the most negative
-// reduced cost, the ratio test for the smallest RHS/entry, and no
-// variable flips.
-func (s *Solver) primalPlain(enterLimit int, target float64) (float64, error) {
-	cols := s.cols
-	z := s.z
-	nonbasic := s.nonbasic[:cols]
-	if s.m == 0 {
-		// Every row was redundant: the reference reports the origin.
-		return 0, nil
-	}
-	tab, stride, basis := s.tab, s.stride, s.basis[:s.m]
-	limit := s.maxIter
-	if limit <= 0 {
-		limit = 10000 * (s.m + s.width + 1)
-	}
-	stall := 0
-	for iter := 0; ; iter++ {
-		if iter > limit {
-			return 0, fmt.Errorf("%w (%d iterations over %d rows × %d columns)", ErrIterationLimit, iter, s.m, s.width)
-		}
-		if z[cols] > target {
-			return z[cols], nil
-		}
-		enter, ev := -1, enterLimit
-		if stall < s.stallLimit {
-			best := -tol
-			for k, j := range nonbasic {
-				if j < enterLimit && (z[k] < best || z[k] == best && enter >= 0 && j < ev) {
-					best, enter, ev = z[k], k, j
-				}
-			}
-		} else {
-			for k, j := range nonbasic {
-				if j < ev && z[k] < -tol {
-					enter, ev = k, j
-				}
-			}
-		}
-		if enter == -1 {
-			return z[cols], nil
-		}
-		leave := -1
-		bestRatio := math.Inf(1)
-		for i, b := range basis {
-			a := tab[i*stride+enter]
-			if a <= tol {
-				continue
-			}
-			ratio := tab[i*stride+cols] / a
-			if ratio < bestRatio-tol || (ratio < bestRatio+tol && (leave == -1 || b < basis[leave])) {
-				bestRatio = ratio
-				leave = i
-			}
-		}
-		if leave == -1 {
-			return 0, ErrUnbounded
-		}
-		prev := z[cols]
-		s.reprice(leave, enter, s.pivot(leave, enter, 0))
-		if z[cols] > prev+tol {
-			stall = 0
 		} else {
 			stall++
 		}
@@ -1167,10 +1038,9 @@ func (s *Solver) pivot(row, col int, to float64) float64 {
 	step := (pr[cols] - to) / pv
 	pr[col] = 1
 	nz := s.nz[:0]
-	plain := s.plain
 	for j, v := range pr[:cols] {
 		if v != 0 {
-			if !plain && s.room[j] == 0 {
+			if s.room[j] == 0 {
 				if u := s.nonbasic[j]; u < s.n && (s.lazy || s.stale[u]) {
 					s.stale[u] = true
 					continue
@@ -1200,14 +1070,12 @@ func (s *Solver) pivot(row, col int, to float64) float64 {
 	enter, leave := s.nonbasic[col], s.basis[row]
 	s.basis[row], s.where[enter] = enter, -1
 	s.nonbasic[col], s.where[leave] = leave, col
-	if !s.plain {
-		if v := s.val[enter]; v != 0 {
-			pr[cols] = v + step
-		}
-		s.val[leave] = to
-		s.stale[enter], s.stale[leave] = false, false
-		s.room[col] = s.roomOf(leave)
+	if v := s.val[enter]; v != 0 {
+		pr[cols] = v + step
 	}
+	s.val[leave] = to
+	s.stale[enter], s.stale[leave] = false, false
+	s.room[col] = s.roomOf(leave)
 	return step
 }
 
@@ -1219,10 +1087,7 @@ func (s *Solver) extract(sol *Solution, obj float64) {
 	sol.X = sol.X[:n]
 	for _, v := range s.nonbasic[:s.cols] {
 		if v < n {
-			sol.X[v] = 0
-			if !s.plain {
-				sol.X[v] = s.val[v]
-			}
+			sol.X[v] = s.val[v]
 		}
 	}
 	for i, b := range s.basis[:s.m] {
@@ -1231,10 +1096,7 @@ func (s *Solver) extract(sol *Solution, obj float64) {
 		}
 		// Clamp tiny bound violations produced by roundoff.
 		x := s.tab[i*s.stride+s.cols]
-		lo, hi := 0.0, math.Inf(1)
-		if !s.plain {
-			lo, hi = s.lo[b], s.hi[b]
-		}
+		lo, hi := s.lo[b], s.hi[b]
 		if x < lo && x > lo-1e-7 {
 			x = lo
 		} else if x > hi && x < hi+1e-7 {

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -287,6 +288,54 @@ func TestSolverInfeasibleAndUnbounded(t *testing.T) {
 	}
 	if math.Abs(sol.Objective-53.0/24) > 1e-6 {
 		t.Errorf("objective after errors = %g, want %g", sol.Objective, 53.0/24)
+	}
+}
+
+// TestNoRows pins programs with no rows, or whose every row phase 1
+// drops as redundant (0·x = 0): with a positive objective coefficient
+// the objective grows without bound, and without one the optimum is
+// the origin. The Solver and both oracles must agree.
+func TestNoRows(t *testing.T) {
+	cases := []struct {
+		name string
+		obj  []float64
+		rows int // redundant 0·x = 0 rows
+		want error
+	}{
+		{"no rows, positive", []float64{1, 1}, 0, ErrUnbounded},
+		{"no rows, one positive", []float64{-1, 1}, 0, ErrUnbounded},
+		{"no rows, non-positive", []float64{-1, 0}, 0, nil},
+		{"redundant rows, positive", []float64{1, 1}, 2, ErrUnbounded},
+		{"redundant rows, non-positive", []float64{0, -2}, 2, nil},
+	}
+	solvers := map[string]func(*Problem) (*Solution, error){
+		"solver":    NewSolver().Solve,
+		"reference": Solve,
+		"full": func(p *Problem) (*Solution, error) {
+			var sol Solution
+			return &sol, newFullSolver().SolveInto(p, &sol)
+		},
+	}
+	for _, c := range cases {
+		p := NewProblem(len(c.obj))
+		if err := p.SetObjective(c.obj); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.rows; i++ {
+			if err := p.AddEQ(make([]float64, len(c.obj)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, solve := range solvers {
+			sol, err := solve(p)
+			if !errors.Is(err, c.want) {
+				t.Errorf("%s: %s: err = %v, want %v", c.name, name, err, c.want)
+				continue
+			}
+			if err == nil && (sol.Objective != 0 || slices.ContainsFunc(sol.X, func(x float64) bool { return x != 0 })) {
+				t.Errorf("%s: %s: x = %v, objective %g, want the origin", c.name, name, sol.X, sol.Objective)
+			}
+		}
 	}
 }
 

@@ -83,6 +83,31 @@ func TestRegisterRemoveSameWindow(t *testing.T) {
 	}
 }
 
+// TestExtremeWeightSameWindow registers a weight-1e9 flow and a
+// weight-1 flow in one window: the shares depend only on the weights'
+// ratio, so both registrations succeed and both flows get a share.
+func TestExtremeWeightSameWindow(t *testing.T) {
+	topo, ids := clusteredTopo(t, 1, 4)
+	e, err := New(Config{Topo: topo, Window: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	heavy := e.RegisterAsync(FlowSpec{ID: "heavy", Weight: 1e9, Path: ids[0]})
+	light := e.RegisterAsync(FlowSpec{ID: "light", Weight: 1, Path: ids[0][1:]})
+	if err := <-heavy; err != nil {
+		t.Fatalf("weight-1e9 register: %v", err)
+	}
+	if err := <-light; err != nil {
+		t.Fatalf("weight-1 register in the same window: %v", err)
+	}
+	for _, id := range []flow.ID{"heavy", "light"} {
+		if share, _, ok := e.GetShare(id); !ok || !(share > 0) {
+			t.Errorf("%s: share %v, registered %v", id, share, ok)
+		}
+	}
+}
+
 // TestRemoveUnknownFlow pins the typed error for removal of a flow
 // that is not (or no longer) registered.
 func TestRemoveUnknownFlow(t *testing.T) {
