@@ -36,11 +36,12 @@ bench-lp: build
 	$(GO) test -run '^$$' -bench '^Benchmark(LPSolve|LPSolveReference|RefineDenseArrivals|DistributedAllocate)$$' -benchmem -count 5 ./internal/lp ./internal/core . | $(GO) run ./cmd/benchjson -compare BENCH_lp.json BENCH_lp.json
 
 # Sharded allocation-engine perf trajectory: sequential oracle walk vs
-# 8-worker sharded fan-out on a 32-component instance, and the
+# 8-worker sharded fan-out on a 32-component instance, the
 # churn-delta re-solve (solves per churn event must stay ≪ group
-# count).
+# count), and one fresh arrival's live clique update on the dense
+# shape (us/update, cliques).
 bench-alloc: build
-	$(GO) test -run '^$$' -bench '^Benchmark(CentralizedShardedSeq|CentralizedShardedPar|ChurnDelta)$$' -benchmem -count 5 ./internal/core | $(GO) run ./cmd/benchjson -compare BENCH_alloc.json BENCH_alloc.json
+	$(GO) test -run '^$$' -bench '^Benchmark(CentralizedShardedSeq|CentralizedShardedPar|ChurnDelta|LiveArrival)$$' -benchmem -count 5 ./internal/core | $(GO) run ./cmd/benchjson -compare BENCH_alloc.json BENCH_alloc.json
 
 # MAC/PHY datapath perf trajectory: the unicast contention and
 # broadcast fan-out hot paths on a dense 30-node medium (must stay at

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"e2efair"
+	"e2efair/internal/core"
 	"e2efair/internal/flow"
 	"e2efair/internal/topology"
 )
@@ -398,8 +399,11 @@ func TestNewNetworkOverflowingSpan(t *testing.T) {
 // TestWeightScaleInvariance checks that 2PA-C and 2PA-D depend only
 // on the ratios of the flow weights, as the paper's shares do. Scaling
 // every weight by a power of two, down to a subnormal one, gives the
-// unit-weight shares bit for bit; other scales give them within 1e-12. A 3-node chain with very
-// large, very small or very unequal weights allocates without error.
+// unit-weight shares bit for bit; other scales, up to 1e308, where
+// Σ w_j·v_j overflows unless the weights are scaled first, give them
+// within 1e-12. A 3-node chain with very large, very small or very
+// unequal weights allocates without error, and one whose weights are
+// 1e600 apart fails with core.ErrWeightRange.
 func TestWeightScaleInvariance(t *testing.T) {
 	strategies := []e2efair.Strategy{e2efair.StrategyCentralized, e2efair.StrategyDistributed}
 	allocate := func(spec e2efair.NetworkSpec, s e2efair.Strategy) map[string]float64 {
@@ -426,7 +430,7 @@ func TestWeightScaleInvariance(t *testing.T) {
 		want := allocate(fig6, s)
 		for _, c := range []struct {
 			scale, tol float64
-		}{{0x1p40, 0}, {0x1p-40, 0}, {0x1p-1030, 0}, {1e9, 1e-12}, {1e-10, 1e-12}} {
+		}{{0x1p40, 0}, {0x1p-40, 0}, {0x1p-1030, 0}, {1e9, 1e-12}, {1e-10, 1e-12}, {1e308, 1e-12}} {
 			got := allocate(scaled(fig6, c.scale), s)
 			for id, w := range want {
 				if d := math.Abs(got[id] - w); d > c.tol {
@@ -443,6 +447,16 @@ func TestWeightScaleInvariance(t *testing.T) {
 		chain.Flows[0].Weight, chain.Flows[1].Weight = w[0], w[1]
 		for _, s := range strategies {
 			allocate(chain, s)
+		}
+	}
+	chain.Flows[0].Weight, chain.Flows[1].Weight = 1e300, 1e-300
+	net, err := e2efair.NewNetwork(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range strategies {
+		if _, err := net.Allocate(s); !errors.Is(err, core.ErrWeightRange) {
+			t.Errorf("%s, weights (1e300, 1e-300): error %v, want core.ErrWeightRange", s, err)
 		}
 	}
 }

@@ -96,12 +96,14 @@ func (s bitset) appendMembers(dst []int) []int {
 	return dst
 }
 
-// clearBelow removes members [0, k).
-func (s bitset) clearBelow(k int) {
-	clear(s[:k>>6])
-	if r := uint(k & 63); r != 0 {
-		s[k>>6] &^= (1 << r) - 1
+// clearFrom removes members [k, 64·len(s)).
+func (s bitset) clearFrom(k int) {
+	wi := k >> 6
+	if wi >= len(s) {
+		return
 	}
+	s[wi] &= 1<<uint(k&63) - 1
+	clear(s[wi+1:])
 }
 
 // cut deletes members [a, b) and renumbers every member m ≥ b to

@@ -85,52 +85,22 @@ func (sc *bkScratch) carve(n int) {
 // (cliques not contained in another clique, Sec. III-A). Isolated
 // vertices form singleton cliques. Cliques are returned in a
 // deterministic order: each sorted ascending, the list sorted
-// lexicographically by member indices. It is extendCliques with every
-// vertex new, the same path a Live graph takes when subflows join.
+// lexicographically by member indices. A Live graph builds its first
+// cliques here and updates them by intersection (see Live.grow).
 func (g *Graph) MaximalCliques() []Clique {
-	return g.extendCliques(nil, 0)
-}
-
-// extendCliques turns cliques — the canonical maximal cliques of the
-// graph induced on vertices [0, first) — into the canonical maximal
-// cliques of the whole graph, after vertices S = [first, n) joined. An
-// old clique C stays maximal unless some s ∈ S is adjacent to all of
-// it (then C ∪ {s} is a clique); every new maximal clique contains a
-// vertex of S and is enumerated once by visitFrom. Re-sorting into the
-// canonical order makes the result byte-identical to enumerating the
-// whole graph from scratch, which is the first = 0 case.
-func (g *Graph) extendCliques(cliques []Clique, first int) []Clique {
 	n := len(g.subflows)
-	if first >= n {
-		return cliques
+	if n == 0 {
+		return nil
 	}
 	sc := acquireScratch(n)
 	defer releaseScratch(sc)
-	kept := cliques[:0]
-	for _, c := range cliques {
-		if !g.dominated(sc.common, c, first) {
-			kept = append(kept, c)
-		}
-	}
-	clear(cliques[len(kept):])
-	cliques = kept
-	g.visitFrom(sc, first, func(r []int) {
+	var cliques []Clique
+	g.visitAll(sc, func(r []int) {
 		c := slices.Clone(r)
 		slices.Sort(c)
 		cliques = append(cliques, Clique(c))
 	})
 	return canonicalCliques(cliques)
-}
-
-// dominated reports whether some vertex ≥ first is adjacent to every
-// member of c, using common as scratch.
-func (g *Graph) dominated(common bitset, c Clique, first int) bool {
-	common.copyFrom(g.rows[c[0]])
-	for _, v := range c[1:] {
-		common.intersect(common, g.rows[v])
-	}
-	common.clearBelow(first)
-	return !common.empty()
 }
 
 // canonicalCliques sorts cliques (each already ascending) into
@@ -140,16 +110,15 @@ func canonicalCliques(cliques []Clique) []Clique {
 	return slices.CompactFunc(cliques, func(a, b Clique) bool { return slices.Equal(a, b) })
 }
 
-// visitFrom calls visit once per maximal clique that contains a vertex
-// of S = [first, n). Each s ∈ S, in degeneracy order, roots a pivoted
-// search with P = N(s) minus the S vertices already rooted and X =
-// N(s) ∩ those vertices (Eppstein–Löffler–Strash), so each such clique
-// is reported exactly once, at its first S vertex. With first = 0 this
-// enumerates every maximal clique, each branch's candidate set bounded
-// by the degeneracy rather than the maximum degree.
-func (g *Graph) visitFrom(sc *bkScratch, first int, visit func([]int)) {
+// visitAll calls visit once per maximal clique. Each vertex, in
+// degeneracy order, roots a pivoted search with P = its neighbors not
+// yet rooted and X = its neighbors already rooted
+// (Eppstein–Löffler–Strash), so each clique is reported exactly once,
+// at its first vertex in that order, and each branch's candidate set
+// is bounded by the degeneracy rather than the maximum degree.
+func (g *Graph) visitAll(sc *bkScratch, visit func([]int)) {
 	n := len(g.subflows)
-	g.degeneracyOrder(sc, first)
+	g.degeneracyOrder(sc)
 	notRooted := sc.remaining
 	notRooted.fill(n)
 	for _, v := range sc.order {
@@ -206,21 +175,19 @@ func (g *Graph) bk(sc *bkScratch, depth int, visit func([]int)) {
 	}
 }
 
-// degeneracyOrder fills sc.order with the vertices [first, n) by
-// repeatedly removing the one of minimum residual degree, smallest
-// index first on ties — a deterministic degeneracy ordering (of the
-// whole graph when first = 0). Residual degrees start at the full
-// degree and drop as neighbors in the range are removed; they are
+// degeneracyOrder fills sc.order with the vertices by repeatedly
+// removing the one of minimum residual degree, smallest index first on
+// ties — a deterministic degeneracy ordering. Residual degrees start
+// at the full degree and drop as neighbors are removed; they are
 // maintained with bitset sweeps, O(n²/64) per graph.
-func (g *Graph) degeneracyOrder(sc *bkScratch, first int) {
+func (g *Graph) degeneracyOrder(sc *bkScratch) {
 	n := len(g.subflows)
 	remaining := sc.remaining
 	remaining.fill(n)
-	remaining.clearBelow(first)
 	deg := sc.deg[:n]
 	copy(deg, g.degrees)
 	sc.order = sc.order[:0]
-	for len(sc.order) < n-first {
+	for len(sc.order) < n {
 		pick, pickDeg := -1, n+1
 		for wi, w := range remaining {
 			base := wi << 6

@@ -38,8 +38,8 @@ type Delta struct {
 	// never changes results, only future Solved/Reused splits.
 	Evicted int
 	// LPSolves counts the LP solves the Solved groups took: each
-	// group's optimal total plus, under Refine, the refinement's floor,
-	// re-derivation and probe LPs.
+	// group's optimal total plus, under Refine, the refinement's floor
+	// LPs.
 	LPSolves int
 	// ColdSolves counts the LP solves among LPSolves that started
 	// from a fresh tableau rather than re-optimizing a retained one.
@@ -240,11 +240,8 @@ const (
 // The LPs differ only in bounds, the total row's RHS and the
 // objective:
 //
-//	first   max Σ x        t = t0, y_i ≥ 0, R = −Inf
-//	total   max Σ x        t fixed, y_i ≥ basic_i − w_i·t, R = −Inf
-//	floor   max t          t ≥ t0, y_i ≥ 0, R = opt − optTol
-//	settle  min Σ c_i·y_i  t = t*, y_i ≥ 0, R = opt − optTol
-//	probe   max x_j        t = t*, y_i ≥ max(basic_i, w_i·t* − optTol) − w_i·t*
+//	first   max Σ x   t = t0, y_i ≥ 0, R = −Inf
+//	floor   max t     t ≥ t0, y_i ≥ 0, R = opt − optTol
 //
 // with frozen flows fixed throughout. Freezing a flow takes
 // w_i·(column i) out of t's column (AddColumn) and fixes column i at
@@ -263,18 +260,17 @@ const (
 // leaves the point in s.sol.
 //
 // The shares depend only on the weights' ratios, but t scales as 1/w
-// and lp's tolerances are absolute, so load first multiplies the
-// weights by 2^weightExp(weights); s.weights and t are in those units,
-// the shares are not.
+// and lp's tolerances are absolute, so both callers scale the weights
+// first (scaleWeights). A weight that is not a normal float after
+// that scaling fails with ErrWeightRange.
 func (s *session) load(rows [][]float64, basic, weights []float64) (float64, error) {
 	n := len(basic)
-	s.rows, s.basic = rows, basic
-	k := weightExp(weights)
-	s.weights = s.weights[:0]
 	for _, w := range weights {
-		s.weights = append(s.weights, math.Ldexp(w, k))
+		if !(w >= 0x1p-1022) {
+			return 0, fmt.Errorf("%w: a weight is %g once the largest is scaled to [1, 2)", ErrWeightRange, w)
+		}
 	}
-	weights = s.weights
+	s.rows, s.basic, s.weights = rows, basic, weights
 	s.inT = slices.Grow(s.inT[:0], n)[:n]
 	s.prob.Reset(n + 1)
 	var wsum float64
@@ -319,18 +315,6 @@ func (s *session) load(rows [][]float64, basic, weights []float64) (float64, err
 	return s.sol.Objective, nil
 }
 
-// weightExp is the k for which 2^k times the largest of weights lies
-// in [1, 2): 0 for unit weights. The scaling is exact, and it leaves a
-// subnormal weight normal, where 2^k itself would overflow.
-func weightExp(weights []float64) int {
-	var wmax float64
-	for _, w := range weights {
-		wmax = max(wmax, w)
-	}
-	_, e := math.Frexp(wmax)
-	return 1 - e
-}
-
 // rowBuf returns the session's row scratch with width zeroed entries.
 func (s *session) rowBuf(width int) []float64 {
 	s.buf = slices.Grow(s.buf[:0], width)[:width]
@@ -371,119 +355,59 @@ func (s *session) objective(p *lp.Problem, coef, tc float64) error {
 // point among the optima of the loaded group's program, max Σ x_i
 // subject to rows·x ≤ 1, x ≥ basic, whose optimal total opt load
 // found. It repeatedly maximizes the smallest normalized share
-// x_i/w_i among unfrozen flows, then freezes the flows that cannot
-// exceed that level, in the style of progressive filling.
+// x_i/w_i among unfrozen flows, then freezes flows that cannot exceed
+// that level, in the style of progressive filling.
 //
-// A flow is frozen by one of two tests. Most are certified by the
-// floor LP: a floor with a positive shadow price binds at every
-// optimum of max t (complementary slackness), so its flow cannot rise
-// above w_i·t* without lowering t* (see floor). A flow whose floor has
-// a zero shadow price and that sits at the threshold is probed: one
-// LP asks whether its share can rise above the threshold among the
-// round's optima (see probe).
+// The floor LP's dual certifies the flows to freeze: a floor with a
+// positive shadow price binds at every optimum of max t
+// (complementary slackness), so its flow cannot rise above w_i·t*
+// without lowering t* (see floor). Every round certifies a flow. t's
+// column is Σ w_i·(column i) over the unfrozen flows and its objective
+// coefficient is 1, so at an optimum the floors' shadow prices d_i ≥ 0
+// meet Σ w_i·d_i ≥ 1; with the largest weight below 2 (scaleWeights),
+// some d_i is at least 1/(2n), far above dualTol. A round may freeze
+// any non-empty subset of its blocked flows (Radunović & Le Boudec,
+// IEEE/ACM ToN 2007): a blocked flow the certificate misses is still
+// blocked at the next round's level, which the frozen flows cannot
+// lower, and is found there.
+//
+// Every round keeps the first round's total row Σ x ≥ opt − optTol.
+// Each round freezes flows at one point that meets it, and fix keeps
+// the point, so the next round's floor LP starts from a feasible
+// point of the same row. A deferred blocked flow therefore finds the
+// same level again, not one raised by fresh slack, and the refinement
+// gives up at most optTol of the optimal total in all.
 func (s *session) refineMaxMin(opt float64) ([]float64, error) {
 	n := len(s.basic)
 	frozen := make([]bool, n)
 	value := make([]float64, n)
-	level := s.t0 // t's value, fixed outside the floor LP
-	for remaining, first := n, true; remaining > 0; first = false {
-		// Re-derive the optimal total against the current frozen set:
-		// freezing at w·t* carries rounding error that would otherwise
-		// accumulate into infeasibility of the Σx ≥ opt constraint. In
-		// the first round nothing is frozen and opt is exactly this
-		// program's optimum, so the solve is skipped.
-		if !first {
-			var err error
-			if opt, err = s.total(frozen, level); err != nil {
-				return nil, err
-			}
-		}
+	for remaining := n; remaining > 0; {
 		t, err := s.floor(frozen, opt)
 		if err != nil {
 			return nil, err
 		}
-		level = t
 		// Fixing t at t*, which the floor LP's point has, lets fix
-		// edit t's column; the probes and settle keep it fixed.
+		// edit t's column. A certified flow's floor is nonbasic at 0,
+		// so s.point holds it at exactly w_i·t*, the value it has at
+		// every optimum.
 		if err := s.solver.SetBounds(&s.prob, n, t, t); err != nil {
 			return nil, err
 		}
-		// An optimal point of the floor LP is the freeze target:
-		// freezing several variables in one round at individually-
-		// maximized values can be jointly infeasible, while s.point is
-		// one consistent optimum. A certified flow sits at its floor at
-		// every optimum; before the first probe freezes a flow, settle
-		// moves s.point to the one optimum a fixed secondary objective
-		// selects, so the values frozen do not depend on the vertex the
-		// floor LP's solve reached.
-		anyFrozen, built, settled := false, false, false
-		freeze := func(i int) error {
-			frozen[i] = true
-			value[i] = s.point[i]
-			remaining--
-			anyFrozen = true
-			return s.fix(i, value[i])
-		}
+		anyFrozen := false
 		for i := 0; i < n; i++ {
 			if !frozen[i] && s.blocking[i] && s.point[i] <= s.weights[i]*t+freezeTol {
-				if err := freeze(i); err != nil {
+				frozen[i], value[i] = true, s.point[i]
+				remaining--
+				anyFrozen = true
+				if err := s.fix(i, value[i]); err != nil {
 					return nil, err
-				}
-			}
-		}
-		// The probes of one round share one program; each re-optimizes
-		// from the vertex the previous one left, and a probe that
-		// freezes its flow fixes the flow's column for the probes that
-		// follow. Every point of the program bounds each flow's
-		// maximum from below, so a flow strictly above the freeze
-		// threshold at the floor LP's point (which meets every fix
-		// made this round), or at a probe's point found since the last
-		// freeze, cannot freeze, and its probe LP is skipped outright.
-		above := s.above[:0]
-		for i := 0; i < n; i++ {
-			above = append(above, s.point[i] > s.weights[i]*t+freezeTol)
-		}
-		s.above = above
-		for i := 0; i < n; i++ {
-			if frozen[i] || above[i] {
-				continue
-			}
-			if !built {
-				if err := s.probeProgram(frozen, t); err != nil {
-					return nil, err
-				}
-				built = true
-			}
-			xi, err := s.probe(i, t)
-			if err != nil {
-				return nil, err
-			}
-			// Flows that cannot exceed w_i·t* at any optimum freeze.
-			if xi <= s.weights[i]*t+freezeTol {
-				if !settled {
-					if err := s.settle(frozen, t); err != nil {
-						return nil, err
-					}
-					settled = true
-				}
-				if err := freeze(i); err != nil {
-					return nil, err
-				}
-				// The earlier probe optima may break the new fix.
-				for j := i + 1; j < n; j++ {
-					above[j] = s.point[j] > s.weights[j]*t+freezeTol
-				}
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if s.sol.X[j]+s.weights[j]*t > s.weights[j]*t+freezeTol {
-					above[j] = true
 				}
 			}
 		}
 		if !anyFrozen {
-			// Numerical stall: freeze everything at the consistent
-			// point to guarantee progress; in practice unreached.
+			// Only duals off by more than 1/(2n) leave the certificate
+			// empty; freeze everything at the consistent point to
+			// guarantee progress.
 			for i := 0; i < n; i++ {
 				if !frozen[i] {
 					frozen[i], value[i] = true, s.point[i]
@@ -493,33 +417,6 @@ func (s *session) refineMaxMin(opt float64) ([]float64, error) {
 		}
 	}
 	return value, nil
-}
-
-// total solves max Σ x with t fixed at level and the frozen flows at
-// their values: a round's optimality target.
-func (s *session) total(frozen []bool, level float64) (float64, error) {
-	n := len(s.basic)
-	p := &s.prob
-	if err := s.solver.SetBounds(p, n, level, level); err != nil {
-		return 0, err
-	}
-	var wsum float64
-	for i := 0; i < n; i++ {
-		if frozen[i] {
-			continue
-		}
-		wsum += s.weights[i]
-		if err := s.solver.SetBounds(p, i, s.basic[i]-s.weights[i]*level, math.Inf(1)); err != nil {
-			return 0, err
-		}
-	}
-	if err := s.solver.SetRHS(p, len(s.rows), math.Inf(-1)); err != nil {
-		return 0, err
-	}
-	if err := s.objective(p, 1, wsum); err != nil {
-		return 0, err
-	}
-	return s.resolve(s.solver, p)
 }
 
 // fix freezes flow i at x_i = x. Its column, which stood for
@@ -547,10 +444,10 @@ func (s *session) fix(i int, x float64) error {
 // shares, and as basic_i = w_i·t0 (see load) the bound t ≥ t0 cuts off
 // no point. The first round's floor LP starts at the first LP's
 // optimum, which is feasible for it (t = t0, y ≥ 0, Σ x = opt), so
-// only the primal simplex runs; a later round's starts at the total
-// LP's optimum, whose flows below the previous level the dual simplex
-// lifts back to their floors. TestFloorFormsAgree checks it against
-// the row form, which writes every floor as a row and has no t0.
+// only the primal simplex runs. A later round's starts at the point
+// the last round froze its flows at, which is feasible for it too.
+// TestFloorFormsAgree checks it against the row form, which writes
+// every floor as a row and has no t0.
 //
 // y_i is the slack of flow i's floor, so its reduced cost is the
 // floor's shadow price: a y_i with reduced cost above dualTol is 0 at
@@ -560,13 +457,6 @@ func (s *session) fix(i int, x float64) error {
 func (s *session) floor(frozen []bool, opt float64) (float64, error) {
 	n := len(s.basic)
 	p := &s.prob
-	for i := 0; i < n; i++ {
-		if !frozen[i] {
-			if err := s.solver.SetBounds(p, i, 0, math.Inf(1)); err != nil {
-				return 0, err
-			}
-		}
-	}
 	if err := s.solver.SetBounds(p, n, s.t0, math.Inf(1)); err != nil {
 		return 0, err
 	}
@@ -580,8 +470,8 @@ func (s *session) floor(frozen []bool, opt float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Copy the point and the certified floors out of the solver's
-	// scratch: the probe solves that follow reuse both.
+	// Read the point and the certified floors before fix edits the
+	// tableau.
 	s.keepPoint(t)
 	s.blocking = s.blocking[:0]
 	for i := 0; i < n; i++ {
@@ -600,93 +490,4 @@ func (s *session) keepPoint(t float64) {
 		}
 		s.point = append(s.point, y)
 	}
-}
-
-// settle moves the round's freeze target s.point from the floor LP's
-// optimal point to the optimum of the floor LP that a fixed secondary
-// objective selects: with t fixed at t* and the floors y_i ≥ 0
-// restored, it minimizes Σ (1 + i/n)·y_i over the unfrozen flows, and
-// then restores the probe program. The floor LP can have many optima
-// (the total row leaves optTol of slack to share out) and which one a
-// solve reaches depends on the vertex it started from. With distinct
-// weights the minimizer is unique unless an edge of the optimal face
-// is orthogonal to the weight vector, so the values the probes freeze
-// depend on the program alone. Minimizing keeps the flows as close to
-// the level as the round's optima allow.
-func (s *session) settle(frozen []bool, t float64) error {
-	n := len(s.basic)
-	p := &s.prob
-	if err := s.solver.SetBounds(p, n, t, t); err != nil {
-		return err
-	}
-	if err := p.SetObjectiveCoeff(n, 0); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		c := 0.0
-		if !frozen[i] {
-			c = -(1 + float64(i)/float64(n))
-			if err := s.solver.SetBounds(p, i, 0, math.Inf(1)); err != nil {
-				return err
-			}
-		}
-		if err := p.SetObjectiveCoeff(i, c); err != nil {
-			return err
-		}
-	}
-	if _, err := s.resolve(s.solver, p); err != nil {
-		return err
-	}
-	s.keepPoint(t)
-	return s.probeProgram(frozen, t)
-}
-
-// probeProgram turns the program into one round's shared probe
-// program: t fixed at t*, each unfrozen flow's floor relaxed to
-// max(basic_i, w_i·t* − ε), and the total row kept. Only the objective
-// changes between targets (see probe). The probes start where the
-// floor LP or settle left the tableau, and the next round's total LP
-// resets every bound they change.
-func (s *session) probeProgram(frozen []bool, t float64) error {
-	n := len(s.basic)
-	p := &s.prob
-	if err := s.solver.SetBounds(p, n, t, t); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if !frozen[i] {
-			wt := s.weights[i] * t
-			if err := s.solver.SetBounds(p, i, max(s.basic[i], wt-optTol)-wt, math.Inf(1)); err != nil {
-				return err
-			}
-		}
-	}
-	s.probed = -1
-	return s.objective(p, 0, 0)
-}
-
-// probe returns x_i at a point of the probe program, which fixes t at
-// t: the largest x_i, or the first one found that exceeds the round's
-// level by more than the freeze threshold. Either answers whether flow
-// i can rise above the level; the search stops at the first such point
-// (twice the threshold, to keep the decision clear of rounding).
-func (s *session) probe(i int, t float64) (float64, error) {
-	p := &s.prob
-	if s.probed >= 0 {
-		if err := p.SetObjectiveCoeff(s.probed, 0); err != nil {
-			return 0, err
-		}
-	}
-	s.probed = i
-	if err := p.SetObjectiveCoeff(i, 1); err != nil {
-		return 0, err
-	}
-	const target = 2 * freezeTol
-	if err := s.solver.ReoptimizeUntil(p, &s.sol, target); err != nil {
-		return 0, err
-	}
-	if s.sol.Objective <= target {
-		s.observe(p) // an optimum, not a stop short of one
-	}
-	return s.sol.X[i] + s.weights[i]*t, nil
 }

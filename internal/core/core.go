@@ -29,6 +29,10 @@ var (
 	ErrNoFlows = errors.New("core: no flows")
 	// ErrInvalidPath wraps path validation failures.
 	ErrInvalidPath = errors.New("core: invalid flow path")
+	// ErrWeightRange is returned when an LP's weights span more than
+	// a float can carry: scaled so that the largest lies in [1, 2),
+	// some weight is no longer a normal float.
+	ErrWeightRange = errors.New("core: flow weight ratio out of range")
 )
 
 // Instance is an allocation problem: a topology, a set of multi-hop
@@ -150,7 +154,7 @@ type group struct {
 	flows   []*flow.Flow // insertion order
 	ids     []flow.ID    // flow IDs aligned with flows
 	basic   []float64    // basic share w_i/Σ w_j v_j within the group
-	weights []float64    // w_i
+	weights []float64    // w_i, scaled by one power of two (see scaleWeights)
 	key     string
 	nrows   int // deduplicated clique rows serialized in key
 
@@ -277,14 +281,17 @@ func (inst *Instance) buildGroups() []*group {
 	for _, g := range out {
 		g.basic = make([]float64, len(g.flows))
 		g.weights = make([]float64, len(g.flows))
-		var denom float64
-		for _, f := range g.flows {
-			denom += f.Weight() * float64(f.VirtualLength())
-		}
 		for i, f := range g.flows {
 			g.weights[i] = f.Weight()
+		}
+		scaleWeights(g.weights)
+		var denom float64
+		for i, f := range g.flows {
+			denom += g.weights[i] * float64(f.VirtualLength())
+		}
+		for i, w := range g.weights {
 			if denom > 0 {
-				g.basic[i] = f.Weight() / denom
+				g.basic[i] = w / denom
 			}
 		}
 	}
@@ -294,7 +301,10 @@ func (inst *Instance) buildGroups() []*group {
 	// an earlier row of its group has the same hash and the same bytes.
 	// The counts n_{i,k} are small non-negative integers, written as
 	// uvarints; every row holds exactly width of them, so the
-	// concatenation decodes one way and the key stays injective.
+	// concatenation decodes one way and the key stays injective. A
+	// count below 128 is its own one-byte uvarint, so a row is counted
+	// straight into its key bytes; a larger count (a flow with 128
+	// subflows in one clique) re-encodes the row.
 	sc := keyScratch.Get().(*groupKeyScratch)
 	defer keyScratch.Put(sc)
 	sc.reset(len(out))
@@ -304,20 +314,22 @@ func (inst *Instance) buildGroups() []*group {
 		}
 		gi := gof[vflow[c[0]]]
 		width := len(out[gi].flows)
-		sc.row = slices.Grow(sc.row[:0], width)[:width]
-		clear(sc.row)
+		sc.enc = slices.Grow(sc.enc[:0], width)[:width]
+		clear(sc.enc)
+		wide := false
 		for _, v := range c {
 			if k := vflow[v]; k >= 0 {
-				sc.row[pos[k]]++
+				if sc.enc[pos[k]]++; sc.enc[pos[k]] == 0x80 {
+					wide = true
+				}
 			}
 		}
-		h := uint64(14695981039346656037)
-		for _, x := range sc.row {
-			h = h*0x100000001b3 ^ math.Float64bits(x)
+		if wide {
+			sc.enc = sc.wideRow(c, vflow, pos, width)
 		}
-		sc.enc = sc.enc[:0]
-		for _, x := range sc.row {
-			sc.enc = binary.AppendUvarint(sc.enc, uint64(x))
+		h := uint64(14695981039346656037)
+		for _, b := range sc.enc {
+			h = (h ^ uint64(b)) * 0x100000001b3
 		}
 		key, ends := sc.keys[gi], sc.ends[gi]
 		dup := false
@@ -356,6 +368,23 @@ func (inst *Instance) buildGroups() []*group {
 	return out
 }
 
+// scaleWeights multiplies ws by the power of two that puts the largest
+// in [1, 2). The shares depend only on the weights' ratios, and the
+// scaling is exact, so it changes no share; it keeps Σ w_j·v_j from
+// overflowing and the LP's absolute tolerances at the weights' scale.
+// A subnormal largest weight comes out normal, where the power of two
+// itself would overflow.
+func scaleWeights(ws []float64) {
+	var wmax float64
+	for _, w := range ws {
+		wmax = max(wmax, w)
+	}
+	_, e := math.Frexp(wmax)
+	for i, w := range ws {
+		ws[i] = math.Ldexp(w, 1-e)
+	}
+}
+
 // minID returns the smallest of ids.
 func minID(ids []flow.ID) flow.ID {
 	m := ids[0]
@@ -386,11 +415,28 @@ type groupKeyScratch struct {
 	keys   [][]byte
 	hashes [][]uint64
 	ends   [][]int
-	row    []float64
+	counts []int
 	enc    []byte
 }
 
 var keyScratch = sync.Pool{New: func() any { return new(groupKeyScratch) }}
+
+// wideRow encodes clique c's row of counts as uvarints, for a row
+// with a count of 128 or more.
+func (sc *groupKeyScratch) wideRow(c contention.Clique, vflow, pos []int32, width int) []byte {
+	sc.counts = slices.Grow(sc.counts[:0], width)[:width]
+	clear(sc.counts)
+	for _, v := range c {
+		if k := vflow[v]; k >= 0 {
+			sc.counts[pos[k]]++
+		}
+	}
+	enc := sc.enc[:0]
+	for _, n := range sc.counts {
+		enc = binary.AppendUvarint(enc, uint64(n))
+	}
+	return enc
+}
 
 // reset readies the scratch for n groups, each key holding just a
 // zeroed header.
@@ -507,14 +553,15 @@ func WeightedCliqueNumber(inst *Instance) float64 {
 }
 
 // weightedCliqueNumber computes ω_Ω over the group's cliques using
-// flow weights: Σ_i n_{i,k}·w_i maximized over k. Row deduplication
-// only drops identical rows, so the maximum is unchanged.
+// the flows' weights: Σ_i n_{i,k}·w_i maximized over k. Row
+// deduplication only drops identical rows, so the maximum is
+// unchanged.
 func (g *group) weightedCliqueNumber() float64 {
 	var best float64
 	for _, row := range g.lpRows() {
 		var size float64
 		for i, n := range row {
-			size += n * g.weights[i]
+			size += n * g.flows[i].Weight()
 		}
 		if size > best {
 			best = size

@@ -132,6 +132,15 @@ func (a *Allocator) Distributed(inst *Instance) (*DistributedResult, error) {
 		prop[k].and(mentions[k])
 	}
 
+	// The floors are computed from the weights scaled once (see
+	// scaleWeights): exact, so they equal w_i/Σ w_j·v_j bit for bit
+	// wherever that does not overflow.
+	scaled := a.flowWeights[:0]
+	for _, f := range flows {
+		scaled = append(scaled, f.Weight())
+	}
+	scaleWeights(scaled)
+	a.flowWeights = scaled
 	res := &DistributedResult{Shares: make(FlowAllocation, len(flows))}
 	cons := newMasks(1, nk)[0] // the source's constraint cliques
 	flowSets := newMasks(2, len(flows))
@@ -147,21 +156,24 @@ func (a *Allocator) Distributed(inst *Instance) (*DistributedResult, error) {
 
 		local := &LocalProblem{Node: nodes[u]}
 		var denom, denomAll float64
+		lw := a.localWeights[:0]
 		for k, f := range flows {
 			pos[k] = -1
 			if known.has(k) {
-				denom += f.Weight() * float64(f.VirtualLength())
+				denom += scaled[k] * float64(f.VirtualLength())
 			}
 			if mentioned.has(k) {
-				denomAll += f.Weight() * float64(f.VirtualLength())
+				denomAll += scaled[k] * float64(f.VirtualLength())
 				pos[k] = int32(len(local.FlowIDs))
 				local.FlowIDs = append(local.FlowIDs, f.ID())
 				local.Weights = append(local.Weights, f.Weight())
+				lw = append(lw, scaled[k])
 			}
 		}
+		a.localWeights = lw
 		local.Basic = make([]float64, len(local.Weights))
 		if denom > 0 {
-			for i, w := range local.Weights {
+			for i, w := range lw {
 				local.Basic[i] = w / denom
 			}
 		}
@@ -181,7 +193,7 @@ func (a *Allocator) Distributed(inst *Instance) (*DistributedResult, error) {
 			}
 			local.Cliques = append(local.Cliques, row)
 		})
-		if err := a.sessions[0].solveLocal(local, denomAll); err != nil {
+		if err := a.sessions[0].solveLocal(local, lw, denomAll); err != nil {
 			return nil, fmt.Errorf("core: distributed allocation at node %s: %w", inst.nodeName(nodes[u]), err)
 		}
 		res.Locals = append(res.Locals, local)
@@ -208,14 +220,18 @@ func (inst *Instance) nodeName(id topology.NodeID) string {
 // clash with a propagated clique that outweighs it; the floors are
 // then widened to w_i/denomAll over every flow in the local LP. A
 // clique holds at most v_i subflows of flow i, so the widened floors
-// fit every clique and the retry is feasible.
-func (s *session) solveLocal(local *LocalProblem, denomAll float64) error {
-	obj, err := s.load(local.Cliques, local.Basic, local.Weights)
+// fit every clique and the retry is feasible. weights are the local
+// flows' weights as the floors are computed from them; the LP sees
+// them scaled again for this node (scaleWeights).
+func (s *session) solveLocal(local *LocalProblem, weights []float64, denomAll float64) error {
+	s.scaled = append(s.scaled[:0], weights...)
+	scaleWeights(s.scaled)
+	obj, err := s.load(local.Cliques, local.Basic, s.scaled)
 	if errors.Is(err, lp.ErrInfeasible) && denomAll > 0 {
-		for i, w := range local.Weights {
+		for i, w := range weights {
 			local.Basic[i] = w / denomAll
 		}
-		obj, err = s.load(local.Cliques, local.Basic, local.Weights)
+		obj, err = s.load(local.Cliques, local.Basic, s.scaled)
 	}
 	if err != nil {
 		return err

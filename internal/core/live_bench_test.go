@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -92,4 +93,63 @@ func BenchmarkLiveInstanceChurn(b *testing.B) {
 	benchDenseChurn(b, func(set *flow.Set) (*core.Instance, error) {
 		return live.Update(set), nil
 	})
+}
+
+// BenchmarkLiveArrival times one fresh 3–4-hop arrival's Live.Update
+// on the dense shape with three sessions live: the clique update a
+// cache-missing register pays before its group LP. Each iteration
+// registers one of eight arrival paths and, untimed, removes it again.
+// It reports µs per update and the maximal cliques after an arrival,
+// averaged over the eight in an untimed pass.
+func BenchmarkLiveArrival(b *testing.B) {
+	topo, bg, _ := denseChurn(b)
+	tbl := routing.BuildTable(topo)
+	rng := rand.New(rand.NewSource(9))
+	var fresh []*flow.Flow
+	for len(fresh) < 3+8 {
+		src := topology.NodeID(rng.Intn(topo.NumNodes()))
+		dst := topology.NodeID(rng.Intn(topo.NumNodes()))
+		path, err := tbl.Route(src, dst)
+		if err != nil || len(path) < 4 || len(path) > 5 {
+			continue
+		}
+		f, err := flow.New(flow.ID(fmt.Sprintf("S%d", len(fresh))), 1, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh = append(fresh, f)
+	}
+	base := append(append([]*flow.Flow{}, bg...), fresh[:3]...)
+	baseSet, err := flow.NewSet(base...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := make([]*flow.Set, 0, 8)
+	for _, f := range fresh[3:] {
+		set, err := flow.NewSet(append(append([]*flow.Flow{}, base...), f)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arrivals = append(arrivals, set)
+	}
+	live := core.NewLive(topo)
+	live.Update(baseSet)
+	var cliques int
+	for _, set := range arrivals {
+		cliques += len(live.Update(set).Cliques)
+		live.Update(baseSet)
+	}
+	var elapsed time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		live.Update(arrivals[i%len(arrivals)])
+		elapsed += time.Since(start)
+		b.StopTimer()
+		live.Update(baseSet)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(elapsed.Microseconds())/float64(b.N), "us/update")
+	b.ReportMetric(float64(cliques)/float64(len(arrivals)), "cliques")
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"e2efair/internal/contention"
 	"e2efair/internal/core"
 	"e2efair/internal/flow"
 	"e2efair/internal/scenario"
@@ -265,5 +266,49 @@ func TestGroupKeyCountsCompact(t *testing.T) {
 	width := len(g.IDs)
 	if got, wantLen := len(g.Key), 16+len(want)*width+16*width; got != wantLen {
 		t.Errorf("key is %d bytes, want %d", got, wantLen)
+	}
+}
+
+// TestGroupKeyWideCounts: a clique holding 128 or more subflows of one
+// flow writes that count as a multi-byte uvarint, and the row decodes
+// back to the counts.
+func TestGroupKeyWideCounts(t *testing.T) {
+	path := make([]topology.NodeID, 131)
+	for i := range path {
+		path[i] = topology.NodeID(i)
+	}
+	long, err := flow.New("F1", 1, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := flow.New("F2", 1, []topology.NodeID{200, 201})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := flow.NewSet(long, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(set.Subflows())
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	g, err := contention.NewGraphFromEdges(set.Subflows(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := core.NewInstanceFromGraph(set, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lps := core.GroupLPs(inst)
+	if got := fmt.Sprint(lps[0].Rows); got != "[[130 1]]" {
+		t.Fatalf("decoded rows %s, want [[130 1]]", got)
+	}
+	if got, want := len(lps[0].Key), 16+2+1+16*2; got != want {
+		t.Errorf("key is %d bytes, want %d", got, want)
 	}
 }

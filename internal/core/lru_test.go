@@ -12,9 +12,10 @@ import (
 
 // lruChainInstance builds a small multi-group instance: `clusters`
 // radio-separated three-node chains, each carrying one two-hop flow
-// with the given per-cluster weights. Distinct weights yield distinct
-// group LP keys, so a sweep over weight vectors exercises cache
-// eviction.
+// with the given per-cluster weights. Weights that are not a power of
+// two apart yield distinct group LP keys (keys hold the weights as
+// scaleWeights leaves them), so a sweep over weight vectors exercises
+// cache eviction.
 func lruChainInstance(t *testing.T, weights []float64) *Instance {
 	t.Helper()
 	b := topology.NewBuilder(topology.DefaultRange, 0)
@@ -61,13 +62,14 @@ func lruChainInstance(t *testing.T, weights []float64) *Instance {
 // capture the entire LP and solves are pure functions of it.
 func TestGroupCacheEvictionExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Eight instances of four groups each: 32 distinct group LPs
+	// Eight instances of four groups each, over the odd weights 1–9
+	// (no two a power of two apart, so five distinct group LPs),
 	// cycling through a cap-2 cache.
 	var insts []*Instance
 	for k := 0; k < 8; k++ {
 		weights := make([]float64, 4)
 		for i := range weights {
-			weights[i] = 1 + float64(rng.Intn(5))
+			weights[i] = float64(1 + 2*rng.Intn(5))
 		}
 		insts = append(insts, lruChainInstance(t, weights))
 	}
@@ -98,7 +100,7 @@ func TestGroupCacheEvictionExact(t *testing.T) {
 		}
 	}
 	if totalEvicted == 0 {
-		t.Fatal("expected evictions with cap 2 over 32 distinct group LPs")
+		t.Fatal("expected evictions with cap 2 over five distinct group LPs")
 	}
 	st := capped.CacheStats()
 	if st.Evictions == 0 || st.Cap != 2 || st.Entries > 2 {
@@ -145,7 +147,7 @@ func TestGroupCacheStats(t *testing.T) {
 // TestSetGroupCacheCapTrims checks that shrinking the cap evicts
 // immediately and that cap < 1 restores the default.
 func TestSetGroupCacheCapTrims(t *testing.T) {
-	inst := lruChainInstance(t, []float64{1, 2, 3, 4})
+	inst := lruChainInstance(t, []float64{1, 3, 5, 7})
 	a := NewAllocatorWorkers(1)
 	if _, _, err := a.CentralizedDelta(inst, CentralizedOptions{Refine: true}); err != nil {
 		t.Fatal(err)

@@ -14,10 +14,18 @@ import (
 // certifies a blocking flow by its floor row's dual. It runs on the
 // per-LP rebuild state of refine_rebuild_test.go.
 
+// laterT0Tol is how far below t0 a later round's row-form t* may end:
+// lp's pivot tolerance. A later round starts from the point the
+// previous round froze its flows at, which a cold solve may leave
+// slightly outside a floor row (2.7e-9 of a floor row's slack on dense
+// seed 10); dense seed 58's t* ends 7e-10 below t0.
+const laterT0Tol = 1e-9
+
 // CentralizedRowFloor is CentralizedAllocate with Refine on, each
-// round's floor LP solved in the row form. Every round also checks
-// the precondition of the substituted form: the row form's t* is at
-// least t0 = max basic_i/w_i over the unfrozen flows.
+// round's floor LP solved in the row form. Every round also checks the
+// precondition of the substituted form: the row form's t* is at least
+// t0 = max basic_i/w_i over the unfrozen flows, up to rounding (1e-12
+// relative) in the first round and laterT0Tol in a later one.
 func CentralizedRowFloor(inst *Instance) (FlowAllocation, error) {
 	return centralizedRefinedWith(inst, func(s *rebuild, rows [][]float64, basic, weights []float64, opt float64) ([]float64, error) {
 		return s.refineRows(rows, basic, weights, opt)
@@ -53,10 +61,9 @@ func FirstFloorRounds(inst *Instance) ([]FloorRound, error) {
 		if r.T, err = s.floor(frozen, opt); err != nil {
 			return nil, err
 		}
-		r.T = math.Ldexp(r.T, weightExp(g.weights)) // in g.weights' units, as RowT is
 		// lp.Problem exports no row count; read its row slice's length.
 		r.Rows = reflect.ValueOf(&s.prob).Elem().FieldByName("constraints").Len()
-		if r.RowT, err = rows.maximizeFloorRows(cliques, g.basic, g.weights, opt, frozen, value); err != nil {
+		if r.RowT, err = rows.maximizeFloorRows(cliques, g.basic, g.weights, opt, frozen, value, true); err != nil {
 			return nil, err
 		}
 		out = append(out, r)
@@ -68,8 +75,10 @@ func FirstFloorRounds(inst *Instance) ([]FloorRound, error) {
 // to the clique rows, the total row and, for every unfrozen flow, the
 // floor row reduced to −z_i + w_i·t ≤ basic_i (nonnegative RHS), with
 // z_i = x_i − basic_i. It fills s.point and s.blocking as maximizeFloor
-// does, blocking read off the floor rows' duals.
-func (s *rebuild) maximizeFloorRows(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64) (float64, error) {
+// does, blocking read off the floor rows' duals. It fails when t* is
+// below t0 by more than rounding in the first round, or by more than
+// laterT0Tol in a later one (see CentralizedRowFloor).
+func (s *rebuild) maximizeFloorRows(rows [][]float64, basic, weights []float64, opt float64, frozen []bool, value []float64, first bool) (float64, error) {
 	n := len(basic)
 	k, off := s.reduce(frozen, value, basic)
 	s.prob.Reset(k + 1) // reduced columns, then t
@@ -99,7 +108,11 @@ func (s *rebuild) maximizeFloorRows(rows [][]float64, basic, weights []float64, 
 		return 0, err
 	}
 	t := s.sol.X[k]
-	if t < t0-1e-12*math.Max(1, t0) {
+	tol := 1e-12 * math.Max(1, t0)
+	if !first {
+		tol = laterT0Tol
+	}
+	if t < t0-tol {
 		return 0, fmt.Errorf("floor LP optimum t* = %v below t0 = %v", t, t0)
 	}
 	s.point = s.point[:0]

@@ -2,11 +2,14 @@ package core
 
 // The probe-only max-min refinement is kept here as the reference the
 // production refinement is checked against. It runs the refinement's
-// own total and floor LPs, but freezes a flow only after a probe LP
-// shows the flow cannot exceed the round's threshold, solves every
-// probe to its optimum cold (SolveInto) on a program rebuilt from
-// scratch (refine_rebuild_test.go), and rebuilds the shared probe
-// program after every freeze.
+// own floor LPs, but freezes a flow only after a probe LP shows the
+// flow cannot exceed the round's threshold, solves every probe to its
+// optimum cold (SolveInto) on a program rebuilt from scratch
+// (refine_rebuild_test.go), and rebuilds the shared probe program after
+// every freeze. Before a round's first freeze it moves the freeze
+// target to the optimum a fixed secondary objective selects (settle),
+// so the values it freezes do not depend on the vertex the floor LP's
+// solve reached.
 
 // CentralizedOracle is CentralizedAllocate with Refine on, run with
 // the probe-only refinement.
@@ -52,27 +55,19 @@ func centralizedRefinedWith(inst *Instance, refine func(s *rebuild, rows [][]flo
 }
 
 // refineMaxMinOracle is the probe-only refinement of the loaded group;
-// see refineMaxMin for the problem it solves. Its total and floor LPs
-// are the refinement's own, on the session's tableau; its probes are
+// see refineMaxMin for the problem it solves. Its floor and settle LPs
+// are edits of the session's program, solved warm; its probes are
 // rebuilt and solved cold on probes.
 func (s *session) refineMaxMinOracle(probes *rebuild, opt float64) ([]float64, error) {
 	rows, basic, weights := s.rows, s.basic, s.weights
 	n := len(basic)
 	frozen := make([]bool, n)
 	value := make([]float64, n)
-	level := 0.0
-	for remaining, first := n, true; remaining > 0; first = false {
-		if !first {
-			var err error
-			if opt, err = s.total(frozen, level); err != nil {
-				return nil, err
-			}
-		}
+	for remaining := n; remaining > 0; {
 		t, err := s.floor(frozen, opt)
 		if err != nil {
 			return nil, err
 		}
-		level = t
 		if err := s.solver.SetBounds(&s.prob, n, t, t); err != nil {
 			return nil, err
 		}
@@ -130,4 +125,38 @@ func (s *session) refineMaxMinOracle(probes *rebuild, opt float64) ([]float64, e
 		}
 	}
 	return value, nil
+}
+
+// settle moves the round's freeze target s.point from the floor LP's
+// optimal point to the optimum of the floor LP that a fixed secondary
+// objective selects: with t fixed at t it minimizes Σ (1 + i/n)·y_i
+// over the unfrozen flows. The floor LP can have many optima (the
+// total row leaves optTol of slack to share out), and which one a
+// solve reaches depends on the vertex it started from; with distinct
+// weights the minimizer is unique unless an edge of the optimal face
+// is orthogonal to the weight vector. The next floor LP resets the
+// objective and t's bounds.
+func (s *session) settle(frozen []bool, t float64) error {
+	n := len(s.basic)
+	p := &s.prob
+	if err := s.solver.SetBounds(p, n, t, t); err != nil {
+		return err
+	}
+	if err := p.SetObjectiveCoeff(n, 0); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		c := 0.0
+		if !frozen[i] {
+			c = -(1 + float64(i)/float64(n))
+		}
+		if err := p.SetObjectiveCoeff(i, c); err != nil {
+			return err
+		}
+	}
+	if _, err := s.resolve(s.solver, p); err != nil {
+		return err
+	}
+	s.keepPoint(t)
+	return nil
 }

@@ -58,10 +58,10 @@ func denseSessionsInstance(seed int64) (*core.Instance, error) {
 // round's floors by optTol, which can leave a flow the duals certify
 // as blocking unfrozen for one more round.
 //
-// Both refinements may give up optTol of the total in every round (the
-// floor LP's Σx ≥ opt − optTol), so neither stays within optTol of the
-// optimum on the dense shapes; both also overshoot a clique's capacity
-// by up to ~2e-9 in summation roundoff, hence feasTol.
+// Both refinements keep the first round's total row Σx ≥ opt − optTol
+// in every round, so each gives up at most optTol of the optimal total
+// in all; both also overshoot a clique's capacity by up to ~2e-9 in
+// summation roundoff, hence feasTol.
 func TestRefinementMatchesOracle(t *testing.T) {
 	const (
 		seeds   = 200
@@ -136,10 +136,8 @@ func TestRefinementMatchesOracle(t *testing.T) {
 // fresh solver, on the 400 instances of TestRefinementMatchesOracle.
 // Each warm optimum must be the program's optimum: the largest gap
 // between the two objectives is logged and pinned at maxGap, the
-// largest gap seen (2.8e-13, over 6030 LPs) rounded up to the next
-// power of ten. Probes that stop at the first point above their
-// target (lp.Solver.ReoptimizeUntil) end short of an optimum and are
-// not checked.
+// largest gap seen (7.8e-13, over 3,469 LPs) rounded up to the next
+// power of ten.
 func TestWarmLPsMatchCold(t *testing.T) {
 	const maxGap = 1e-12
 	var worst float64
@@ -215,13 +213,23 @@ func TestRefinementPaperInstancesMatchOracle(t *testing.T) {
 // share is within flowTol of the other's. The row form rebuilds every
 // LP and solves it cold, while the refinement edits one tableau, so
 // the two reach different vertices where a round's floor LP has
-// alternative optima; both freeze the probed flows at the optimum
-// that settle selects, which depends on the program alone. flowTol is
-// the largest |Δ| seen (5.9e-9) rounded up to the next power of ten;
-// freezing at the vertex each solve reached instead puts flows up to
-// 5e-7 apart. The row form also checks, in every round, that its t*
-// is at least t0 = max basic_i/w_i, the precondition of the
-// substitution.
+// alternative optima, and their certificates can differ; a blocked
+// flow one form certifies a round later freezes at the same level.
+//
+// flowTol is the largest |Δ| seen (3.2e-8, dense seed 10) rounded up
+// to the next power of ten. It was 1e-8 while every round re-derived
+// the total with fresh slack. Under the one total row, a cold solve of
+// the row form may end a floor row up to lp's pivot tolerance outside
+// its bound (dense seed 10's first round leaves a flow 2.7e-9 below its
+// floor with a zero dual, so the row form freezes it a round later and
+// lower), and the later rounds carry that on. An exact-oracle scan
+// (exact_test.go) of 2,000 instances from this test's generators,
+// seeds 0–999, put |Δ| above 1e-8 on 28 dense ones (largest 8.3e-8,
+// seed 575); on every one of them the refinement's shares are closer
+// to the exact point than they were under fresh slack per round. The
+// row form's t* is also checked in every round to be at least
+// t0 = max basic_i/w_i, the precondition of the substitution
+// (CentralizedRowFloor).
 //
 // levelTol is lp's pivot tolerance, not 1e-12: on 150 of the dense
 // groups the row form's t* ends up to 3.5e-10 above the substituted
@@ -232,7 +240,7 @@ func TestRefinementPaperInstancesMatchOracle(t *testing.T) {
 func TestFloorFormsAgree(t *testing.T) {
 	const (
 		levelTol = 1e-9
-		flowTol  = 1e-8
+		flowTol  = 1e-7
 	)
 	var worst, worstLevel float64
 	check := func(name string, inst *core.Instance) {

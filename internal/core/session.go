@@ -21,19 +21,18 @@ type session struct {
 	prob   lp.Problem
 
 	// The loaded group's clique rows, basic shares, weights (scaled,
-	// see load) and t0 = max basic_i/w_i, and which flows' columns
-	// stand for x_i − w_i·t.
+	// see scaleWeights) and t0 = max basic_i/w_i, and which flows'
+	// columns stand for x_i − w_i·t.
 	rows           [][]float64
 	basic, weights []float64
 	t0             float64
 	inT            []bool
 
 	buf    []float64 // one constraint row or column
-	probed int       // flow the probe objective selects, or −1
+	scaled []float64 // a local LP's weights, scaled (see solveLocal)
 
 	point    []float64
 	blocking []bool
-	above    []bool // flows shown able to exceed the round's level
 
 	// observer, when set, sees every program the session solves and
 	// its solution; tests use it to re-solve each one cold.
@@ -80,8 +79,10 @@ type Allocator struct {
 	// serialized bits (plus the refine flag) to the solved share
 	// vector, in group index order. Cached vectors are stored once and
 	// never mutated; readers copy.
-	cache   *groupLRU
-	pending []int // scratch: group indices missing from the cache
+	cache        *groupLRU
+	pending      []int     // scratch: group indices missing from the cache
+	flowWeights  []float64 // scratch: 2PA-D's scaled flow weights
+	localWeights []float64 // scratch: one 2PA-D local LP's scaled weights
 
 	// busy arms the e2edebug reentrancy guard; unused (but kept, so
 	// the struct layout is tag-independent) in release builds.

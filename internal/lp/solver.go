@@ -167,7 +167,7 @@ func (s *Solver) SolveInto(p *Problem, sol *Solution) error {
 	s.lazy = !s.dropped
 	s.setCost(p)
 	s.price()
-	obj, err := s.primal(s.n+s.nSlack, math.Inf(1))
+	obj, err := s.primal(s.n + s.nSlack)
 	if err != nil {
 		return err
 	}
@@ -190,16 +190,6 @@ func (s *Solver) SolveInto(p *Problem, sol *Solution) error {
 // optimum. A dual simplex that exceeds its iteration budget falls back
 // the same way.
 func (s *Solver) ReoptimizeInto(p *Problem, sol *Solution) error {
-	return s.ReoptimizeUntil(p, sol, math.Inf(1))
-}
-
-// ReoptimizeUntil is ReoptimizeInto stopping at the first feasible
-// point whose objective exceeds target: it answers whether p's optimum
-// exceeds target without finding the optimum when it does. The point
-// it returns is feasible, and optimal when its objective is at most
-// target. The tableau it stops at is kept for the next re-solve; Dual
-// and ReducedCost read that tableau's basis.
-func (s *Solver) ReoptimizeUntil(p *Problem, sol *Solution, target float64) error {
 	if !s.holds(p) {
 		return s.SolveInto(p, sol)
 	}
@@ -217,7 +207,7 @@ func (s *Solver) ReoptimizeUntil(p *Problem, sol *Solution, target float64) erro
 			return s.SolveInto(p, sol)
 		}
 	}
-	obj, err := s.primal(s.n+s.nSlack, target)
+	obj, err := s.primal(s.n + s.nSlack)
 	if err != nil {
 		return err
 	}
@@ -663,7 +653,7 @@ func (s *Solver) phase1() error {
 		}
 	}
 	s.price()
-	obj, err := s.primal(s.width, math.Inf(1))
+	obj, err := s.primal(s.width)
 	if err != nil {
 		// Phase 1 is bounded by construction; an unbounded report
 		// indicates numerical trouble and is surfaced as such.
@@ -772,12 +762,11 @@ func (s *Solver) gain(k int) (float64, float64) {
 
 // primal optimizes maximize costᵀx over the tableau in place from the
 // reduced-cost row price left, considering variables below enterLimit
-// as entering candidates, and returns the optimal objective value, or
-// the first one above target. The ratio test bounds the step by every
-// basic variable's bounds and by the entering variable's own: an
-// entering variable that reaches its other bound first flips to it
-// without a pivot.
-func (s *Solver) primal(enterLimit int, target float64) (float64, error) {
+// as entering candidates, and returns the optimal objective value.
+// The ratio test bounds the step by every basic variable's bounds and
+// by the entering variable's own: an entering variable that reaches
+// its other bound first flips to it without a pivot.
+func (s *Solver) primal(enterLimit int) (float64, error) {
 	cols := s.cols
 	z := s.z
 	nonbasic := s.nonbasic[:cols]
@@ -791,9 +780,6 @@ func (s *Solver) primal(enterLimit int, target float64) (float64, error) {
 	for iter := 0; ; iter++ {
 		if iter > limit {
 			return 0, fmt.Errorf("%w (%d iterations over %d rows × %d columns)", ErrIterationLimit, iter, s.m, s.width)
-		}
-		if z[cols] > target {
-			return z[cols], nil
 		}
 		// enter is a slot; ties go to the lower-numbered variable.
 		enter, ev := -1, enterLimit

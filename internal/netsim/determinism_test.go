@@ -203,8 +203,8 @@ var churnGolden = map[string]string{
 	"fig6x2/802.11":   `subflows={"T0:F1.1": 1596, "T0:F1.2": 1338, "T0:F1.3": 240, "T0:F1.4": 240, "T0:F2.1": 1676, "T0:F3.1": 852, "T0:F4.1": 868, "T0:F4.2": 867, "T0:F5.1": 1200, "T1:F1.1": 1540, "T1:F1.2": 1259, "T1:F1.3": 332, "T1:F1.4": 332, "T1:F2.1": 1652, "T1:F3.1": 883, "T1:F4.1": 855, "T1:F4.2": 853, "T1:F5.1": 1200} e2e=9755 lost=2409 collisions=5600 sourceDrops=4564 lostQueue=2403 lostRetry=6 e2e={T0:F1:240 T0:F2:1676 T0:F3:852 T0:F4:867 T0:F5:1200 T1:F1:332 T1:F2:1652 T1:F3:883 T1:F4:853 T1:F5:1200 } air={tx=49472306 coll=1176000 exch=17783 collN=5600} series={T0:F1:[63 66 47 3 10 7 17 5 4 18] T0:F2:[75 88 69 246 200 200 191 209 197 201] T0:F3:[198 193 202 7 0 0 61 63 65 63] T0:F4:[37 37 30 44 44 57 153 154 156 155] T0:F5:[199 201 198 202 197 198 5 0 0 0] T1:F1:[65 69 60 13 6 14 20 35 16 34] T1:F2:[91 87 67 248 200 200 176 197 194 192] T1:F3:[200 185 215 0 0 0 79 76 59 69] T1:F4:[29 32 31 52 49 56 147 147 157 153] T1:F5:[199 199 202 198 202 198 2 0 0 0] } reallocs=0 final={}`,
 	"fig6/two-tier":   `subflows={"F1.1": 1311, "F1.2": 809, "F1.3": 609, "F1.4": 609, "F2.1": 1037, "F3.1": 969, "F4.1": 1003, "F4.2": 1003, "F5.1": 702} e2e=4320 lost=623 collisions=3029 sourceDrops=3380 lostQueue=620 lostRetry=3 e2e={F1:609 F2:1037 F3:969 F4:1003 F5:702 } air={tx=22400664 coll=636090 exch=8052 collN=3029} series={F1:[51 81 72 41 49 51 74 72 65 53] F2:[93 75 105 174 151 143 70 79 64 83] F3:[169 151 140 49 0 0 122 107 115 116] F4:[49 76 86 91 106 108 116 133 119 119] F5:[176 118 97 98 82 81 50 0 0 0] } reallocs=3 final={F1.1:0.43750000000000006 F1.2:0.3125 F1.3:0.24999999999999997 F1.4:0.3125 F2.1:0.33333333333333337 F3.1:0.45833333333333337 F4.1:0.4375 F4.2:0.5625 }`,
 	"fig6x2/two-tier": `subflows={"T0:F1.1": 1311, "T0:F1.2": 809, "T0:F1.3": 609, "T0:F1.4": 609, "T0:F2.1": 1037, "T0:F3.1": 969, "T0:F4.1": 1003, "T0:F4.2": 1003, "T0:F5.1": 702, "T1:F1.1": 1292, "T1:F1.2": 793, "T1:F1.3": 621, "T1:F1.4": 621, "T1:F2.1": 1021, "T1:F3.1": 986, "T1:F4.1": 996, "T1:F4.2": 995, "T1:F5.1": 715} e2e=8658 lost=1202 collisions=5939 sourceDrops=6775 lostQueue=1195 lostRetry=7 e2e={T0:F1:609 T0:F2:1037 T0:F3:969 T0:F4:1003 T0:F5:702 T1:F1:621 T1:F2:1021 T1:F3:986 T1:F4:995 T1:F5:715 } air={tx=44767944 coll=1247190 exch=16092 collN=5939} series={T0:F1:[51 81 72 41 49 51 74 72 65 53] T0:F2:[93 75 105 174 151 143 70 79 64 83] T0:F3:[169 151 140 49 0 0 122 107 115 116] T0:F4:[49 76 86 91 106 108 116 133 119 119] T0:F5:[176 118 97 98 82 81 50 0 0 0] T1:F1:[71 64 76 27 58 58 66 63 75 63] T1:F2:[77 104 95 188 140 136 68 89 54 70] T1:F3:[199 146 124 48 0 0 121 92 142 114] T1:F4:[39 82 107 99 95 98 115 131 110 119] T1:F5:[188 109 83 94 101 92 48 0 0 0] } reallocs=6 final={T0:F1.1:0.43750000000000006 T0:F1.2:0.3125 T0:F1.3:0.24999999999999997 T0:F1.4:0.3125 T0:F2.1:0.33333333333333337 T0:F3.1:0.45833333333333337 T0:F4.1:0.4375 T0:F4.2:0.5625 T1:F1.1:0.43750000000000006 T1:F1.2:0.3125 T1:F1.3:0.24999999999999997 T1:F1.4:0.3125 T1:F2.1:0.33333333333333337 T1:F3.1:0.45833333333333337 T1:F4.1:0.4375 T1:F4.2:0.5625 }`,
-	"fig6/2PA-C":      `subflows={"F1.1": 939, "F1.2": 876, "F1.3": 686, "F1.4": 686, "F2.1": 1137, "F3.1": 1011, "F4.1": 911, "F4.2": 910, "F5.1": 1002} e2e=4746 lost=204 collisions=3010 sourceDrops=3406 lostQueue=193 lostRetry=11 e2e={F1:686 F2:1137 F3:1011 F4:910 F5:1002 } air={tx=22695556 coll=632100 exch=8158 collN=3010} series={F1:[67 93 88 16 43 66 92 66 80 75] F2:[82 63 75 237 149 117 78 95 102 139] F3:[193 198 202 7 0 0 111 105 103 92] F4:[35 35 29 76 101 101 121 144 137 131] F5:[200 198 202 145 104 103 50 0 0 0] } reallocs=3 final={F1.1:0.25000010000000006 F1.2:0.25000010000000006 F1.3:0.25000010000000006 F1.4:0.25000010000000006 F2.1:0.4999997999999999 F3.1:0.5000001000000001 F4.1:0.4999997999999999 F4.2:0.4999997999999999 }`,
-	"fig6x2/2PA-C":    `subflows={"T0:F1.1": 939, "T0:F1.2": 876, "T0:F1.3": 686, "T0:F1.4": 686, "T0:F2.1": 1137, "T0:F3.1": 1011, "T0:F4.1": 911, "T0:F4.2": 910, "T0:F5.1": 1002, "T1:F1.1": 958, "T1:F1.2": 893, "T1:F1.3": 707, "T1:F1.4": 705, "T1:F2.1": 1148, "T1:F3.1": 1013, "T1:F4.1": 906, "T1:F4.2": 905, "T1:F5.1": 989} e2e=9506 lost=405 collisions=5974 sourceDrops=6794 lostQueue=386 lostRetry=19 e2e={T0:F1:686 T0:F2:1137 T0:F3:1011 T0:F4:910 T0:F5:1002 T1:F1:705 T1:F2:1148 T1:F3:1013 T1:F4:905 T1:F5:989 } air={tx=45574724 coll=1254540 exch=16382 collN=5974} series={T0:F1:[67 93 88 16 43 66 92 66 80 75] T0:F2:[82 63 75 237 149 117 78 95 102 139] T0:F3:[193 198 202 7 0 0 111 105 103 92] T0:F4:[35 35 29 76 101 101 121 144 137 131] T0:F5:[200 198 202 145 104 103 50 0 0 0] T1:F1:[68 82 72 53 57 55 86 67 92 73] T1:F2:[77 57 125 154 157 146 84 120 92 136] T1:F3:[185 210 149 47 0 0 115 102 105 100] T1:F4:[34 23 45 64 103 107 121 143 134 131] T1:F5:[199 201 192 162 91 95 49 0 0 0] } reallocs=6 final={T0:F1.1:0.25000010000000006 T0:F1.2:0.25000010000000006 T0:F1.3:0.25000010000000006 T0:F1.4:0.25000010000000006 T0:F2.1:0.4999997999999999 T0:F3.1:0.5000001000000001 T0:F4.1:0.4999997999999999 T0:F4.2:0.4999997999999999 T1:F1.1:0.25000010000000006 T1:F1.2:0.25000010000000006 T1:F1.3:0.25000010000000006 T1:F1.4:0.25000010000000006 T1:F2.1:0.4999997999999999 T1:F3.1:0.5000001000000001 T1:F4.1:0.4999997999999999 T1:F4.2:0.4999997999999999 }`,
+	"fig6/2PA-C":      `subflows={"F1.1": 939, "F1.2": 876, "F1.3": 686, "F1.4": 686, "F2.1": 1137, "F3.1": 1011, "F4.1": 911, "F4.2": 910, "F5.1": 1002} e2e=4746 lost=204 collisions=3010 sourceDrops=3406 lostQueue=193 lostRetry=11 e2e={F1:686 F2:1137 F3:1011 F4:910 F5:1002 } air={tx=22695556 coll=632100 exch=8158 collN=3010} series={F1:[67 93 88 16 43 66 92 66 80 75] F2:[82 63 75 237 149 117 78 95 102 139] F3:[193 198 202 7 0 0 111 105 103 92] F4:[35 35 29 76 101 101 121 144 137 131] F5:[200 198 202 145 104 103 50 0 0 0] } reallocs=3 final={F1.1:0.25000010000000006 F1.2:0.25000010000000006 F1.3:0.25000010000000006 F1.4:0.25000010000000006 F2.1:0.4999997999999999 F3.1:0.5 F4.1:0.5 F4.2:0.5 }`,
+	"fig6x2/2PA-C":    `subflows={"T0:F1.1": 939, "T0:F1.2": 876, "T0:F1.3": 686, "T0:F1.4": 686, "T0:F2.1": 1137, "T0:F3.1": 1011, "T0:F4.1": 911, "T0:F4.2": 910, "T0:F5.1": 1002, "T1:F1.1": 958, "T1:F1.2": 893, "T1:F1.3": 707, "T1:F1.4": 705, "T1:F2.1": 1148, "T1:F3.1": 1013, "T1:F4.1": 906, "T1:F4.2": 905, "T1:F5.1": 989} e2e=9506 lost=405 collisions=5974 sourceDrops=6794 lostQueue=386 lostRetry=19 e2e={T0:F1:686 T0:F2:1137 T0:F3:1011 T0:F4:910 T0:F5:1002 T1:F1:705 T1:F2:1148 T1:F3:1013 T1:F4:905 T1:F5:989 } air={tx=45574724 coll=1254540 exch=16382 collN=5974} series={T0:F1:[67 93 88 16 43 66 92 66 80 75] T0:F2:[82 63 75 237 149 117 78 95 102 139] T0:F3:[193 198 202 7 0 0 111 105 103 92] T0:F4:[35 35 29 76 101 101 121 144 137 131] T0:F5:[200 198 202 145 104 103 50 0 0 0] T1:F1:[68 82 72 53 57 55 86 67 92 73] T1:F2:[77 57 125 154 157 146 84 120 92 136] T1:F3:[185 210 149 47 0 0 115 102 105 100] T1:F4:[34 23 45 64 103 107 121 143 134 131] T1:F5:[199 201 192 162 91 95 49 0 0 0] } reallocs=6 final={T0:F1.1:0.25000010000000006 T0:F1.2:0.25000010000000006 T0:F1.3:0.25000010000000006 T0:F1.4:0.25000010000000006 T0:F2.1:0.4999997999999999 T0:F3.1:0.5 T0:F4.1:0.5 T0:F4.2:0.5 T1:F1.1:0.25000010000000006 T1:F1.2:0.25000010000000006 T1:F1.3:0.25000010000000006 T1:F1.4:0.25000010000000006 T1:F2.1:0.4999997999999999 T1:F3.1:0.5 T1:F4.1:0.5 T1:F4.2:0.5 }`,
 	"fig6/2PA-D":      `subflows={"F1.1": 963, "F1.2": 882, "F1.3": 802, "F1.4": 800, "F2.1": 801, "F3.1": 816, "F4.1": 1122, "F4.2": 1121, "F5.1": 730} e2e=4268 lost=121 collisions=3008 sourceDrops=3969 lostQueue=113 lostRetry=8 e2e={F1:800 F2:801 F3:816 F4:1121 F5:730 } air={tx=22358934 coll=631680 exch=8037 collN=3008} series={F1:[72 88 66 82 74 77 88 73 103 77] F2:[73 78 81 90 113 112 59 69 52 74] F3:[165 121 105 50 0 0 133 82 84 76] F4:[51 84 89 102 108 109 118 152 154 154] F5:[180 116 105 93 94 93 49 0 0 0] } reallocs=3 final={F1.1:0.3333333333333333 F1.2:0.3333333333333333 F1.3:0.3333333333333333 F1.4:0.3333333333333333 F2.1:0.20000020000000013 F3.1:0.25000010000000006 F4.1:0.5 F4.2:0.5 }`,
 	"fig6x2/2PA-D":    `subflows={"T0:F1.1": 963, "T0:F1.2": 882, "T0:F1.3": 802, "T0:F1.4": 800, "T0:F2.1": 801, "T0:F3.1": 816, "T0:F4.1": 1122, "T0:F4.2": 1121, "T0:F5.1": 730, "T1:F1.1": 961, "T1:F1.2": 875, "T1:F1.3": 763, "T1:F1.4": 762, "T1:F2.1": 798, "T1:F3.1": 808, "T1:F4.1": 1124, "T1:F4.2": 1122, "T1:F5.1": 741} e2e=8499 lost=306 collisions=5985 sourceDrops=7938 lostQueue=292 lostRetry=14 e2e={T0:F1:800 T0:F2:801 T0:F3:816 T0:F4:1121 T0:F5:730 T1:F1:762 T1:F2:798 T1:F3:808 T1:F4:1122 T1:F5:741 } air={tx=44486962 coll=1256850 exch=15991 collN=5985} series={T0:F1:[72 88 66 82 74 77 88 73 103 77] T0:F2:[73 78 81 90 113 112 59 69 52 74] T0:F3:[165 121 105 50 0 0 133 82 84 76] T0:F4:[51 84 89 102 108 109 118 152 154 154] T0:F5:[180 116 105 93 94 93 49 0 0 0] T1:F1:[63 86 83 68 53 59 96 86 87 81] T1:F2:[90 72 63 101 129 116 45 55 66 61] T1:F3:[163 116 105 49 0 0 110 91 82 92] T1:F4:[54 77 90 103 117 97 123 154 156 151] T1:F5:[168 126 114 98 76 111 48 0 0 0] } reallocs=6 final={T0:F1.1:0.3333333333333333 T0:F1.2:0.3333333333333333 T0:F1.3:0.3333333333333333 T0:F1.4:0.3333333333333333 T0:F2.1:0.20000020000000013 T0:F3.1:0.25000010000000006 T0:F4.1:0.5 T0:F4.2:0.5 T1:F1.1:0.3333333333333333 T1:F1.2:0.3333333333333333 T1:F1.3:0.3333333333333333 T1:F1.4:0.3333333333333333 T1:F2.1:0.20000020000000013 T1:F3.1:0.25000010000000006 T1:F4.1:0.5 T1:F4.2:0.5 }`,
 }
