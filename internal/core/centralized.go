@@ -85,10 +85,7 @@ func (a *Allocator) Centralized(inst *Instance, opts CentralizedOptions) (FlowAl
 
 // CentralizedDelta is Centralized plus a Delta describing how many
 // group LPs the call solved versus served from the share cache. The
-// dynamic layers (netsim.RunDynamic, mobility churn, the resilient
-// path's re-solve-on-reroute) call this seam so that an event touching
-// one contention component pays for one group solve, not a full
-// re-solve.
+// serving layer sums each batch's Delta into its shard counters.
 func (a *Allocator) CentralizedDelta(inst *Instance, opts CentralizedOptions) (FlowAllocation, Delta, error) {
 	return a.centralized(inst, opts)
 }

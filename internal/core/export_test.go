@@ -26,17 +26,16 @@ func GroupLPs(inst *Instance) []GroupLP {
 	return out
 }
 
-// ResetCache drops all cached group solutions (cumulative CacheStats
-// counters are kept). Benchmarks use it to measure cold solves;
-// allocations never need it for correctness because cache keys capture
-// the entire LP.
+// ResetCache drops all cached group solutions. Benchmarks use it to
+// measure cold solves; allocations never need it for correctness
+// because cache keys capture the entire LP.
 func (a *Allocator) ResetCache() {
 	a.enterGuard()
 	defer a.exitGuard()
 	a.cache.reset()
 }
 
-// reset drops every entry but keeps the cumulative counters.
+// reset drops every entry.
 func (c *groupLRU) reset() {
 	clear(c.entries)
 	c.order.Init()

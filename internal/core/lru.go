@@ -19,12 +19,9 @@ const DefaultGroupCacheCap = 1024
 // eviction recomputes bit-identical shares (pinned by
 // TestGroupCacheEvictionExact).
 type groupLRU struct {
-	cap       int
-	entries   map[groupCacheKey]*list.Element
-	order     *list.List // front = most recently used
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	cap     int
+	entries map[groupCacheKey]*list.Element
+	order   *list.List // front = most recently used
 }
 
 // lruEntry is one cached solution; stored as the list element value so
@@ -50,10 +47,8 @@ func newGroupLRU(cap int) *groupLRU {
 func (c *groupLRU) get(k groupCacheKey) ([]float64, bool) {
 	e, ok := c.entries[k]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(e)
 	return e.Value.(*lruEntry).x, true
 }
@@ -80,7 +75,6 @@ func (c *groupLRU) evict() int {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.entries, back.Value.(*lruEntry).key)
-		c.evictions++
 		evicted++
 	}
 	return evicted
@@ -89,22 +83,10 @@ func (c *groupLRU) evict() int {
 // setCap rebounds the cache, evicting cold entries immediately if the
 // new cap is smaller than the current population; cap < 1 restores the
 // default.
-func (c *groupLRU) setCap(cap int) int {
+func (c *groupLRU) setCap(cap int) {
 	if cap < 1 {
 		cap = DefaultGroupCacheCap
 	}
 	c.cap = cap
-	return c.evict()
-}
-
-// CacheStats is the cumulative hit/miss/evict trajectory of one
-// Allocator's group-share cache, read straight off the cache. (The
-// serving layer's shard stats count the same events per batch from
-// each call's Delta instead.)
-type CacheStats struct {
-	Hits      uint64 // group solves satisfied by cached share vectors
-	Misses    uint64 // group solves that had to run the LP
-	Evictions uint64 // entries dropped to stay within the cap
-	Entries   int    // current population
-	Cap       int    // configured bound
+	c.evict()
 }

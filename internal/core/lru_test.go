@@ -102,16 +102,15 @@ func TestGroupCacheEvictionExact(t *testing.T) {
 	if totalEvicted == 0 {
 		t.Fatal("expected evictions with cap 2 over five distinct group LPs")
 	}
-	st := capped.CacheStats()
-	if st.Evictions == 0 || st.Cap != 2 || st.Entries > 2 {
-		t.Fatalf("unexpected cache stats: %+v", st)
+	if c := capped.cache; c.cap != 2 || len(c.entries) > 2 {
+		t.Fatalf("cache holds %d entries under cap %d, want at most 2 under cap 2", len(c.entries), c.cap)
 	}
 }
 
-// TestGroupCacheStats checks the hit/miss/evict accounting: a repeat
-// solve over one instance is all hits, and Delta's per-call split
-// matches the cumulative counters.
-func TestGroupCacheStats(t *testing.T) {
+// TestGroupCacheAccounting checks each call's hit/miss split: a repeat
+// solve over one instance is all hits, and after ResetCache the next
+// call solves every group again.
+func TestGroupCacheAccounting(t *testing.T) {
 	inst := lruChainInstance(t, []float64{1, 2, 3})
 	a := NewAllocatorWorkers(1)
 	opts := CentralizedOptions{Refine: true}
@@ -129,18 +128,19 @@ func TestGroupCacheStats(t *testing.T) {
 	if d2.Reused != d2.Groups || d2.Solved != 0 || d2.Evicted != 0 {
 		t.Fatalf("warm call: want all %d groups reused, got %+v", d2.Groups, d2)
 	}
-	st := a.CacheStats()
-	if st.Hits != uint64(d2.Reused) || st.Misses != uint64(d1.Solved) {
-		t.Fatalf("cumulative stats %+v disagree with deltas %+v / %+v", st, d1, d2)
+	if len(a.cache.entries) == 0 || a.cache.cap != DefaultGroupCacheCap {
+		t.Fatalf("cache holds %d entries under cap %d", len(a.cache.entries), a.cache.cap)
 	}
-	if st.Entries == 0 || st.Cap != DefaultGroupCacheCap {
-		t.Fatalf("unexpected stats: %+v", st)
-	}
-	// ResetCache drops entries but keeps the trajectory.
 	a.ResetCache()
-	st2 := a.CacheStats()
-	if st2.Entries != 0 || st2.Hits != st.Hits || st2.Misses != st.Misses {
-		t.Fatalf("ResetCache changed counters: %+v -> %+v", st, st2)
+	if len(a.cache.entries) != 0 {
+		t.Fatalf("ResetCache left %d entries", len(a.cache.entries))
+	}
+	_, d3, err := a.CentralizedDelta(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d3 != d1 {
+		t.Fatalf("call after ResetCache: got %+v, want the cold call's %+v", d3, d1)
 	}
 }
 
@@ -152,15 +152,15 @@ func TestSetGroupCacheCapTrims(t *testing.T) {
 	if _, _, err := a.CentralizedDelta(inst, CentralizedOptions{Refine: true}); err != nil {
 		t.Fatal(err)
 	}
-	if st := a.CacheStats(); st.Entries != 4 {
-		t.Fatalf("want 4 cached groups, got %+v", st)
+	if n := len(a.cache.entries); n != 4 {
+		t.Fatalf("want 4 cached groups, got %d", n)
 	}
 	a.SetGroupCacheCap(1)
-	if st := a.CacheStats(); st.Entries != 1 || st.Evictions != 3 || st.Cap != 1 {
-		t.Fatalf("after shrink: %+v", st)
+	if n := len(a.cache.entries); n != 1 || a.cache.cap != 1 {
+		t.Fatalf("after shrink: %d entries under cap %d, want 1 under cap 1", n, a.cache.cap)
 	}
 	a.SetGroupCacheCap(0)
-	if st := a.CacheStats(); st.Cap != DefaultGroupCacheCap {
-		t.Fatalf("cap 0 should restore default: %+v", st)
+	if a.cache.cap != DefaultGroupCacheCap {
+		t.Fatalf("cap 0 should restore default, got %d", a.cache.cap)
 	}
 }

@@ -111,18 +111,6 @@ func (a *Allocator) SetGroupCacheCap(n int) {
 	a.cache.setCap(n)
 }
 
-// CacheStats reports the group-share cache's cumulative hit/miss/evict
-// counters and current population.
-func (a *Allocator) CacheStats() CacheStats {
-	return CacheStats{
-		Hits:      a.cache.hits,
-		Misses:    a.cache.misses,
-		Evictions: a.cache.evictions,
-		Entries:   len(a.cache.entries),
-		Cap:       a.cache.cap,
-	}
-}
-
 // NewAllocator returns an Allocator sized to the machine: Centralized
 // shards group LPs across up to GOMAXPROCS workers.
 func NewAllocator() *Allocator {

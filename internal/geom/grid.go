@@ -209,24 +209,3 @@ func (g *Grid) AppendWithin(p Point, r float64, dst []int32) []int32 {
 	}
 	return dst
 }
-
-// VisitWithin calls visit for the index of every point within radius r
-// of p (boundary inclusive), in the same order as AppendWithin.
-func (g *Grid) VisitWithin(p Point, r float64, visit func(i int)) {
-	cx0, cy0, cx1, cy1, ok := g.window(p, r)
-	if !ok {
-		return
-	}
-	r2 := r * r
-	for cy := cy0; cy <= cy1; cy++ {
-		rowBase := cy * g.cols
-		for cx := cx0; cx <= cx1; cx++ {
-			c := rowBase + cx
-			for _, idx := range g.items[g.starts[c]:g.starts[c+1]] {
-				if p.Dist2(g.pts[idx]) <= r2 {
-					visit(int(idx))
-				}
-			}
-		}
-	}
-}

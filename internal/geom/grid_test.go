@@ -61,12 +61,6 @@ func TestGridMatchesBruteForce(t *testing.T) {
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: AppendWithin(%v, %g) = %v, want %v", trial, p, r, got, want)
 			}
-			var visited []int
-			g.VisitWithin(p, r, func(i int) { visited = append(visited, i) })
-			sort.Ints(visited)
-			if !equalInts(visited, want) {
-				t.Fatalf("trial %d: VisitWithin = %v, want %v", trial, visited, want)
-			}
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // parameter (Sec. V).
 const DefaultAlpha = 0.0001
 
-// DefaultTagMaxAge expires neighbor table entries that have not been
+// tagMaxAge expires neighbor table entries that have not been
 // refreshed by an overheard frame: a neighbor that went silent (its
 // flow ended) must not keep inflating Q forever.
-const DefaultTagMaxAge = sim.Second
+const tagMaxAge = sim.Second
 
 // minShare floors subflow shares to keep tag arithmetic finite.
 const minShare = 1e-6
@@ -35,8 +35,6 @@ type TagSchedulerConfig struct {
 	CWMax int
 	// QueueCap is the per-subflow queue capacity in packets.
 	QueueCap int
-	// TagMaxAge expires stale neighbor tags (DefaultTagMaxAge if 0).
-	TagMaxAge sim.Time
 }
 
 // tagQueue is the per-subflow queue with the tags of its head packet.
@@ -72,9 +70,8 @@ type TagScheduler struct {
 	vclock   float64
 	lastSend sim.Time
 	table    []tagEntry // neighbor start tags, ascending by node
-	maxAge   sim.Time
-	advice   float64   // last R received via ACK
-	current  *tagQueue // sticky head selection
+	advice   float64    // last R received via ACK
+	current  *tagQueue  // sticky head selection
 }
 
 // tagEntry is one neighbor's last overheard start tag. The table is a
@@ -103,10 +100,6 @@ func NewTagScheduler(cfg TagSchedulerConfig) (*TagScheduler, error) {
 	if alpha == 0 {
 		alpha = DefaultAlpha
 	}
-	maxAge := cfg.TagMaxAge
-	if maxAge == 0 {
-		maxAge = DefaultTagMaxAge
-	}
 	return &TagScheduler{
 		node:      cfg.Node,
 		bitsUS:    cfg.BitsPerMicro,
@@ -114,7 +107,6 @@ func NewTagScheduler(cfg TagSchedulerConfig) (*TagScheduler, error) {
 		cwMin:     cfg.CWMin,
 		cwMax:     cfg.CWMax,
 		queueCap:  cfg.QueueCap,
-		maxAge:    maxAge,
 		bySubflow: make(map[flow.SubflowID]*tagQueue),
 	}, nil
 }
@@ -186,7 +178,7 @@ func (s *TagScheduler) Enqueue(p *Packet, now sim.Time) bool {
 	if q.queue.len() >= s.queueCap {
 		return false
 	}
-	if s.Backlog() == 0 && now-s.lastSend > s.maxAge {
+	if s.Backlog() == 0 && now-s.lastSend > tagMaxAge {
 		s.reanchor(now)
 	}
 	q.queue.push(p)
@@ -203,7 +195,7 @@ func (s *TagScheduler) Enqueue(p *Packet, now sim.Time) bool {
 // let it starve the neighbors that kept transmitting.
 func (s *TagScheduler) reanchor(now sim.Time) {
 	for _, e := range s.table {
-		if now-e.seen <= s.maxAge && e.tag > s.vclock {
+		if now-e.seen <= tagMaxAge && e.tag > s.vclock {
 			s.vclock = e.tag
 		}
 	}
@@ -308,7 +300,7 @@ func (s *TagScheduler) DrawBackoff(rng *xrand.Rand, retries int, now sim.Time) i
 	}
 	var q float64
 	for _, e := range s.table {
-		if now-e.seen > s.maxAge {
+		if now-e.seen > tagMaxAge {
 			continue
 		}
 		q += (sTag - e.tag) * s.alpha
@@ -356,13 +348,13 @@ func (s *TagScheduler) entry(node topology.NodeID) (int, bool) {
 // piggybacked on the ACK back to the sender.
 func (s *TagScheduler) Advise(sender topology.NodeID, now sim.Time) float64 {
 	i, ok := s.entry(sender)
-	if !ok || now-s.table[i].seen > s.maxAge {
+	if !ok || now-s.table[i].seen > tagMaxAge {
 		return 0
 	}
 	se := s.table[i]
 	var r float64
 	for _, e := range s.table {
-		if e.node == sender || now-e.seen > s.maxAge {
+		if e.node == sender || now-e.seen > tagMaxAge {
 			continue
 		}
 		r += (se.tag - e.tag) * s.alpha

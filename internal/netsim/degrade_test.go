@@ -94,7 +94,7 @@ func TestSolveSharesMatchesStrictOnSolvableInstance(t *testing.T) {
 		p    Protocol
 		want core.FlowAllocation
 	}{{Protocol2PAC, strict}, {ProtocolDFS, strict}, {Protocol2PAD, dist.Shares}} {
-		got, _, degraded, err := solveShares(a, inst, c.p)
+		got, degraded, err := solveShares(a, inst, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}

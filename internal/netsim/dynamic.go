@@ -23,12 +23,6 @@ type DynamicResult struct {
 	// Reallocations counts first-phase recomputations triggered by
 	// flow churn (and, under a fault plan, by route repair).
 	Reallocations int
-	// GroupSolves and GroupReuses accumulate the allocator's churn
-	// deltas across reallocations: group LPs solved fresh versus served
-	// from the share cache. A churn event that perturbs one contention
-	// component solves one group and reuses the rest.
-	GroupSolves int
-	GroupReuses int
 	// FinalShares is the allocation active when the run ended.
 	FinalShares core.SubflowAllocation
 }

@@ -95,10 +95,6 @@ type Config struct {
 	// retry-exhaustion drops toward one receiver before the MAC
 	// declares the link dead (default mac.DefaultDeadAfterDrops).
 	DeadAfterDrops int
-	// RERRHopDelay models route-error propagation: the repair of a
-	// break i hops from the flow's source starts i·RERRHopDelay after
-	// the link-dead signal (default 1 ms).
-	RERRHopDelay sim.Time
 	// ShardSim partitions the topology into interference-disjoint radio
 	// components and simulates each on its own event engine over a
 	// worker pool; Run and RunDynamic both honour it, with or without a
@@ -151,9 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryLimit == 0 {
 		c.RetryLimit = phy.DefaultRetryLimit
 	}
-	if c.RERRHopDelay == 0 {
-		c.RERRHopDelay = sim.Millisecond
-	}
 	return c
 }
 
@@ -172,8 +165,6 @@ type Result struct {
 	// Series holds windowed per-flow throughput samples when
 	// Config.SampleEvery is set.
 	Series *stats.Series
-	// Latency tracks end-to-end packet delays per flow.
-	Latency *stats.LatencyTracker
 	// Resilience reports fault/recovery metrics; nil unless the run
 	// had a fault plan or the watchdog enabled.
 	Resilience *ResilienceReport
@@ -202,37 +193,32 @@ func RunWith(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error
 // solver scratch and serve unchanged contention groups from the
 // allocator's share cache. A nil allocator solves on fresh state. A
 // degradable LP failure falls back to the closed-form basic shares
-// (reported as degraded) instead of failing; see degrade. The delta
-// counts the group LPs solved versus copied from the cache; it is
-// meaningful for the centralized stacks (2PA-C, 2PA-DFS) and zero
-// otherwise.
-func solveShares(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, core.Delta, bool, error) {
+// (reported as degraded) instead of failing; see degrade.
+func solveShares(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, bool, error) {
 	if a == nil {
 		a = core.NewAllocatorWorkers(1)
 	}
 	var alloc core.FlowAllocation
-	var delta core.Delta
 	var err error
 	switch p {
 	case Protocol80211:
-		return nil, core.Delta{}, false, nil
+		return nil, false, nil
 	case ProtocolTwoTier:
-		return core.TwoTierAllocate(inst), core.Delta{}, false, nil
+		return core.TwoTierAllocate(inst), false, nil
 	case Protocol2PAC, ProtocolDFS:
-		alloc, delta, err = a.CentralizedDelta(inst, core.CentralizedOptions{Refine: true})
+		alloc, err = a.Centralized(inst, core.CentralizedOptions{Refine: true})
 	case Protocol2PAD:
 		var res *core.DistributedResult
 		if res, err = a.Distributed(inst); err == nil {
 			alloc = res.Shares
 		}
 	default:
-		return nil, core.Delta{}, false, fmt.Errorf("netsim: unknown protocol %d", int(p))
+		return nil, false, fmt.Errorf("netsim: unknown protocol %d", int(p))
 	}
 	if err != nil {
-		shares, degraded, err := degrade(inst, err)
-		return shares, core.Delta{}, degraded, err
+		return degrade(inst, err)
 	}
-	return alloc.Uniform(inst.Flows), delta, false, nil
+	return alloc.Uniform(inst.Flows), false, nil
 }
 
 // degrade absorbs an LP failure the stack can survive — the solver hit

@@ -9,9 +9,11 @@ package netsim_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"e2efair/internal/flow"
+	"e2efair/internal/mac"
 	"e2efair/internal/netsim"
 	"e2efair/internal/scenario"
 	"e2efair/internal/sim"
@@ -295,30 +297,59 @@ func TestPhase2AblationDFS(t *testing.T) {
 	}
 }
 
-// TestLatencyTracked checks end-to-end delay accounting and that 2PA's
-// balanced queues keep delays below the DFS ablation's.
+// delayTracer records each packet's end-to-end delay. TraceExchangeEnd
+// fires before OnDelivered frees the packet, so on a packet's last hop
+// now − Born is its delay.
+type delayTracer map[flow.ID][]sim.Time
+
+func (d delayTracer) Trace(ev mac.TraceEvent) {
+	if ev.Kind == mac.TraceExchangeEnd && ev.Pkt.LastHop() {
+		d[ev.Pkt.Flow] = append(d[ev.Pkt.Flow], ev.At-ev.Pkt.Born)
+	}
+}
+
+// traceDelays runs Figure 1 under p for testDur and returns F1's
+// delays, sorted.
+func traceDelays(t *testing.T, sc *scenario.Scenario, p netsim.Protocol) []sim.Time {
+	t.Helper()
+	d := delayTracer{}
+	if _, err := netsim.Run(sc.Inst, netsim.Config{Protocol: p, Duration: testDur, Seed: 1, Tracer: d}); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(d["F1"])
+	return d["F1"]
+}
+
+func meanDelay(s []sim.Time) sim.Time {
+	var sum sim.Time
+	for _, v := range s {
+		sum += v
+	}
+	return sum / sim.Time(len(s))
+}
+
+// TestLatencyTracked checks end-to-end delays and that 2PA's balanced
+// queues keep delays below the DFS ablation's.
 func TestLatencyTracked(t *testing.T) {
 	sc, err := scenario.Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags := runProto(t, sc, netsim.Protocol2PAC)
-	if tags.Latency.Count("F1") == 0 {
+	tags := traceDelays(t, sc, netsim.Protocol2PAC)
+	if len(tags) == 0 {
 		t.Fatal("no latency samples")
 	}
-	mean, ok := tags.Latency.Mean("F1")
-	if !ok || mean <= 0 {
-		t.Fatalf("mean delay = %d, ok=%v", mean, ok)
+	mean := meanDelay(tags)
+	if mean <= 0 {
+		t.Fatalf("mean delay = %d", mean)
 	}
-	p95, _ := tags.Latency.Quantile("F1", 0.95)
-	p50, _ := tags.Latency.Quantile("F1", 0.5)
-	if p95 < p50 {
+	quantile := func(q float64) sim.Time { return tags[int(q*float64(len(tags)-1))] }
+	if p95, p50 := quantile(0.95), quantile(0.5); p95 < p50 {
 		t.Errorf("p95 %d below p50 %d", p95, p50)
 	}
-	dfs := runProto(t, sc, netsim.ProtocolDFS)
-	dm, ok := dfs.Latency.Mean("F1")
-	if ok && dm < mean {
-		t.Errorf("DFS mean delay %d should exceed tag scheduler %d", dm, mean)
+	dfs := traceDelays(t, sc, netsim.ProtocolDFS)
+	if len(dfs) > 0 && meanDelay(dfs) < mean {
+		t.Errorf("DFS mean delay %d should exceed tag scheduler %d", meanDelay(dfs), mean)
 	}
 }
 

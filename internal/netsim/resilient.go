@@ -26,6 +26,11 @@ const watchdogEvery = sim.Second
 // maxViolations caps the recorded violation strings.
 const maxViolations = 32
 
+// rerrHopDelay models route-error propagation: the repair of a break i
+// hops from the flow's source starts i·rerrHopDelay after the
+// link-dead signal.
+const rerrHopDelay = sim.Millisecond
+
 // ResilienceReport surfaces the fault/recovery metrics of one run:
 // drops by cause, route-repair activity, allocation degradation, and
 // any invariant violations the watchdog observed.
@@ -59,12 +64,6 @@ type ResilienceReport struct {
 	Salvaged        int64
 	Reallocations   int64
 	DegradedAllocs  int64
-	// GroupSolves and GroupReuses accumulate the allocator's churn
-	// deltas across re-solves (centralized stacks only): a reroute that
-	// perturbs one contention component solves that component's group
-	// LP and copies cached shares for the rest.
-	GroupSolves int64
-	GroupReuses int64
 	// RepairTime accumulates link-dead-to-reroute-installed time
 	// across all reroutes.
 	RepairTime sim.Time
@@ -125,7 +124,6 @@ type coordinator struct {
 	stack *Stack
 	inj   *fault.Injector
 	col   *stats.Collector
-	lat   *stats.LatencyTracker
 	rep   *ResilienceReport
 
 	// Per-flow state, by position in inst.Flows.
@@ -172,7 +170,6 @@ func runComponent(a *core.Allocator, c *component) (*DynamicResult, error) {
 		alloc:       a,
 		inj:         inj,
 		col:         stats.NewCollector(),
-		lat:         stats.NewLatencyTracker(),
 		rep:         &ResilienceReport{},
 		index:       make(map[flow.ID]int, len(flows)),
 		active:      make([]bool, len(flows)),
@@ -269,11 +266,8 @@ func runComponent(a *core.Allocator, c *component) (*DynamicResult, error) {
 			Shares:   stack.Shares,
 			Airtime:  stack.Medium.Airtime(),
 			Series:   series,
-			Latency:  r.lat,
 		},
 		Reallocations: int(r.rep.Reallocations),
-		GroupSolves:   int(r.rep.GroupSolves),
-		GroupReuses:   int(r.rep.GroupReuses),
 		FinalShares:   r.final,
 	}
 	if cfg.Fault == nil && !cfg.Watchdog {
@@ -333,7 +327,6 @@ func (r *coordinator) linkAlive(u, v topology.NodeID) bool {
 func (r *coordinator) onDelivered(p *mac.Packet, now sim.Time) {
 	r.col.HopDelivered(p.SubflowID(), p.LastHop())
 	if p.LastHop() {
-		r.lat.Record(p.Flow, now-p.Born)
 		r.rep.Delivered++
 		r.stack.Medium.FreePacket(p)
 		return
@@ -392,7 +385,7 @@ func (r *coordinator) scheduleFlowRepairs(a, b topology.NodeID, now sim.Time) {
 			continue
 		}
 		affected = true
-		r.queueRepair(i, now, now+sim.Time(hop)*r.cfg.RERRHopDelay)
+		r.queueRepair(i, now, now+sim.Time(hop)*rerrHopDelay)
 	}
 	if affected {
 		r.rep.RouteErrors++
@@ -447,7 +440,7 @@ func (r *coordinator) onFaultChange(ch fault.Change) {
 						return p.Receiver() == ch.Node
 					}, func(p *mac.Packet) { r.salvageDrained(p, now) })
 				}
-				r.queueRepair(fi, now, now+sim.Time(max(i-1, 0))*r.cfg.RERRHopDelay)
+				r.queueRepair(fi, now, now+sim.Time(max(i-1, 0))*rerrHopDelay)
 				break
 			}
 		}
@@ -494,7 +487,7 @@ func (r *coordinator) retryUnreachable(now sim.Time) {
 			continue
 		}
 		delete(r.unreachable, i)
-		r.queueRepair(i, brokenAt, now+r.cfg.RERRHopDelay)
+		r.queueRepair(i, brokenAt, now+rerrHopDelay)
 	}
 }
 
@@ -655,13 +648,11 @@ func (r *coordinator) reallocate(now sim.Time) {
 	if r.alloc == nil {
 		r.alloc = core.NewAllocatorWorkers(1)
 	}
-	shares, delta, degraded, err := solveShares(r.alloc, sub, r.cfg.Protocol)
+	shares, degraded, err := solveShares(r.alloc, sub, r.cfg.Protocol)
 	if err != nil {
 		r.violation(now, fmt.Sprintf("reallocate: solve: %v", err))
 		return
 	}
-	r.rep.GroupSolves += int64(delta.Solved)
-	r.rep.GroupReuses += int64(delta.Reused)
 	r.rep.Reallocations++
 	if degraded {
 		r.rep.DegradedAllocs++

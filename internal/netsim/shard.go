@@ -52,9 +52,8 @@ type component struct {
 // interference proximity), so the whole-instance shares sliced per
 // component, and every per-component re-solve, equal what the single
 // engine installs. Merge order is component order, so the worker count
-// never changes the result. Reallocations, WatchdogChecks and the
-// group-delta counters tally per component, so they can exceed the
-// single-engine counts.
+// never changes the result. Reallocations and WatchdogChecks tally per
+// component, so they can exceed the single-engine counts.
 func run(a *core.Allocator, inst *core.Instance, cfg Config, events []FlowEvent, dynamic bool) (*DynamicResult, error) {
 	cfg = cfg.withDefaults()
 	if inst.Topo == nil {
@@ -75,11 +74,10 @@ func run(a *core.Allocator, inst *core.Instance, cfg Config, events []FlowEvent,
 	if a == nil {
 		a = core.NewAllocatorWorkers(1)
 	}
-	var delta core.Delta
 	degraded := false
 	if cfg.Shares == nil {
 		var err error
-		if cfg.Shares, delta, degraded, err = solveShares(a, inst, cfg.Protocol); err != nil {
+		if cfg.Shares, degraded, err = solveShares(a, inst, cfg.Protocol); err != nil {
 			return nil, err
 		}
 	}
@@ -105,12 +103,8 @@ func run(a *core.Allocator, inst *core.Instance, cfg Config, events []FlowEvent,
 		}
 		res = merge(cfg, comps, results)
 	}
-	if rep := res.Resilience; rep != nil {
-		rep.GroupSolves += int64(delta.Solved)
-		rep.GroupReuses += int64(delta.Reused)
-		if degraded {
-			rep.DegradedAllocs++
-		}
+	if rep := res.Resilience; rep != nil && degraded {
+		rep.DegradedAllocs++
 	}
 	return res, nil
 }
@@ -272,11 +266,10 @@ func shardFaultPlan(p *fault.Plan, compOf, localOf []int32, c int) *fault.Plan {
 }
 
 // merge folds the per-component results into one, in component order:
-// collectors and latency trackers union (flow sets are disjoint),
-// series merge window-wise on the shared sampling schedule, airtime
-// sums with per-node totals remapped to global IDs, churn counters sum
-// and final shares union, and resilience counters sum with final
-// routes remapped.
+// collectors union (flow sets are disjoint), series merge window-wise
+// on the shared sampling schedule, airtime sums with per-node totals
+// remapped to global IDs, reallocation counts sum and final shares
+// union, and resilience counters sum with final routes remapped.
 func merge(cfg Config, comps []*component, results []*DynamicResult) *DynamicResult {
 	out := &DynamicResult{
 		Result: Result{
@@ -284,7 +277,6 @@ func merge(cfg Config, comps []*component, results []*DynamicResult) *DynamicRes
 			Duration: cfg.Duration,
 			Stats:    stats.NewCollector(),
 			Shares:   cfg.Shares,
-			Latency:  stats.NewLatencyTracker(),
 			Airtime: &mac.AirtimeReport{
 				Duration:  cfg.Duration,
 				PerNodeTx: make(map[topology.NodeID]sim.Time),
@@ -300,7 +292,6 @@ func merge(cfg Config, comps []*component, results []*DynamicResult) *DynamicRes
 	for i, r := range results {
 		members := comps[i].members
 		out.Stats.Merge(r.Stats)
-		out.Latency.Merge(r.Latency)
 		out.Airtime.TxTime += r.Airtime.TxTime
 		out.Airtime.CollisionTime += r.Airtime.CollisionTime
 		out.Airtime.Exchanges += r.Airtime.Exchanges
@@ -318,8 +309,6 @@ func merge(cfg Config, comps []*component, results []*DynamicResult) *DynamicRes
 			}
 		}
 		out.Reallocations += r.Reallocations
-		out.GroupSolves += r.GroupSolves
-		out.GroupReuses += r.GroupReuses
 		maps.Copy(out.FinalShares, r.FinalShares)
 		if rep != nil {
 			mergeResilience(rep, r.Resilience, members)
@@ -348,8 +337,6 @@ func mergeResilience(dst, src *ResilienceReport, members []topology.NodeID) {
 	dst.Salvaged += src.Salvaged
 	dst.Reallocations += src.Reallocations
 	dst.DegradedAllocs += src.DegradedAllocs
-	dst.GroupSolves += src.GroupSolves
-	dst.GroupReuses += src.GroupReuses
 	dst.RepairTime += src.RepairTime
 	dst.WatchdogChecks += src.WatchdogChecks
 	for _, v := range src.Violations {

@@ -25,7 +25,7 @@ import (
 
 // renderDeep flattens every observable of a run — per-subflow and
 // end-to-end counts, drops, collisions, airtime totals and per-node
-// occupancy, per-flow latency distributions, and throughput series —
+// occupancy, and throughput series —
 // into one canonical string for wholesale comparison.
 func renderDeep(s *scenario.Scenario, r *netsim.Result) string {
 	out := renderRun(s, r)
@@ -37,16 +37,6 @@ func renderDeep(s *scenario.Scenario, r *netsim.Result) string {
 			}
 		}
 		out += "}"
-	}
-	if l := r.Latency; l != nil {
-		out += "\nlatency:"
-		for _, f := range s.Flows.Flows() {
-			id := f.ID()
-			p50, _ := l.Quantile(id, 0.5)
-			p99, _ := l.Quantile(id, 0.99)
-			mean, _ := l.Mean(id)
-			out += fmt.Sprintf(" %s:{n=%d mean=%d p50=%d p99=%d}", id, l.Count(id), mean, p50, p99)
-		}
 	}
 	if sr := r.Series; sr != nil {
 		out += fmt.Sprintf("\nseries: times=%v", sr.Times())
@@ -251,12 +241,12 @@ func TestNodeIDPermutation(t *testing.T) {
 // TestShardedResilientEquivalence pins the fault/watchdog path: a
 // two-component tiling with loss, node and link faults in both tiles
 // must deliver identical packet accounting sharded and single. Repair
-// and reallocation cadence counters (Reallocations, WatchdogChecks,
-// GroupSolves/GroupReuses) legitimately differ — each shard runs its
-// own watchdog — so they are excluded from the comparison. The churn
-// cases run the same check on RunDynamic: a tiled diamond whose flows
-// stop and restart while a link on each flow's path is cut, so the
-// fault plan, the repair and the churn reallocations all take effect.
+// and reallocation cadence counters (Reallocations, WatchdogChecks)
+// legitimately differ — each shard runs its own watchdog — so they are
+// excluded from the comparison. The churn cases run the same check on
+// RunDynamic: a tiled diamond whose flows stop and restart while a link
+// on each flow's path is cut, so the fault plan, the repair and the
+// churn reallocations all take effect.
 func TestShardedResilientEquivalence(t *testing.T) {
 	s := tiledFig1(t, 2)
 	// fig1 nodes per tile: A B C D E F = 0..5, tile 1 at 6..11.

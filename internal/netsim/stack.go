@@ -29,7 +29,7 @@ func NewStack(inst *core.Instance, cfg Config, hooks mac.Hooks) (*Stack, error) 
 	shares := cfg.Shares
 	if shares == nil {
 		var err error
-		shares, _, _, err = solveShares(nil, inst, cfg.Protocol)
+		shares, _, err = solveShares(nil, inst, cfg.Protocol)
 		if err != nil {
 			return nil, err
 		}

@@ -422,24 +422,12 @@ func (e *Engine) Shares() (core.FlowAllocation, uint64) {
 // Stats sums every shard's committed counters. Like GetShare it is
 // lock-free and allocation-free: it reads only published snapshots.
 func (e *Engine) Stats() Stats {
-	var st Stats
-	st.Shards = uint64(len(e.shards))
+	st := Stats{Shards: uint64(len(e.shards))}
+	sum := st.fields()
 	for _, sh := range e.shards {
-		s := &sh.snap.Load().Stats
-		st.Epoch += s.Epoch
-		st.Batches += s.Batches
-		st.Events += s.Events
-		st.Registers += s.Registers
-		st.Removes += s.Removes
-		st.Rejected += s.Rejected
-		st.Rebuilds += s.Rebuilds
-		st.GroupsSolved += s.GroupsSolved
-		st.GroupsReused += s.GroupsReused
-		st.CacheEvictions += s.CacheEvictions
-		st.Flows += s.Flows
-		st.WALBatches += s.WALBatches
-		st.Snapshots += s.Snapshots
-		st.SnapshotErrors += s.SnapshotErrors
+		for i, p := range sh.snap.Load().Stats.fields() {
+			*sum[i] += *p
+		}
 	}
 	return st
 }

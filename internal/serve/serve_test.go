@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -339,5 +341,35 @@ func TestTokenBucket(t *testing.T) {
 	var nilTB *TokenBucket
 	if !nilTB.Allow(1) {
 		t.Fatal("nil bucket rejected")
+	}
+}
+
+// TestStatsWireFormat pins GET /v1/stats' JSON body, which the daemon
+// writes straight from Stats, and the durable counter order: each
+// counter's position in a snapshot, and that an older snapshot's
+// shorter prefix restores the counters it holds and leaves the rest.
+func TestStatsWireFormat(t *testing.T) {
+	var st Stats
+	st.Shards = 1
+	for i, p := range st.fields() {
+		*p = uint64(i + 2)
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"shards":1,"epoch":2,"batches":3,"events":4,"registers":5,"removes":6,"rejected":7,"rebuilds":8,"groupsSolved":9,"groupsReused":10,"cacheEvictions":11,"flows":12,"walBatches":13,"snapshots":14,"snapshotErrors":15}`
+	if string(b) != want {
+		t.Fatalf("stats JSON:\n got %s\nwant %s", b, want)
+	}
+	c := st.counters()
+	if want := []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}; !slices.Equal(c, want) {
+		t.Fatalf("counters = %v, want %v", c, want)
+	}
+	var old ShardStats
+	old.SnapshotErrors = 99
+	old.restoreCounters(c[:3])
+	if old.Epoch != 2 || old.Batches != 3 || old.Events != 4 || old.Registers != 0 || old.SnapshotErrors != 99 {
+		t.Fatalf("prefix restore: %+v", old)
 	}
 }

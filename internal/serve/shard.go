@@ -46,46 +46,42 @@ type ShardStats struct {
 	SnapshotErrors uint64 `json:"snapshotErrors"` // failed snapshot writes (WAL keeps covering)
 }
 
-// counters packs the stats for a durable snapshot; restoreCounters is
-// its inverse. Field order is append-only: recovery takes the prefix
-// both sides know, so old snapshots stay readable as fields grow.
-func (s *ShardStats) counters() []uint64 {
-	return []uint64{
-		s.Epoch, s.Batches, s.Events, s.Registers, s.Removes, s.Rejected,
-		s.Rebuilds, s.GroupsSolved, s.GroupsReused, s.CacheEvictions,
-		s.Flows, s.WALBatches, s.Snapshots, s.SnapshotErrors,
-	}
-}
-
-func (s *ShardStats) restoreCounters(c []uint64) {
-	dst := []*uint64{
+// fields lists the counters in one order, the one list that counters,
+// restoreCounters and Engine.Stats walk. The order is append-only:
+// recovery takes the prefix both sides know, so old snapshots stay
+// readable as fields grow.
+func (s *ShardStats) fields() [14]*uint64 {
+	return [...]*uint64{
 		&s.Epoch, &s.Batches, &s.Events, &s.Registers, &s.Removes, &s.Rejected,
 		&s.Rebuilds, &s.GroupsSolved, &s.GroupsReused, &s.CacheEvictions,
 		&s.Flows, &s.WALBatches, &s.Snapshots, &s.SnapshotErrors,
 	}
-	for i := 0; i < len(c) && i < len(dst); i++ {
-		*dst[i] = c[i]
+}
+
+// counters packs the stats for a durable snapshot; restoreCounters is
+// its inverse.
+func (s *ShardStats) counters() []uint64 {
+	f := s.fields()
+	c := make([]uint64, len(f))
+	for i, p := range f {
+		c[i] = *p
+	}
+	return c
+}
+
+func (s *ShardStats) restoreCounters(c []uint64) {
+	for i, p := range s.fields() {
+		if i < len(c) {
+			*p = c[i]
+		}
 	}
 }
 
 // Stats is the engine-wide sum of per-shard counters plus the shard
 // count; see Engine.Stats.
 type Stats struct {
-	Shards         uint64 `json:"shards"`
-	Epoch          uint64 `json:"epoch"`
-	Batches        uint64 `json:"batches"`
-	Events         uint64 `json:"events"`
-	Registers      uint64 `json:"registers"`
-	Removes        uint64 `json:"removes"`
-	Rejected       uint64 `json:"rejected"`
-	Rebuilds       uint64 `json:"rebuilds"`
-	GroupsSolved   uint64 `json:"groupsSolved"`
-	GroupsReused   uint64 `json:"groupsReused"`
-	CacheEvictions uint64 `json:"cacheEvictions"`
-	Flows          uint64 `json:"flows"`
-	WALBatches     uint64 `json:"walBatches"`
-	Snapshots      uint64 `json:"snapshots"`
-	SnapshotErrors uint64 `json:"snapshotErrors"`
+	Shards uint64 `json:"shards"`
+	ShardStats
 }
 
 type opKind uint8

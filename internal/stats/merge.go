@@ -60,15 +60,3 @@ func (s *Series) Merge(o *Series) error {
 	}
 	return nil
 }
-
-// Merge folds another tracker's samples into l. Sharded runs merge
-// per-component trackers whose flow sets are disjoint; on overlap the
-// sample lists concatenate (quantiles are order-insensitive).
-func (l *LatencyTracker) Merge(o *LatencyTracker) {
-	if o == nil {
-		return
-	}
-	for id, s := range o.samples {
-		l.samples[id] = append(l.samples[id], s...)
-	}
-}

@@ -100,33 +100,3 @@ func TestWindowJain(t *testing.T) {
 		t.Errorf("weighted Jain = %v", jain)
 	}
 }
-
-func TestLatencyTracker(t *testing.T) {
-	l := NewLatencyTracker()
-	if _, ok := l.Mean("F1"); ok {
-		t.Error("empty tracker should report no mean")
-	}
-	for _, d := range []sim.Time{10, 20, 30, 40, 50} {
-		l.Record("F1", d*sim.Millisecond)
-	}
-	l.Record("F1", -5) // ignored
-	if l.Count("F1") != 5 {
-		t.Errorf("count = %d", l.Count("F1"))
-	}
-	mean, ok := l.Mean("F1")
-	if !ok || mean != 30*sim.Millisecond {
-		t.Errorf("mean = %v", mean)
-	}
-	q0, _ := l.Quantile("F1", 0)
-	q1, _ := l.Quantile("F1", 1)
-	med, _ := l.Quantile("F1", 0.5)
-	if q0 != 10*sim.Millisecond || q1 != 50*sim.Millisecond || med != 30*sim.Millisecond {
-		t.Errorf("quantiles: %v %v %v", q0, med, q1)
-	}
-	if _, ok := l.Quantile("F2", 0.5); ok {
-		t.Error("unknown flow should report no quantile")
-	}
-	if got := l.Flows(); len(got) != 1 || got[0] != "F1" {
-		t.Errorf("flows = %v", got)
-	}
-}

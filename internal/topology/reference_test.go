@@ -17,7 +17,9 @@ import (
 // extended slice, answered from a Builder-built topology's grid.
 func (t *Topology) AppendNodesInRange(p geom.Point, r float64, dst []NodeID) []NodeID {
 	start := len(dst)
-	t.grid.VisitWithin(p, r, func(i int) { dst = append(dst, NodeID(i)) })
+	for _, i := range t.grid.AppendWithin(p, r, nil) {
+		dst = append(dst, NodeID(i))
+	}
 	slices.Sort(dst[start:])
 	return dst
 }
